@@ -5,6 +5,7 @@ from .errors import (
     DisconnectedCoverError,
     DisconnectedGraphError,
     EnumerationOverflow,
+    InvariantError,
     NotGeneratingError,
     PathNotLongEnough,
 )

@@ -312,8 +312,11 @@ def _echo_report(report: Report, fmt: str, out: str | None) -> None:
     else:
         sys.stdout.buffer.write(payload)
     click.echo(f"wall-time: {report.wall_time:.3f}s", err=True)
+    # exit 1 if any row FAILs, else 3 if any row is an ERROR (2 is click's usage error)
     if report.fail_count:
         sys.exit(1)
+    if any(r.get("status") == "ERROR" for r in report.rows):
+        sys.exit(3)
 
 
 def _print_json(obj) -> None:

@@ -34,3 +34,7 @@ class CoverNotCovering(RuntimeError):
 
     Signals that the ball radius is too tight for the sampling mesh.
     """
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not a bad input."""

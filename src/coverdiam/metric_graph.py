@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, InvariantError
 
 __all__ = [
     "Edge",
@@ -43,7 +43,6 @@ __all__ = [
     "concat_routes",
     "load_metric_graph",
     "metric_graph_from_json",
-    "metric_graph_to_json",
 ]
 
 _EPS = 1e-12
@@ -491,17 +490,6 @@ class DiameterResult:
     witness: tuple[EdgePoint, EdgePoint] | None
 
 
-def _corner_distances(dm: np.ndarray, vidx, edges, ii, jj):
-    """Arrays A,B,C,E of endpoint distances for the edge pairs (ii, jj)."""
-    u = np.array([vidx[e.u] for e in edges])
-    v = np.array([vidx[e.v] for e in edges])
-    A = dm[u[ii], u[jj]]
-    B = dm[u[ii], v[jj]]
-    C = dm[v[ii], u[jj]]
-    E = dm[v[ii], v[jj]]
-    return A, B, C, E
-
-
 def _cross_lines(A, B, C, E, Li, Lj, zeros):
     # Equality lines of the four corner-route linear pieces, plus the
     # rectangle sides; every breakpoint of the min lies on two of these.
@@ -549,60 +537,28 @@ def _iter_cross_candidates(A, B, C, E, Li, Lj):
             yield s, t, val
 
 
-def _same_edge_candidates(e: Edge, d_uv: float):
-    """Candidate (s, t, value) list for both points on one edge."""
-    L = e.length
-    # coefficient triples (a, b, c) meaning a*s + b*t + c
-    fns = [
-        (1.0, 1.0, 0.0),          # exit u / enter u
-        (1.0, -1.0, d_uv + L),    # exit u / enter v
-        (-1.0, 1.0, d_uv + L),    # exit v / enter u
-        (-1.0, -1.0, 2.0 * L),    # exit v / enter v
-        (1.0, -1.0, 0.0),         # direct, s >= t branch
-        (-1.0, 1.0, 0.0),         # direct, t >= s branch
-    ]
-    lines = []
-    for i in range(len(fns)):
-        a1, b1, c1 = fns[i]
-        for j in range(i + 1, len(fns)):
-            a2, b2, c2 = fns[j]
-            da, db, dc = a1 - a2, b1 - b2, c1 - c2
-            if abs(da) < 1e-14 and abs(db) < 1e-14:
-                continue
-            lines.append((da, db, -dc))
-    lines.extend([(1.0, 0.0, 0.0), (1.0, 0.0, L), (0.0, 1.0, 0.0), (0.0, 1.0, L)])
-
-    def value(s: float, t: float) -> float:
-        corners = min(s + t, s - t + d_uv + L, -s + t + d_uv + L, 2 * L - s - t)
-        return min(corners, abs(s - t))
-
-    out = []
-    for a in range(len(lines)):
-        p1, q1, r1 = lines[a]
-        for b in range(a + 1, len(lines)):
-            p2, q2, r2 = lines[b]
-            det = p1 * q2 - p2 * q1
-            if abs(det) < 1e-14:
-                continue
-            s = (r1 * q2 - r2 * q1) / det
-            t = (p1 * r2 - p2 * r1) / det
-            if -_TOL <= s <= L + _TOL and -_TOL <= t <= L + _TOL:
-                s = min(max(s, 0.0), L) + 0.0
-                t = min(max(t, 0.0), L) + 0.0
-                out.append((s, t, value(s, t)))
-    return out
-
-
 _PAIR_CHUNK = 200_000
+# candidates within this share of the best value are ties for the witness
+_NEAR_BEST = 1e-12
 
 
 def continuous_diameter(g: MetricGraph) -> DiameterResult:
     """Maximum distance over all point pairs, edge interiors included.
 
-    Per edge pair the distance is a min of linear functions of the two
-    offsets; its maximum over the offset rectangle is attained at a corner
-    or at a crossing of two of the defining lines, so evaluating that
-    finite candidate set is exact.
+    Two points on one edge see a cycle of length L + d_uv, and d_uv <= L,
+    so the edge's maximum is (L + d_uv)/2, attained at offsets
+    (0, (L + d_uv)/2).  For two distinct edges the distance is the min of
+    four linear functions of the offsets; its maximum over the offset
+    rectangle is attained at a corner or at a crossing of two of the
+    defining lines, so evaluating that finite candidate set is exact.
+
+    The running best starts at the largest vertex or same-edge distance,
+    both attained.  Every point of an edge pair's rectangle is at most
+    (min(A + E, B + C) + Li + Lj)/2 from its partner, because the min of
+    the four pieces is at most the mean of either opposite two; pairs
+    whose bound is below the best, less a tolerance, hold no near-best
+    point and are skipped.  Near-best candidates are kept in the same
+    pass, and ties are broken lexicographically by (edge id, offset).
     """
     if not g.is_connected:
         raise DisconnectedGraphError("continuous diameter needs a connected graph")
@@ -611,54 +567,54 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
         return DiameterResult(0.0, None)
 
     dm = g.apsp().values
-    vidx = g._vindex
     edges = g.edges
+    u = np.array([g._vindex[e.u] for e in edges])
+    v = np.array([g._vindex[e.v] for e in edges])
     Lall = np.array([e.length for e in edges])
 
-    best = -math.inf
-    # cross-edge pairs, vectorised in chunks
+    half = (Lall + dm[u, v]) / 2.0
+    best = max(float(dm.max()), float(half.max()))
+    # near-best cross candidates: (value, edge i, offset s, edge j, offset t)
+    found: list[tuple[np.ndarray, ...]] = []
     ii_all, jj_all = np.triu_indices(m, k=1)
     for lo in range(0, len(ii_all), _PAIR_CHUNK):
         ii = ii_all[lo : lo + _PAIR_CHUNK]
         jj = jj_all[lo : lo + _PAIR_CHUNK]
-        A, B, C, E = _corner_distances(dm, vidx, edges, ii, jj)
+        A = dm[u[ii], u[jj]]
+        B = dm[u[ii], v[jj]]
+        C = dm[v[ii], u[jj]]
+        E = dm[v[ii], v[jj]]
         Li, Lj = Lall[ii], Lall[jj]
-        for _, _, val in _iter_cross_candidates(A, B, C, E, Li, Lj):
-            vmax = float(val.max())
-            if vmax > best:
-                best = vmax
-    # same-edge pairs
-    for e in edges:
-        d_uv = float(dm[vidx[e.u], vidx[e.v]])
-        for _, _, val in _same_edge_candidates(e, d_uv):
-            if val > best:
-                best = val
+        keep = (np.minimum(A + E, B + C) + Li + Lj) / 2.0 >= best - _NEAR_BEST * best
+        if not keep.any():
+            continue
+        ii, jj = ii[keep], jj[keep]
+        for s, t, val in _iter_cross_candidates(
+            A[keep], B[keep], C[keep], E[keep], Li[keep], Lj[keep]
+        ):
+            best = max(best, float(val.max()))
+            hits = val >= best - _NEAR_BEST * best
+            if hits.any():
+                found.append((val[hits], ii[hits], s[hits], jj[hits], t[hits]))
 
-    # second pass: gather near-optimal witnesses, break ties lexicographically
-    witnesses: list[tuple[tuple[str, float], tuple[str, float]]] = []
-    thresh = best - 1e-12
-    for lo in range(0, len(ii_all), _PAIR_CHUNK):
-        ii = ii_all[lo : lo + _PAIR_CHUNK]
-        jj = jj_all[lo : lo + _PAIR_CHUNK]
-        A, B, C, E = _corner_distances(dm, vidx, edges, ii, jj)
-        Li, Lj = Lall[ii], Lall[jj]
-        for s, t, val in _iter_cross_candidates(A, B, C, E, Li, Lj):
-            hits = np.nonzero(val >= thresh)[0]
-            for k in hits:
-                a = (edges[ii[k]].id, float(s[k]) + 0.0)
-                b = (edges[jj[k]].id, float(t[k]) + 0.0)
-                witnesses.append((a, b) if a <= b else (b, a))
-    for e in edges:
-        d_uv = float(dm[vidx[e.u], vidx[e.v]])
-        for s, t, val in _same_edge_candidates(e, d_uv):
-            if val >= thresh:
-                a, b = (e.id, s), (e.id, t)
-                witnesses.append((a, b) if a <= b else (b, a))
+    thresh = best - _NEAR_BEST * best
+    witnesses: list[tuple[tuple[str, float], tuple[str, float]]] = [
+        ((edges[k].id, 0.0), (edges[k].id, float(half[k]) + 0.0))
+        for k in np.nonzero(half >= thresh)[0]
+    ]
+    for val, ii, s, jj, t in found:
+        for k in np.nonzero(val >= thresh)[0]:
+            a = (edges[ii[k]].id, float(s[k]) + 0.0)
+            b = (edges[jj[k]].id, float(t[k]) + 0.0)
+            witnesses.append((a, b) if a <= b else (b, a))
 
     wa, wb = min(witnesses)
     witness = (EdgePoint(wa[0], wa[1]), EdgePoint(wb[0], wb[1]))
     value = point_distance(g, witness[0], witness[1])
-    assert abs(value - best) <= 1e-9
+    if abs(value - best) > 1e-9 * best:
+        raise InvariantError(
+            f"witness distance {value!r} differs from the candidate maximum {best!r}"
+        )
     return DiameterResult(value, witness)
 
 
@@ -771,10 +727,6 @@ def metric_graph_from_json(obj: dict) -> MetricGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed edge record {rec!r}: {exc}") from None
     return MetricGraph(obj["vertices"], edges)
-
-
-def metric_graph_to_json(g: MetricGraph) -> dict:
-    return g.to_json_dict()
 
 
 def load_metric_graph(path) -> MetricGraph:

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .complexes import (
     SimplicialComplex2,
@@ -378,21 +376,6 @@ class NerveReport:
         }
 
 
-def _graph_csr(g: MetricGraph):
-    n = len(g.vertices)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    best = {}
-    for e in g.edges:
-        i, j = idx[e.u], idx[e.v]
-        if i == j:
-            continue
-        key = (min(i, j), max(i, j))
-        if key not in best or e.length < best[key]:
-            best[key] = e.length
-    rows, cols, data = zip(*((i, j, l) for (i, j), l in best.items()))
-    return csr_matrix((data, (rows, cols)), shape=(n, n)), idx
-
-
 def _nerve_bfs_diameter(k: SimplicialComplex2) -> int:
     best = 0
     for src in k.vertices:
@@ -436,16 +419,15 @@ def fiber_ball_nerve(
     r = (d + epsilon) if radius is None else radius
     mesh_ok = epsilon >= 1.0 / level - 1e-12
 
-    mat, idx = _graph_csr(pe_total.graph)
-    fiber_vertices = [pe_total.vertex_id((p, s)) for s in range(n)]
-    sources = [idx[v] for v in fiber_vertices]
-    dists = _sp_dijkstra(mat, directed=False, indices=sources)
+    graph = pe_total.graph
+    sources = [graph.vertex_index(pe_total.vertex_id((p, s))) for s in range(n)]
+    dists = graph.apsp().values[sources]
 
     nearest = dists.min(axis=0)
     worst = int(nearest.argmax())
     if not (nearest[worst] < r):
         raise CoverNotCovering(
-            f"sample {pe_total.graph.vertices[worst]!r} at distance "
+            f"sample {graph.vertices[worst]!r} at distance "
             f"{nearest[worst]} >= radius {r}"
         )
 
@@ -459,8 +441,7 @@ def fiber_ball_nerve(
 
     nerve_connected = _nerve_bfs_diameter(nerve) >= 0
     # deck elements moving the basepoint lift by less than 2(d + eps)
-    fiber_idx = {s: idx[fiber_vertices[s]] for s in range(n)}
-    fdist = [[float(dists[i, fiber_idx[j]]) for j in range(n)] for i in range(n)]
+    fdist = [[float(dists[i, sources[j]]) for j in range(n)] for i in range(n)]
     threshold = 2 * (d + epsilon) if radius is None else 2 * r
     gen_set = tuple(
         a for a in range(1, n) if fdist[0][c.deck[a][0]] < threshold

@@ -251,6 +251,17 @@ def test_cayley_zoo_csv_output(runner, tmp_path):
     assert "Z12|1," in text and "hypothesis_failed" in text
 
 
+def test_cayley_zoo_error_rows_exit_3(runner, tmp_path):
+    # a 5-coset budget overflows on most instances: ERROR rows but no FAIL
+    out = tmp_path / "zoo.json"
+    result = runner.invoke(
+        main, ["cayley", "zoo", "--budget", "5", "--format", "json", "--out", str(out)]
+    )
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["error"] == 72 and summary["fail"] == 0
+    assert result.exit_code == 3
+
+
 def test_ucover_commands(runner, data_dir, tmp_path):
     result = runner.invoke(
         main, ["ucover", "build", "--complex", str(data_dir / "rp2_complex.json")]

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverdiam.errors import DisconnectedGraphError
+from coverdiam import universal_cover
+from coverdiam.cli import sweep_base_graph, sweep_instance
+from coverdiam.complexes import SimplicialComplex2
+from coverdiam.errors import DisconnectedGraphError, InvariantError
 from coverdiam.metric_graph import (
     EdgePoint,
     MetricGraph,
@@ -172,6 +176,108 @@ def test_diameter_witness_deterministic(theta):
     assert r1 == r2
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6, 1e9])
+def test_diameter_scales_linearly_on_rescaled_sweep(scale):
+    for i in range(60):
+        g = sweep_base_graph(7, i)
+        scaled = MetricGraph(g.vertices, [(e.id, e.u, e.v, e.length * scale) for e in g.edges])
+        res, res_scaled = continuous_diameter(g), continuous_diameter(scaled)
+        assert res_scaled.value == pytest.approx(res.value * scale, rel=1e-9), i
+        assert [p.edge for p in res_scaled.witness] == [p.edge for p in res.witness], i
+
+
+# (graph, value, witness) as computed by the two-pass candidate search
+# that preceded the one-pass, pruned one; ties must break the same way.
+_PINNED = [
+    ('rp2/L3', 3.0, ('E0:0', 0.0), ('E5:0', 0.0)),
+    ('rp2/L4', 3.0, ('E0:0', 0.0), ('E5:0', 0.0)),
+    ('lens3/base', 3.0, ('E30:0', 0.5), ('E34:0', 0.5)),
+    ('lens3/cover', 5.0, ('E100:0', 0.5), ('E104:0', 0.5)),
+    ('sweep/0/base', 1.8377629653102379, ('e0', 0.0), ('e0', 1.8377629653102379)),
+    ('sweep/0/cover', 1.8377629653102379, ('e0@0', 0.0), ('e0@0', 1.8377629653102379)),
+    ('sweep/1/base', 2.116012592472135, ('e2', 0.4751825351616604), ('e5', 0.9645818177446343)),
+    ('sweep/1/cover', 2.8771761078121325, ('e5@0', 0.9645818177446341), ('e5@1', 0.5563417070535605)),
+    ('sweep/2/base', 2.3711100678428787, ('e5', 0.8144437536579945), ('e6', 0.888309578678719)),
+    ('sweep/2/cover', 3.397595298147302, ('e6@2', 0.8883095786787188), ('e8@0', 1.1603220020680616)),
+    ('sweep/3/base', 2.0111635847290725, ('e2', 0.6859405815122386), ('e6', 0.9211289641430449)),
+    ('sweep/3/cover', 3.205603812735361, ('e6@0', 0.9211289641430449), ('e6@2', 0.9211289641430449)),
+    ('sweep/4/base', 1.624467338351612, ('e3', 0.7952666789696136), ('e9', 0.8292006593819984)),
+    ('sweep/4/cover', 2.143989528197464, ('e9@0', 0.8292006593819983), ('e9@1', 0.6480957693161594)),
+    ('sweep/5/base', 1.0656836192753643, ('e1', 0.495815111609626), ('e3', 0.5698685076657383)),
+    ('sweep/5/cover', 3.8485608332196604, ('e3@1', 0.5698685076657379), ('e3@5', 0.15569486378394193)),
+    ('sweep/6/base', 2.5429055192919607, ('e4', 1.2197111590617293), ('e8', 0.6577074654938619)),
+    ('sweep/6/cover', 4.423416253526046, ('e4@1', 0.9719078321986048), ('e4@2', 1.2197111590617293)),
+    ('sweep/7/base', 1.4100588724927836, ('e0', 0.8143950758089078), ('e2', 0.5956637966838758)),
+    ('sweep/7/cover', 3.1558761744573895, ('e0@0', 0.8143950758089077), ('e0@1', 0.8143950758089078)),
+    ('sweep/8/base', 3.716885213550968, ('e3', 1.933701806013731), ('e5', 0.44723881925582587)),
+    ('sweep/8/cover', 9.82575126122617, ('e3@0', 1.9337018060137305), ('e3@2', 1.933701806013731)),
+    ('sweep/9/base', 2.8444100232529763, ('e1', 1.5150129997399695), ('e2', 1.3293970235130068)),
+    ('sweep/9/cover', 7.621011622043765, ('e1@2', 1.515012999739969), ('e1@4', 1.5150129997399697)),
+    ('sweep/10/base', 1.751756532326574, ('e1', 0.8392132647552395), ('e5', 0.9125432675713345)),
+    ('sweep/10/cover', 2.9634044481150936, ('e1@1', 0.8392132647552394), ('e5@2', 0.9016317880993509)),
+    ('sweep/11/base', 2.7565044010205737, ('e0', 0.0), ('e1', 1.3183985433535117)),
+    ('sweep/11/cover', 2.7565044010205737, ('e0@0', 0.0), ('e1@0', 1.3183985433535117)),
+    ('sweep/12/base', 1.3441693329244444, ('e6', 0.7007848133821553), ('e7', 0.643384519542289)),
+    ('sweep/12/cover', 2.239928473029686, ('e2@2', 0.6241499495220191), ('e6@1', 0.7007848133821551)),
+    ('sweep/13/base', 4.669692170219655, ('e1', 1.878240333634142), ('e2', 1.7797991561520534)),
+    ('sweep/13/cover', 4.669692170219655, ('e1@0', 1.878240333634142), ('e2@0', 1.7797991561520534)),
+    ('sweep/14/base', 2.749968184198117, ('e5', 0.9837624954489794), ('e7', 0.8992219261621435)),
+    ('sweep/14/cover', 5.499936368396234, ('e5@2', 0.9837624954489794), ('e5@4', 0.9837624954489794)),
+    ('sweep/15/base', 8.394948776542217, ('e1', 1.2642953543339954), ('e6', 1.4481560021250726)),
+    ('sweep/15/cover', 8.394948776542217, ('e1@0', 1.2642953543339954), ('e6@0', 1.4481560021250726)),
+    ('sweep/16/base', 0.8561656455073962, ('e0', 0.0), ('e1', 0.2824971722818229)),
+    ('sweep/16/cover', 0.8561656455073962, ('e0@0', 0.0), ('e1@0', 0.2824971722818229)),
+    ('sweep/17/base', 3.2012936181913463, ('e1', 1.0609060427524262), ('e5', 0.8858079027728789)),
+    ('sweep/17/cover', 5.400396461305258, ('e5@1', 1.0291093314075097), ('e5@4', 0.8858079027728791)),
+    ('sweep/18/base', 1.9008315391265418, ('e1', 0.8558310956636779), ('e2', 1.045000443462864)),
+    ('sweep/18/cover', 3.424183943805336, ('e1@0', 0.8558310956636779), ('e1@4', 0.8549715345130536)),
+    ('sweep/19/base', 2.7087126160834494, ('e2', 1.3755728185046956), ('e3', 1.3331397975787538)),
+    ('sweep/19/cover', 10.749984422481914, ('e2@0', 1.3755728185046951), ('e2@5', 1.3755728185046951)),
+]
+
+
+def _pseudo_projective_plane(k: int) -> SimplicialComplex2:
+    """A ring of 3k vertices wound k times round a triangle and coned off: pi_1 = Z_k."""
+    ring = [4 + i for i in range(3 * k)]
+    triangles = []
+    for i, r in enumerate(ring):
+        a, b = i % 3, (i + 1) % 3
+        r_next = ring[(i + 1) % len(ring)]
+        triangles += [(a, b, r), (b, r, r_next), (r, r_next, 3)]
+    return SimplicialComplex2(range(3 * k + 4), triangles)
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_graphs() -> dict:
+    graphs = {}
+    rp2 = universal_cover.build_universal_cover(universal_cover.rp2_complex(), 100_000)
+    for level in (3, 4):
+        graphs[f"rp2/L{level}"] = universal_cover.pe_subdivision_graph(rp2.total, level).graph
+    lens = universal_cover.build_universal_cover(_pseudo_projective_plane(3), 100_000)
+    graphs["lens3/base"] = universal_cover.pe_subdivision_graph(lens.base, 1).graph
+    graphs["lens3/cover"] = universal_cover.pe_subdivision_graph(lens.total, 1).graph
+    for i in range(20):
+        g, _, cover, _ = sweep_instance(1, i)
+        graphs[f"sweep/{i}/base"] = g
+        graphs[f"sweep/{i}/cover"] = cover.graph
+    return graphs
+
+
+def test_diameter_pinned_witnesses():
+    graphs = _pinned_graphs()
+    for key, value, a, b in _PINNED:
+        res = continuous_diameter(graphs[key])
+        assert (res.value, res.witness) == (value, (EdgePoint(*a), EdgePoint(*b))), key
+
+
+def test_diameter_witness_mismatch_raises_typed_error(theta, monkeypatch):
+    import coverdiam.metric_graph as mg
+
+    monkeypatch.setattr(mg, "point_distance", lambda g, x, y: 2.0)  # true value is 1.5
+    with pytest.raises(InvariantError):
+        continuous_diameter(theta)
+
+
 def test_diameter_requires_connected():
     g = MetricGraph(
         ["a", "b"], [("e0", "a", "a", 1.0), ("e1", "b", "b", 1.0)], require_connected=False
@@ -336,10 +442,18 @@ def test_unknown_vertex_named_in_error():
 @given(seed=st.integers(0, 10_000))
 def test_diameter_vs_mesh_on_random_graphs(seed):
     rng = random.Random(seed)
-    g = random_connected_graph(rng, max_vertices=5, max_edges=7)
+    _check_diameter_against_mesh(random_connected_graph(rng, max_vertices=5, max_edges=7))
+
+
+@pytest.mark.parametrize("key", [key for key, *_ in _PINNED])
+def test_diameter_vs_mesh_on_pinned_graphs(key):
+    _check_diameter_against_mesh(_pinned_graphs()[key])
+
+
+def _check_diameter_against_mesh(g, mesh=0.05):
     res = continuous_diameter(g)
-    approx = mesh_diameter(g, 0.05)
-    assert approx - 1e-9 <= res.value <= approx + 0.05 + 1e-9
+    approx = mesh_diameter(g, mesh)
+    assert approx - 1e-9 <= res.value <= approx + mesh + 1e-9
 
 
 @settings(max_examples=30, deadline=None)

@@ -201,10 +201,11 @@ def test_nerve_radius_too_tight_raises(rp2_cover):
 def test_nerve_boundary_radius_check(rp2_cover):
     # radius exactly at the farthest-sample distance: strictness must trip
     pe_total = pe_subdivision_graph(rp2_cover.total, 3)
-    from coverdiam.universal_cover import _graph_csr
     from scipy.sparse.csgraph import dijkstra
 
-    mat, idx = _graph_csr(pe_total.graph)
+    from .oracle import _csr
+
+    mat, idx = _csr(pe_total.graph)
     sources = [idx[pe_total.vertex_id((1, s))] for s in range(2)]
     nearest = dijkstra(mat, directed=False, indices=sources).min(axis=0)
     tight = float(nearest.max())
