@@ -10,12 +10,12 @@ first-free-coset definition order, so completed tables are reproducible.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, Literal, Sequence
 
-from .errors import EnumerationOverflow, NotGeneratingError
+from .errors import EnumerationOverflow, InvariantError, NotGeneratingError
 
 __all__ = [
     "Word",
@@ -359,7 +359,8 @@ def todd_coxeter(p: Presentation, max_cosets: int) -> CosetTable:
     enum.run(p.relators)
     action = tuple(tuple(perm) for perm in enum.compress())
     table = CosetTable(action=action)
-    assert table.satisfies(p)
+    if not table.satisfies(p):
+        raise InvariantError("completed coset table violates a relator")
     return table
 
 
@@ -483,36 +484,41 @@ class TrivialityResult:
 
 
 def _exponent_matrix_rank(p: Presentation) -> int:
-    """Rank over Q of the relator exponent-sum matrix, by exact elimination."""
-    rows = []
+    """Rank over Q of the relator exponent-sum matrix, by exact sparse
+    fraction-free elimination over the integers.
+
+    Each relator is a row {column: exponent sum} without zeros.  While its
+    leading (smallest) column has a pivot row, with pivot entry a and row
+    entry b, the row becomes (a/g)*row - (b/g)*pivot, g = gcd(a, b); rows are
+    kept primitive.  Integer scaling and adding integer multiples of other
+    rows keep the row space over Q, so the rank is exact.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> primitive row
     for w in p.relators:
-        row = [0] * p.generator_count
-        for letter in w:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        rows.append([Fraction(x) for x in row])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < p.generator_count:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / rows[rank][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        if len(pivots) == p.generator_count:
+            break
+        row = Counter(abs(x) - 1 for x in w if x > 0)
+        row.subtract(-x - 1 for x in w if x < 0)
+        while row := {c: x for c, x in row.items() if x}:
+            g = gcd(*row.values())
+            row = {c: x // g for c, x in row.items()}
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            pivot = pivots[lead]
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            row = {c: a * row.get(c, 0) - b * pivot.get(c, 0) for c in row.keys() | pivot.keys()}
+    return len(pivots)
 
 
 def is_trivial(p: Presentation, max_cosets: int) -> TrivialityResult:
     """Decide triviality of the presented group, if the budget allows.
 
     The cheap No-path certifies an infinite abelianization from the rational
-    rank of the exponent-sum matrix; otherwise enumeration decides, with
-    Unknown on overflow.
+    rank of the exponent-sum matrix, computed exactly by sparse integer
+    elimination; otherwise enumeration decides, with Unknown on overflow.
     """
     if p.generator_count > 0:
         rank = _exponent_matrix_rank(p)

@@ -18,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .complexes import flag_triangles, is_simply_connected
+from .errors import InvariantError
 from .groups import (
     CayleyGraph,
     CosetTable,
@@ -164,7 +165,8 @@ def left_multiplication(t: CosetTable, a: int) -> tuple[int, ...]:
                 if image[h] < 0:
                     image[h] = t.act(image[g], letter)
                     queue.append(h)
-    assert all(x >= 0 for x in image)
+    if min(image) < 0:
+        raise InvariantError("left multiplication missed an element")
     return tuple(image)
 
 
@@ -173,11 +175,12 @@ def translated_copy(c: CayleyGraph, t: CosetTable, a: int, s: Iterable[int]) -> 
     lam = left_multiplication(t, a)
     s = frozenset(s)
     image = frozenset(lam[g] for g in s)
-    assert len(image) == len(s)
+    if len(image) != len(s):
+        raise InvariantError("left multiplication is not injective")
     for g in s:
         for h in s:
-            if h in c.neighbors[g]:
-                assert lam[h] in c.neighbors[lam[g]], "left multiplication broke an edge"
+            if h in c.neighbors[g] and lam[h] not in c.neighbors[lam[g]]:
+                raise InvariantError("left multiplication broke an edge")
     return image
 
 

@@ -1,8 +1,12 @@
-"""Brute-force mesh oracles, kept independent of the closed-form code paths."""
+"""Brute-force mesh oracles and predecessor algorithms, kept independent of
+the code paths they check."""
+
+from fractions import Fraction
 
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from coverdiam.groups import Presentation
 from coverdiam.metric_graph import EdgePoint, MetricGraph, subdivide
 
 
@@ -54,3 +58,29 @@ def mesh_point_distance(g: MetricGraph, x: EdgePoint, y: EdgePoint, mesh: float)
     mat, idx = _csr(sub)
     d = dijkstra(mat, directed=False, indices=[idx[snap(x)]])
     return float(d[0, idx[snap(y)]])
+
+
+def exponent_rank_fraction(p: Presentation) -> int:
+    """Rank over Q of the relator exponent-sum matrix, by dense exact
+    elimination over Fraction: the reference for the sparse integer path."""
+    rows = []
+    for w in p.relators:
+        row = [0] * p.generator_count
+        for letter in w:
+            row[abs(letter) - 1] += 1 if letter > 0 else -1
+        rows.append([Fraction(x) for x in row])
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < p.generator_count:
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank

@@ -20,6 +20,7 @@ from coverdiam.covering import (
     verify_diameter_bound,
 )
 from coverdiam.errors import PathNotLongEnough
+from coverdiam.groups import Presentation
 from coverdiam.metric_graph import (
     MetricGraph,
     PathRoute,
@@ -172,6 +173,16 @@ def test_cayley_bound_zoo():
         assert z12.diameter > z12.bound  # necessity of the hypothesis
         assert any(rep.verdict == "holds" for _, rep in reports)
     assert elapsed < 120.0
+
+
+def test_cayley_rank_certificate_on_z160():
+    with criterion("cayley: Z160 on a, a^2, .., a^8 certified by the exponent rank", 1.0):
+        p = Presentation(8, [(1,) * 160] + [(j,) + (-1,) * j for j in range(2, 9)])
+        rep = verify_cayley_bound(p, range(8), 100_000)
+        assert rep.verdict == "hypothesis_failed"
+        assert rep.simply_connected.certificate == (
+            "abelianization infinite: exponent matrix rank 1120 < 1121"
+        )
 
 
 def test_separator_structure_on_certified_instances():

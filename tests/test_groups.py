@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from coverdiam.errors import EnumerationOverflow, NotGeneratingError
+from coverdiam.complexes import SimplicialComplex2, flag_triangles, pi1_presentation
+from coverdiam.errors import EnumerationOverflow, InvariantError, NotGeneratingError
 from coverdiam.groups import (
+    CosetTable,
     Presentation,
+    _exponent_matrix_rank,
     bfs_distances,
     cayley_graph,
     free_reduce,
@@ -16,6 +21,10 @@ from coverdiam.groups import (
     word_metric_diameter,
     word_to_string,
 )
+from coverdiam.separator import zoo_instances
+from coverdiam.universal_cover import build_universal_cover, rp2_complex
+
+from .oracle import exponent_rank_fraction
 
 
 def cyclic(k: int) -> Presentation:
@@ -82,6 +91,12 @@ def test_enumerate_s3_matches_permutation_model():
     expected = brute_force_symmetric_group_order()
     p = Presentation(2, [(1, 1), (2, 2), (1, 2, 1, 2, 1, 2)])
     assert todd_coxeter(p, 100).coset_count == expected == 6
+
+
+def test_unsatisfied_relator_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(CosetTable, "satisfies", lambda self, p: False)
+    with pytest.raises(InvariantError):
+        todd_coxeter(cyclic(5), 100)
 
 
 def test_enumeration_overflow():
@@ -334,6 +349,95 @@ def test_is_trivial_unknown_on_budget():
     res = is_trivial(p, 500)
     assert res.status == "unknown"
     assert "budget" in res.certificate
+
+
+# ------------------------------------------------------- exponent rank
+
+
+def cyclic_powers(n: int, k: int) -> Presentation:
+    """Z_n on generators a, a^2, .., a^k: relators a^n and b_j a^-j."""
+    return Presentation(k, [(1,) * n] + [(j,) + (-1,) * j for j in range(2, k + 1)])
+
+
+def pseudo_projective_plane(k: int) -> SimplicialComplex2:
+    """Order-k pseudo-projective plane, pi_1 = Z_k: a ring of 3k vertices
+    wraps k times around the triangle 0 1 2 and is coned off at vertex 3."""
+    m = 3 * k
+    triangles = []
+    for i in range(m):
+        a, b = i % 3, (i + 1) % 3
+        r, r_next = 4 + i, 4 + (i + 1) % m
+        triangles += [(a, b, r), (b, r, r_next), (r, r_next, 3)]
+    return SimplicialComplex2(range(m + 4), triangles)
+
+
+def _flag_presentation(p: Presentation, gens) -> Presentation:
+    c = cayley_graph(todd_coxeter(p, 100_000), gens)
+    return pi1_presentation(flag_triangles(c))
+
+
+def _random_presentations():
+    rng = random.Random(4242)
+    out = [Presentation(0, []), Presentation(0, [(), ()]), Presentation(3, [])]
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        relators = []
+        for _ in range(rng.randint(0, 9)):
+            kind = rng.randrange(4) if n else 3
+            if kind == 0:  # random word, letters repeat
+                relators.append([rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 10))])
+            elif kind == 1:  # a power: an entry beyond +-1
+                relators.append([rng.choice((1, -1)) * rng.randint(1, n)] * rng.randint(2, 12))
+            elif kind == 2:  # a commutator: a zero row
+                a, b = rng.randint(1, n), rng.randint(1, n)
+                relators.append([a, b, -a, -b])
+            else:
+                relators.append([])
+        out.append(Presentation(n, relators))
+    return out
+
+
+_RANK_CASES = {
+    "zoo flag fillings": lambda: [
+        _flag_presentation(inst.presentation, inst.gens) for inst in zoo_instances()
+    ],
+    "cyclic powers": lambda: [
+        _flag_presentation(cyclic_powers(n, k), range(k))
+        for n, k in [(3 * k, k) for k in range(3, 8)] + [(36, 4), (30, 5), (40, 5)]
+    ],
+    "rp2 total": lambda: [pi1_presentation(build_universal_cover(rp2_complex(), 100_000).total)],
+    "projective planes": lambda: [
+        pi1_presentation(complex_)
+        for order in (3, 4, 6)
+        for complex_ in (
+            pseudo_projective_plane(order),
+            build_universal_cover(pseudo_projective_plane(order), 100_000).total,
+        )
+    ],
+    "random": _random_presentations,
+}
+
+
+@pytest.mark.parametrize("family", sorted(_RANK_CASES))
+def test_exponent_rank_matches_fraction_elimination(family):
+    for p in _RANK_CASES[family]():
+        assert _exponent_matrix_rank(p) == exponent_rank_fraction(p), p
+
+
+@given(st.data())
+def test_exponent_rank_invariant_under_relabelling(data):
+    n = data.draw(st.integers(1, 6))
+    letter = st.integers(-n, n).filter(bool)
+    relators = data.draw(st.lists(st.lists(letter, max_size=8), max_size=8))
+    order = data.draw(st.permutations(range(len(relators))))
+    number = data.draw(st.permutations(range(1, n + 1)))
+    flip = data.draw(st.integers(1, n))
+    rank = _exponent_matrix_rank(Presentation(n, relators))
+    reordered = [relators[i] for i in order]
+    renumbered = [[number[x - 1] if x > 0 else -number[-x - 1] for x in w] for w in relators]
+    inverted = [[-x if abs(x) == flip else x for x in w] for w in relators]
+    for variant in (reordered, renumbered, inverted):
+        assert _exponent_matrix_rank(Presentation(n, variant)) == rank
 
 
 # ------------------------------------------------------------- files
