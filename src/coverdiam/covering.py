@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DisconnectedCoverError, PathNotLongEnough
+from .errors import DisconnectedCoverError, InvariantError, PathNotLongEnough
 from .metric_graph import (
     DiameterResult,
     Edge,
@@ -195,10 +195,13 @@ def derive_cover(g: MetricGraph, v: Voltage) -> CoveringGraph:
 
 def _check_cover_invariants(c: CoveringGraph) -> None:
     n = c.sheets
-    assert len(c.graph.vertices) == n * len(c.base.vertices)
-    assert len(c.graph.edges) == n * len(c.base.edges)
+    if len(c.graph.vertices) != n * len(c.base.vertices):
+        raise InvariantError("derived graph does not have n vertices per base vertex")
+    if len(c.graph.edges) != n * len(c.base.edges):
+        raise InvariantError("derived graph does not have n edges per base edge")
     for e in c.graph.edges:
-        assert e.length == c.base.edge(c.project_edge(e.id)[0]).length
+        if e.length != c.base.edge(c.project_edge(e.id)[0]).length:
+            raise InvariantError(f"lifted edge {e.id} changes length")
     # the star of each derived vertex maps bijectively onto the base star
     for dv in c.graph.vertices:
         base_v, _ = c.project_vertex(dv)
@@ -206,7 +209,8 @@ def _check_cover_invariants(c: CoveringGraph) -> None:
             (c.project_edge(e.id)[0], side) for e, side in c.graph.incident(dv)
         )
         base_star = sorted((e.id, side) for e, side in c.base.incident(base_v))
-        assert derived_star == base_star, f"star at {dv} does not project bijectively"
+        if derived_star != base_star:
+            raise InvariantError(f"star at {dv} does not project bijectively")
 
 
 @dataclass(frozen=True)
@@ -282,7 +286,8 @@ def _lift_route_at(c: CoveringGraph, route: PathRoute, start: EdgePoint) -> Path
             if c.project_edge(derived_id)[0] != leg.edge:
                 raise ValueError("route leaves an edge interior inconsistently")
         else:
-            assert at_vertex is not None
+            if at_vertex is None:
+                raise InvariantError("lift lost its vertex between legs")
             entry = _endpoint_side(leg.start, base_edge.length)
             if entry is None:
                 raise ValueError("route jumps to an edge interior")
@@ -495,8 +500,10 @@ def pigeonhole_shorten(c: CoveringGraph, route: PathRoute) -> ShorteningTrace:
         shortest_route(c.base, proj_points[k], proj_points[k + 1]) for k in range(n)
     ]
     for k in range(n):
-        assert alphas[k].length <= d + _TOL
-        assert pieces[k].length > d - _TOL
+        if alphas[k].length > d + _TOL:
+            raise InvariantError(f"shortcut {k} is longer than the base diameter")
+        if pieces[k].length <= d - _TOL:
+            raise InvariantError(f"piece {k} is not longer than the base diameter")
 
     q = route.end
     betas = []
@@ -516,7 +523,10 @@ def pigeonhole_shorten(c: CoveringGraph, route: PathRoute) -> ShorteningTrace:
                 break
         if match:
             break
-    assert match is not None, "pigeonhole failure: fiber has n points but no two of n+1 starts agree"
+    if match is None:
+        raise InvariantError(
+            "pigeonhole failure: fiber has n points but no two of n+1 starts agree"
+        )
 
     i, j = match
     if i == 0:
@@ -526,9 +536,12 @@ def pigeonhole_shorten(c: CoveringGraph, route: PathRoute) -> ShorteningTrace:
         sigma_base = concat_routes(c.base, *parts)
         sigma = lift_path_ending_at(c, sigma_base, q)
 
-    assert c.fiber_sheet(sigma.start) == c.fiber_sheet(route.start)
-    assert points_coincide(c.graph, sigma.end, route.end)
-    assert sigma.length < total
+    if c.fiber_sheet(sigma.start) != c.fiber_sheet(route.start):
+        raise InvariantError("shortened route starts on another sheet")
+    if not points_coincide(c.graph, sigma.end, route.end):
+        raise InvariantError("shortened route ends elsewhere")
+    if sigma.length >= total:
+        raise InvariantError("shortened route is not shorter")
     return ShorteningTrace(
         partition_arclengths=arclengths,
         partition_points=partition_points,

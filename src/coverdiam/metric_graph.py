@@ -116,19 +116,22 @@ class PathRoute:
     def start(self) -> EdgePoint:
         if self.legs:
             return EdgePoint(self.legs[0].edge, self.legs[0].start)
-        assert self.anchor is not None
-        return self.anchor
+        return self._anchor()
 
     @property
     def end(self) -> EdgePoint:
         if self.legs:
             return EdgePoint(self.legs[-1].edge, self.legs[-1].end)
-        assert self.anchor is not None
-        return self.anchor
+        return self._anchor()
 
     @property
     def length(self) -> float:
         return float(sum(l.length for l in self.legs))
+
+    def _anchor(self) -> EdgePoint:
+        if self.anchor is None:
+            raise InvariantError("an empty route has no anchor point")
+        return self.anchor
 
     def reversed(self) -> "PathRoute":
         return PathRoute(tuple(l.reversed() for l in reversed(self.legs)), self.anchor)
@@ -136,8 +139,7 @@ class PathRoute:
     def point_at(self, arclength: float) -> EdgePoint:
         """Point at the given arclength from the start (clamped to the route)."""
         if not self.legs:
-            assert self.anchor is not None
-            return self.anchor
+            return self._anchor()
         remaining = max(0.0, arclength)
         for leg in self.legs:
             if remaining <= leg.length:
@@ -490,56 +492,75 @@ class DiameterResult:
     witness: tuple[EdgePoint, EdgePoint] | None
 
 
-def _cross_lines(A, B, C, E, Li, Lj, zeros):
-    # Equality lines of the four corner-route linear pieces, plus the
-    # rectangle sides; every breakpoint of the min lies on two of these.
-    return [
-        (0.0, 1.0, (B + Lj - A) / 2.0),
-        (0.0, 1.0, (E + Lj - C) / 2.0),
-        (1.0, 0.0, (C + Li - A) / 2.0),
-        (1.0, 0.0, (E + Li - B) / 2.0),
-        (1.0, 1.0, (E - A + Li + Lj) / 2.0),
-        (1.0, -1.0, (C - B + Li - Lj) / 2.0),
-        (1.0, 0.0, zeros),
-        (1.0, 0.0, Li),
-        (0.0, 1.0, zeros),
-        (0.0, 1.0, Lj),
-    ]
+# Crossings of two of the lines p*s + q*t = r (r in _cross_candidates) hold
+# every breakpoint of the min of the four corner-route pieces: the pieces'
+# equality lines, then the rectangle sides.  _CROSS_A and _CROSS_B list
+# the 33 non-parallel line pairs.
+_LINE_P = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+_LINE_Q = np.array([1.0, 1.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0])
+_CROSS_A, _CROSS_B = np.array([
+    (a, b)
+    for a in range(len(_LINE_P))
+    for b in range(a + 1, len(_LINE_P))
+    if _LINE_P[a] * _LINE_Q[b] != _LINE_P[b] * _LINE_Q[a]
+]).T
 
 
-def _cross_eval(A, B, C, E, Li, Lj, s, t):
+def _cross_candidates(A, B, C, E, Li, Lj):
+    """(s, t, value) of every crossing candidate of the edge pairs, each of
+    shape (33, pairs); crossings outside the offset rectangle get -inf."""
+    zeros = np.zeros_like(Li)
+    r = np.stack([
+        (B + Lj - A) / 2.0,
+        (E + Lj - C) / 2.0,
+        (C + Li - A) / 2.0,
+        (E + Li - B) / 2.0,
+        (E - A + Li + Lj) / 2.0,
+        (C - B + Li - Lj) / 2.0,
+        zeros,
+        Li,
+        zeros,
+        Lj,
+    ])
+    r1, r2 = r[_CROSS_A], r[_CROSS_B]
+    p1, q1 = _LINE_P[_CROSS_A, None], _LINE_Q[_CROSS_A, None]
+    p2, q2 = _LINE_P[_CROSS_B, None], _LINE_Q[_CROSS_B, None]
+    det = p1 * q2 - p2 * q1
+    s = (r1 * q2 - r2 * q1) / det
+    t = (p1 * r2 - p2 * r1) / det
+    inside = (s >= -_TOL) & (s <= Li + _TOL) & (t >= -_TOL) & (t <= Lj + _TOL)
+    s = np.clip(s, 0.0, Li)
+    t = np.clip(t, 0.0, Lj)
     f1 = s + t + A
     f2 = s - t + B + Lj
     f3 = -s + t + C + Li
     f4 = -s - t + E + Li + Lj
-    return np.minimum(np.minimum(f1, f2), np.minimum(f3, f4))
+    val = np.minimum(np.minimum(f1, f2), np.minimum(f3, f4))
+    return s, t, np.where(inside, val, -np.inf)
 
 
-def _iter_cross_candidates(A, B, C, E, Li, Lj):
-    """Yield (s, t, value) arrays for every candidate point of the edge pairs."""
-    zeros = np.zeros_like(Li)
-    lines = _cross_lines(A, B, C, E, Li, Lj, zeros)
-    for a in range(len(lines)):
-        p1, q1, r1 = lines[a]
-        for b in range(a + 1, len(lines)):
-            p2, q2, r2 = lines[b]
-            det = p1 * q2 - p2 * q1
-            if abs(det) < 1e-14:
-                continue
-            s = (r1 * q2 - r2 * q1) / det
-            t = (p1 * r2 - p2 * r1) / det
-            mask = (s >= -_TOL) & (s <= Li + _TOL) & (t >= -_TOL) & (t <= Lj + _TOL)
-            if not mask.any():
-                continue
-            s = np.clip(s, 0.0, Li)
-            t = np.clip(t, 0.0, Lj)
-            val = np.where(mask, _cross_eval(A, B, C, E, Li, Lj, s, t), -np.inf)
-            yield s, t, val
+def _pair_maxima(A, B, C, E, Li, Lj):
+    """Exact maximum distance over each edge pair's offset rectangle.
+
+    At offset s on edge i, the distances to u_j and v_j are the tents
+    a(s) = min(s + A, Li - s + C) and b(s) = min(s + B, Li - s + E).  They
+    differ by at most d(u_j, v_j) <= Lj, so the best t gives (a + b + Lj)/2.
+    a + b is concave and bends only at the two apexes, so its maximum is
+    at s = 0, s = Li or an apex.
+    """
+    ab = None
+    for s in (0.0, Li, (C + Li - A) / 2.0, (E + Li - B) / 2.0):
+        here = np.minimum(s + A, Li - s + C) + np.minimum(s + B, Li - s + E)
+        ab = here if ab is None else np.maximum(ab, here)
+    return (ab + Lj) / 2.0
 
 
 _PAIR_CHUNK = 200_000
 # candidates within this share of the best value are ties for the witness
 _NEAR_BEST = 1e-12
+# a bound rounded in floats may sit a few ulps under the candidates it
+# bounds, so pruning by bounds other than the corner bound leaves this slack
+_BOUND_SLACK = 4e-12
 
 
 def continuous_diameter(g: MetricGraph) -> DiameterResult:
@@ -547,18 +568,29 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
 
     Two points on one edge see a cycle of length L + d_uv, and d_uv <= L,
     so the edge's maximum is (L + d_uv)/2, attained at offsets
-    (0, (L + d_uv)/2).  For two distinct edges the distance is the min of
-    four linear functions of the offsets; its maximum over the offset
-    rectangle is attained at a corner or at a crossing of two of the
-    defining lines, so evaluating that finite candidate set is exact.
+    (0, (L + d_uv)/2).  For offsets s, t on distinct edges i < j the
+    distance is the min of four linear pieces through the corner distances
+    A = d(u_i, u_j), B = d(u_i, v_j), C = d(v_i, u_j), E = d(v_i, v_j).
+    The best value starts at the largest vertex or same-edge distance,
+    both attained, and the pairs are then cut down in four stages:
 
-    The running best starts at the largest vertex or same-edge distance,
-    both attained.  Every point of an edge pair's rectangle is at most
-    (min(A + E, B + C) + Li + Lj)/2 from its partner, because the min of
-    the four pieces is at most the mean of either opposite two; pairs
-    whose bound is below the best, less a tolerance, hold no near-best
-    point and are skipped.  Near-best candidates are kept in the same
-    pass, and ties are broken lexicographically by (edge id, offset).
+    1. Edge bound.  min(A + E, B + C) <= (A + B + C + E)/2 <= H_i, where
+       H_i = max_w d(u_i, w) + d(v_i, w); edges with
+       (H_i + Li + max L)/2 below the best are in no surviving pair.
+    2. Corner bound.  The min of the four pieces is at most the mean of
+       either opposite two, so a pair of live edges whose
+       (min(A + E, B + C) + Li + Lj)/2 is below the best is skipped.
+    3. Exact pair maximum.  Over t the maximum is (a(s) + b(s) + Lj)/2 for
+       the tents a, b of _pair_maxima, so four evaluations in s give it;
+       the largest is the diameter, up to rounding, and only pairs whose
+       maximum is near it are kept.
+    4. Crossing candidates.  The maximum over a pair's rectangle lies at a
+       corner or at a crossing of two of the pieces' defining lines, so
+       that finite set, evaluated for the kept pairs in one broadcast,
+       gives the value and the witness.
+
+    Near-best candidates are ties, broken lexicographically by
+    (edge id, offset).  No temporary holds more than _PAIR_CHUNK numbers.
     """
     if not g.is_connected:
         raise DisconnectedGraphError("continuous diameter needs a connected graph")
@@ -574,42 +606,70 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
 
     half = (Lall + dm[u, v]) / 2.0
     best = max(float(dm.max()), float(half.max()))
-    # near-best cross candidates: (value, edge i, offset s, edge j, offset t)
-    found: list[tuple[np.ndarray, ...]] = []
-    ii_all, jj_all = np.triu_indices(m, k=1)
-    for lo in range(0, len(ii_all), _PAIR_CHUNK):
-        ii = ii_all[lo : lo + _PAIR_CHUNK]
-        jj = jj_all[lo : lo + _PAIR_CHUNK]
-        A = dm[u[ii], u[jj]]
-        B = dm[u[ii], v[jj]]
-        C = dm[v[ii], u[jj]]
-        E = dm[v[ii], v[jj]]
-        Li, Lj = Lall[ii], Lall[jj]
-        keep = (np.minimum(A + E, B + C) + Li + Lj) / 2.0 >= best - _NEAR_BEST * best
-        if not keep.any():
+
+    def corners(i, j):
+        return dm[u[i], u[j]], dm[u[i], v[j]], dm[v[i], u[j]], dm[v[i], v[j]], Lall[i], Lall[j]
+
+    # stage 1: the edge bound, over blocks of APSP rows
+    H = np.empty(m)
+    rows = max(1, _PAIR_CHUNK // len(dm))
+    for lo in range(0, m, rows):
+        H[lo : lo + rows] = (dm[u[lo : lo + rows]] + dm[v[lo : lo + rows]]).max(axis=1)
+    live = np.nonzero((H + Lall + Lall.max()) / 2.0 >= best - _BOUND_SLACK * best)[0]
+
+    # stages 2 and 3 over the live-edge pairs a < b, in blocks of rows a
+    top = best
+    kept_i, kept_j, kept_max = [], [], []
+    n_live = len(live)
+    rows = max(1, _PAIR_CHUNK // max(1, n_live))
+    for lo in range(0, n_live, rows):
+        a, b = np.nonzero(np.arange(lo, min(lo + rows, n_live))[:, None] < np.arange(n_live))
+        ii, jj = live[lo + a], live[b]
+        A, B, C, E, Li, Lj = corners(ii, jj)
+        near = (np.minimum(A + E, B + C) + Li + Lj) / 2.0 >= best - _NEAR_BEST * best
+        if not near.any():
             continue
-        ii, jj = ii[keep], jj[keep]
-        for s, t, val in _iter_cross_candidates(
-            A[keep], B[keep], C[keep], E[keep], Li[keep], Lj[keep]
-        ):
+        pmax = _pair_maxima(A[near], B[near], C[near], E[near], Li[near], Lj[near])
+        top = max(top, float(pmax.max()))
+        keep = pmax >= top - _BOUND_SLACK * top
+        kept_i.append(ii[near][keep])
+        kept_j.append(jj[near][keep])
+        kept_max.append(pmax[keep])
+
+    # stage 4: the crossing candidates of the kept pairs
+    found: list[tuple[np.ndarray, ...]] = []
+    if kept_max:
+        keep = np.concatenate(kept_max) >= top - _BOUND_SLACK * top
+        ii, jj = np.concatenate(kept_i)[keep], np.concatenate(kept_j)[keep]
+        step = _PAIR_CHUNK // len(_CROSS_A)
+        for lo in range(0, len(ii), step):
+            i, j = ii[lo : lo + step], jj[lo : lo + step]
+            s, t, val = _cross_candidates(*corners(i, j))
             best = max(best, float(val.max()))
-            hits = val >= best - _NEAR_BEST * best
-            if hits.any():
-                found.append((val[hits], ii[hits], s[hits], jj[hits], t[hits]))
+            hits = np.nonzero(val >= best - _NEAR_BEST * best)
+            found.append((val[hits], i[hits[1]], s[hits], j[hits[1]], t[hits]))
 
+    # near-best points as (edge, offset, edge, offset), each pair in
+    # (edge id, offset) order, then the least of them in that order
     thresh = best - _NEAR_BEST * best
-    witnesses: list[tuple[tuple[str, float], tuple[str, float]]] = [
-        ((edges[k].id, 0.0), (edges[k].id, float(half[k]) + 0.0))
-        for k in np.nonzero(half >= thresh)[0]
-    ]
-    for val, ii, s, jj, t in found:
-        for k in np.nonzero(val >= thresh)[0]:
-            a = (edges[ii[k]].id, float(s[k]) + 0.0)
-            b = (edges[jj[k]].id, float(t[k]) + 0.0)
-            witnesses.append((a, b) if a <= b else (b, a))
-
-    wa, wb = min(witnesses)
-    witness = (EdgePoint(wa[0], wa[1]), EdgePoint(wb[0], wb[1]))
+    same = np.nonzero(half >= thresh)[0]
+    ends = [(same, np.zeros(len(same)), same, half[same])]
+    for val, *points in found:
+        ends.append(tuple(x[val >= thresh] for x in points))
+    e1, o1, e2, o2 = (np.concatenate(x) for x in zip(*ends))
+    rank = np.empty(m, dtype=np.int64)
+    rank[sorted(range(m), key=lambda k: edges[k].id)] = np.arange(m)
+    swap = rank[e1] > rank[e2]
+    e1, e2 = np.where(swap, e2, e1), np.where(swap, e1, e2)
+    o1, o2 = np.where(swap, o2, o1), np.where(swap, o1, o2)
+    least = np.ones(len(e1), dtype=bool)
+    for key in (rank[e1], o1, rank[e2], o2):
+        least &= key == key[least].min()
+    w = int(np.argmax(least))
+    witness = (
+        EdgePoint(edges[e1[w]].id, float(o1[w]) + 0.0),
+        EdgePoint(edges[e2[w]].id, float(o2[w]) + 0.0),
+    )
     value = point_distance(g, witness[0], witness[1])
     if abs(value - best) > 1e-9 * best:
         raise InvariantError(

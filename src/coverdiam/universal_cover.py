@@ -24,7 +24,7 @@ from .complexes import (
     nerve2,
     spanning_tree_presentation,
 )
-from .errors import CoverNotCovering, EnumerationOverflow
+from .errors import CoverNotCovering, EnumerationOverflow, InvariantError
 from .groups import CosetTable, TrivialityResult, todd_coxeter
 from .metric_graph import DiameterResult, Edge, MetricGraph, continuous_diameter
 from .separator import cayley_diameter_bound, left_multiplication
@@ -106,19 +106,22 @@ def build_universal_cover(k: SimplicialComplex2, budget: int) -> CoveringComplex
         for s in range(n):
             sb = p_ab[s]
             sc = p_ac[s]
-            assert p_bc[sb] == sc, "triangle boundary fails to close over the cover"
+            if p_bc[sb] != sc:
+                raise InvariantError("triangle boundary fails to close over the cover")
             triangles.append(((a, s), (b, sb), (c, sc)))
     total = SimplicialComplex2(vertices, triangles, edges)
 
-    assert total.f_vector == tuple(n * x for x in k.f_vector)
+    if total.f_vector != tuple(n * x for x in k.f_vector):
+        raise InvariantError("cover f-vector is not n times the base f-vector")
     if not total.is_connected():
-        raise AssertionError("regular-representation cover is disconnected")
+        raise InvariantError("regular-representation cover is disconnected")
     sc = is_simply_connected(total, budget)
     if sc.status == "unknown":
         raise EnumerationOverflow(
             budget, "budget too small to certify the cover simply connected"
         )
-    assert sc.status == "yes", "universal cover failed its simple-connectivity check"
+    if sc.status != "yes":
+        raise InvariantError("universal cover failed its simple-connectivity check")
 
     deck = tuple(left_multiplication(table, a) for a in range(n))
     cover = CoveringComplex(
@@ -148,15 +151,18 @@ def _check_cover_complex(c: CoveringComplex) -> None:
     for tv in c.total.vertices:
         v, _ = tv
         projected = {tuple(sorted((a[0], b[0]))) for (a, b) in total_star[tv]}
-        assert projected == base_star[v]
-        assert len(total_star[tv]) == len(base_star[v])
+        if projected != base_star[v] or len(total_star[tv]) != len(base_star[v]):
+            raise InvariantError(f"star at {tv} does not project bijectively")
     # deck group: free and transitive on each fiber, commutes with projection
     for lam in c.deck:
-        assert sorted(lam) == list(range(n))
+        if sorted(lam) != list(range(n)):
+            raise InvariantError("deck transformation is not a permutation of the sheets")
     fixed = [lam for lam in c.deck if any(lam[s] == s for s in range(n))]
-    assert fixed == [tuple(range(n))]
+    if fixed != [tuple(range(n))]:
+        raise InvariantError("deck group does not act freely")
     reached = {c.deck[a][0] for a in range(n)}
-    assert reached == set(range(n))
+    if reached != set(range(n)):
+        raise InvariantError("deck group does not act transitively")
 
 
 # ------------------------------------------------- piecewise-flat metric
@@ -256,13 +262,16 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
                         )
                     )
                     count += 1
-        assert count == 3 * L * (L - 1) // 2
+        if count != 3 * L * (L - 1) // 2:
+            raise InvariantError(f"triangle {m} subdivided into {count} edges")
 
     graph = MetricGraph(names, edges_out, require_connected=k.is_connected())
     approx = PEApprox(k, level, graph, vert_ids)
     nv, ne, nf = k.f_vector
-    assert len(graph.vertices) == nv + (L - 1) * ne + ((L - 1) * (L - 2) // 2) * nf
-    assert len(graph.edges) == L * ne + (3 * L * (L - 1) // 2) * nf
+    if len(graph.vertices) != nv + (L - 1) * ne + ((L - 1) * (L - 2) // 2) * nf:
+        raise InvariantError("PE subdivision has the wrong vertex count")
+    if len(graph.edges) != L * ne + (3 * L * (L - 1) // 2) * nf:
+        raise InvariantError("PE subdivision has the wrong edge count")
     return approx
 
 
@@ -531,11 +540,14 @@ def pe_projection(c: CoveringComplex, level: int) -> dict[str, str]:
     counts: dict[str, int] = {}
     for img in mapping.values():
         counts[img] = counts.get(img, 0) + 1
-    assert set(counts) == set(pe_base.graph.vertices)
-    assert all(v == c.sheets for v in counts.values())
+    if set(counts) != set(pe_base.graph.vertices):
+        raise InvariantError("PE projection is not onto the base vertices")
+    if any(v != c.sheets for v in counts.values()):
+        raise InvariantError("PE projection is not n-to-1")
     base_pairs = {tuple(sorted((e.u, e.v))) for e in pe_base.graph.edges}
     for e in pe_total.graph.edges:
-        assert tuple(sorted((mapping[e.u], mapping[e.v]))) in base_pairs
+        if tuple(sorted((mapping[e.u], mapping[e.v]))) not in base_pairs:
+            raise InvariantError(f"PE projection does not map edge {e.id} to an edge")
     return mapping
 
 

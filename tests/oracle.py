@@ -3,11 +3,19 @@ the code paths they check."""
 
 from fractions import Fraction
 
+import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from coverdiam.errors import InvariantError
 from coverdiam.groups import Presentation
-from coverdiam.metric_graph import EdgePoint, MetricGraph, subdivide
+from coverdiam.metric_graph import (
+    DiameterResult,
+    EdgePoint,
+    MetricGraph,
+    point_distance,
+    subdivide,
+)
 
 
 def _csr(g: MetricGraph):
@@ -84,3 +92,99 @@ def exponent_rank_fraction(p: Presentation) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def _allpairs_cross_candidates(A, B, C, E, Li, Lj):
+    """Yield (s, t, value) arrays for every candidate point of the edge pairs."""
+    zeros = np.zeros_like(Li)
+    # Equality lines of the four corner-route linear pieces, plus the
+    # rectangle sides; every breakpoint of the min lies on two of these.
+    lines = [
+        (0.0, 1.0, (B + Lj - A) / 2.0),
+        (0.0, 1.0, (E + Lj - C) / 2.0),
+        (1.0, 0.0, (C + Li - A) / 2.0),
+        (1.0, 0.0, (E + Li - B) / 2.0),
+        (1.0, 1.0, (E - A + Li + Lj) / 2.0),
+        (1.0, -1.0, (C - B + Li - Lj) / 2.0),
+        (1.0, 0.0, zeros),
+        (1.0, 0.0, Li),
+        (0.0, 1.0, zeros),
+        (0.0, 1.0, Lj),
+    ]
+    for a in range(len(lines)):
+        p1, q1, r1 = lines[a]
+        for b in range(a + 1, len(lines)):
+            p2, q2, r2 = lines[b]
+            det = p1 * q2 - p2 * q1
+            if abs(det) < 1e-14:
+                continue
+            s = (r1 * q2 - r2 * q1) / det
+            t = (p1 * r2 - p2 * r1) / det
+            mask = (s >= -1e-9) & (s <= Li + 1e-9) & (t >= -1e-9) & (t <= Lj + 1e-9)
+            if not mask.any():
+                continue
+            s = np.clip(s, 0.0, Li)
+            t = np.clip(t, 0.0, Lj)
+            f1 = s + t + A
+            f2 = s - t + B + Lj
+            f3 = -s + t + C + Li
+            f4 = -s - t + E + Li + Lj
+            val = np.minimum(np.minimum(f1, f2), np.minimum(f3, f4))
+            yield s, t, np.where(mask, val, -np.inf)
+
+
+def continuous_diameter_allpairs(g: MetricGraph, chunk: int = 200_000) -> DiameterResult:
+    """The chunked all-pairs candidate search that preceded the edge-bounded
+    one: every edge pair is gathered, pruned only by its corner bound, and
+    run through the line crossings one at a time.  Same value, witness and
+    tie-break contract as ``continuous_diameter``."""
+    m = len(g.edges)
+    if m == 0:
+        return DiameterResult(0.0, None)
+    dm = g.apsp().values
+    edges = g.edges
+    u = np.array([g._vindex[e.u] for e in edges])
+    v = np.array([g._vindex[e.v] for e in edges])
+    Lall = np.array([e.length for e in edges])
+
+    half = (Lall + dm[u, v]) / 2.0
+    best = max(float(dm.max()), float(half.max()))
+    found = []
+    ii_all, jj_all = np.triu_indices(m, k=1)
+    for lo in range(0, len(ii_all), chunk):
+        ii = ii_all[lo : lo + chunk]
+        jj = jj_all[lo : lo + chunk]
+        A = dm[u[ii], u[jj]]
+        B = dm[u[ii], v[jj]]
+        C = dm[v[ii], u[jj]]
+        E = dm[v[ii], v[jj]]
+        Li, Lj = Lall[ii], Lall[jj]
+        keep = (np.minimum(A + E, B + C) + Li + Lj) / 2.0 >= best - 1e-12 * best
+        if not keep.any():
+            continue
+        ii, jj = ii[keep], jj[keep]
+        for s, t, val in _allpairs_cross_candidates(
+            A[keep], B[keep], C[keep], E[keep], Li[keep], Lj[keep]
+        ):
+            best = max(best, float(val.max()))
+            hits = val >= best - 1e-12 * best
+            if hits.any():
+                found.append((val[hits], ii[hits], s[hits], jj[hits], t[hits]))
+
+    thresh = best - 1e-12 * best
+    witnesses = [
+        ((edges[k].id, 0.0), (edges[k].id, float(half[k]) + 0.0))
+        for k in np.nonzero(half >= thresh)[0]
+    ]
+    for val, ii, s, jj, t in found:
+        for k in np.nonzero(val >= thresh)[0]:
+            a = (edges[ii[k]].id, float(s[k]) + 0.0)
+            b = (edges[jj[k]].id, float(t[k]) + 0.0)
+            witnesses.append((a, b) if a <= b else (b, a))
+
+    wa, wb = min(witnesses)
+    witness = (EdgePoint(wa[0], wa[1]), EdgePoint(wb[0], wb[1]))
+    value = point_distance(g, witness[0], witness[1])
+    if abs(value - best) > 1e-9 * best:
+        raise InvariantError(f"witness distance {value!r} differs from {best!r}")
+    return DiameterResult(value, witness)

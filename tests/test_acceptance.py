@@ -7,6 +7,7 @@ enforces its wall-time budget alongside the numeric tolerances.
 import math
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -41,6 +42,7 @@ from coverdiam.universal_cover import (
     build_universal_cover,
     fiber_ball_nerve,
     final_inequality_holds,
+    pe_subdivision_graph,
     rp2_complex,
     verify_universal_bound,
 )
@@ -57,7 +59,7 @@ def criterion(name: str, limit_seconds: float):
         print(f"[FAIL] {name}")
         raise
     elapsed = time.perf_counter() - t0
-    print(f"[PASS] {name} ({elapsed:.2f}s, limit {limit_seconds:.0f}s)")
+    print(f"[PASS] {name} ({elapsed:.2f}s, limit {limit_seconds:g}s)")
     assert elapsed < limit_seconds, f"{name} exceeded {limit_seconds}s: {elapsed:.2f}s"
 
 
@@ -231,6 +233,22 @@ def test_universal_cover_pipeline_on_projective_plane():
             {k_: round(v, 6) for k_, v in ratios.items()},
             "(cap 4*sqrt(2) ~ 5.657)",
         )
+
+
+def test_continuous_diameter_on_rp2_level_twelve():
+    cover = build_universal_cover(rp2_complex(), 100_000)
+    g = pe_subdivision_graph(cover.total, 12).graph
+    assert len(g.edges) == 4320  # 9,329,040 edge pairs
+    g.apsp()
+    tracemalloc.start()
+    try:
+        with criterion("diameter: RP^2 cover at level 12, APSP given, peak < 32 MB", 0.5):
+            res = continuous_diameter(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.value == pytest.approx(3.0, rel=1e-12)
+    assert peak < 32 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
 def test_fiber_ball_nerve_pipeline():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coverdiam.errors import DisconnectedCoverError, PathNotLongEnough
+from coverdiam.errors import DisconnectedCoverError, InvariantError, PathNotLongEnough
 from coverdiam.covering import (
     Voltage,
     deck_transformations,
@@ -292,6 +292,14 @@ def test_shorten_cycle_route(cycle18):
     assert points_coincide(cycle18.graph, sigma.end, route.end)
     # shortest possible comparison: Dijkstra-style exact distance in the cover
     assert sigma.length >= point_distance(cycle18.graph, route.start, route.end) - 1e-9
+
+
+def test_cover_check_raises_invariant_error(unit_triangle, shift6_voltage, monkeypatch):
+    import coverdiam.covering as cov
+
+    monkeypatch.setattr(cov.CoveringGraph, "project_edge", lambda self, eid: ("e0", 0))
+    with pytest.raises(InvariantError, match="does not project bijectively"):
+        derive_cover(unit_triangle, shift6_voltage)
 
 
 def test_shorten_boundary_length_rejected(cycle18):

@@ -2,6 +2,7 @@ import functools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from coverdiam.metric_graph import (
 )
 
 from .conftest import random_connected_graph
-from .oracle import mesh_diameter, mesh_point_distance
+from .oracle import continuous_diameter_allpairs, mesh_diameter, mesh_point_distance
 
 
 # ---------------------------------------------------------------- apsp
@@ -270,6 +271,98 @@ def test_diameter_pinned_witnesses():
         assert (res.value, res.witness) == (value, (EdgePoint(*a), EdgePoint(*b))), key
 
 
+def _pe_graphs(cover, levels):
+    return [
+        (f"{side}/L{level}", universal_cover.pe_subdivision_graph(c, level).graph)
+        for side, c in (("base", cover.base), ("cover", cover.total))
+        for level in levels
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _differential_graphs(family: str) -> tuple:
+    """(name, graph) pairs on which the search must match the all-pairs one."""
+    graphs = []
+    if family == "sweep":
+        for seed in (1, 7):
+            for i in range(100):
+                g, _, cover, _ = sweep_instance(seed, i)
+                graphs += [(f"{seed}/{i}/base", g), (f"{seed}/{i}/cover", cover.graph)]
+    elif family == "rescaled":
+        for scale in (1e-6, 1e6, 1e9):
+            for i in range(60):
+                g = sweep_base_graph(7, i)
+                edges = [(e.id, e.u, e.v, e.length * scale) for e in g.edges]
+                graphs.append((f"{scale}/{i}", MetricGraph(g.vertices, edges)))
+    elif family == "rp2":
+        rp2 = universal_cover.build_universal_cover(universal_cover.rp2_complex(), 100_000)
+        graphs = _pe_graphs(rp2, range(1, 9))
+    elif family == "lens":
+        for k in (3, 4, 6):
+            cover = universal_cover.build_universal_cover(_pseudo_projective_plane(k), 100_000)
+            graphs += [(f"k{k}/{name}", g) for name, g in _pe_graphs(cover, (1, 2))]
+    elif family == "ties":
+        # every loop pair of the bouquet ties; the cycle's antipodes all tie
+        loops = [(f"e{i}", "v", "v", 1.0) for i in range(40)]
+        graphs.append(("bouquet40", MetricGraph(["v"], loops)))
+        cycle = [(f"e{i}", f"v{i}", f"v{(i + 1) % 200}", 1.0) for i in range(200)]
+        graphs.append(("cycle200", MetricGraph([f"v{i}" for i in range(200)], cycle)))
+    return tuple(graphs)
+
+
+@pytest.mark.parametrize("family", ["sweep", "rescaled", "rp2", "lens", "ties"])
+def test_diameter_matches_allpairs_search(family):
+    for name, g in _differential_graphs(family):
+        res, ref = continuous_diameter(g), continuous_diameter_allpairs(g)
+        assert (res.value, res.witness) == (ref.value, ref.witness), name
+
+
+@pytest.mark.parametrize("chunk", [33, 100, 1000])
+def test_diameter_independent_of_chunk_size(chunk, monkeypatch):
+    import coverdiam.metric_graph as mg
+
+    graphs = _differential_graphs("rp2")[:4] + _differential_graphs("ties")
+    expected = [continuous_diameter(g) for _, g in graphs]
+    monkeypatch.setattr(mg, "_PAIR_CHUNK", chunk)
+    for (name, g), res in zip(graphs, expected):
+        assert continuous_diameter(g) == res, name
+
+
+def _edge_pair_corners(g):
+    """Per ordered edge pair i < j: corner distances A, B, C, E, lengths and
+    H_i = max_w d(u_i, w) + d(v_i, w)."""
+    dm = g.apsp().values
+    idx = {v: k for k, v in enumerate(g.vertices)}
+    u = np.array([idx[e.u] for e in g.edges])
+    v = np.array([idx[e.v] for e in g.edges])
+    L = np.array([e.length for e in g.edges])
+    i, j = np.triu_indices(len(g.edges), k=1)
+    H = (dm[u] + dm[v]).max(axis=1)
+    return dm[u[i], u[j]], dm[u[i], v[j]], dm[v[i], u[j]], dm[v[i], v[j]], L[i], L[j], H[i], H[j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_pair_maximum_is_the_best_crossing_candidate(seed):
+    from coverdiam.metric_graph import _cross_candidates, _pair_maxima
+
+    g = random_connected_graph(random.Random(seed), max_vertices=6, max_edges=10)
+    A, B, C, E, Li, Lj, _, _ = _edge_pair_corners(g)
+    _, _, val = _cross_candidates(A, B, C, E, Li, Lj)
+    np.testing.assert_allclose(_pair_maxima(A, B, C, E, Li, Lj), val.max(axis=0), rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_edge_bound_dominates_corner_bound(seed):
+    g = random_connected_graph(random.Random(seed), max_vertices=6, max_edges=10)
+    A, B, C, E, Li, Lj, Hi, Hj = _edge_pair_corners(g)
+    corner = (np.minimum(A + E, B + C) + Li + Lj) / 2.0
+    slack = 1e-12 * corner
+    assert np.all((Hi + Li + Lj) / 2.0 >= corner - slack)
+    assert np.all((Hj + Li + Lj) / 2.0 >= corner - slack)
+
+
 def test_diameter_witness_mismatch_raises_typed_error(theta, monkeypatch):
     import coverdiam.metric_graph as mg
 
@@ -374,6 +467,13 @@ def test_route_reversed(theta):
     rev = route.reversed()
     assert rev.start == route.end and rev.end == route.start
     assert rev.length == pytest.approx(route.length)
+
+
+def test_anchorless_empty_route_raises_invariant_error():
+    route = PathRoute((), None)
+    for read in (lambda r: r.start, lambda r: r.end, lambda r: r.point_at(0.0)):
+        with pytest.raises(InvariantError, match="no anchor"):
+            read(route)
 
 
 def test_bad_route_rejected(theta):

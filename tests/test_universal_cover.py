@@ -3,7 +3,8 @@ import math
 import pytest
 
 from coverdiam.complexes import SimplicialComplex2, is_simply_connected
-from coverdiam.errors import CoverNotCovering, EnumerationOverflow
+from coverdiam.errors import CoverNotCovering, EnumerationOverflow, InvariantError
+from coverdiam.groups import TrivialityResult
 from coverdiam.universal_cover import (
     build_universal_cover,
     fiber_ball_nerve,
@@ -44,6 +45,14 @@ def test_build_infinite_group_overflows():
     cyc = SimplicialComplex2([0, 1, 2], [], [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(EnumerationOverflow):
         build_universal_cover(cyc, 500)
+
+
+def test_build_check_raises_invariant_error(rp2, monkeypatch):
+    import coverdiam.universal_cover as uc
+
+    monkeypatch.setattr(uc, "is_simply_connected", lambda k, budget: TrivialityResult("no"))
+    with pytest.raises(InvariantError, match="simple-connectivity check"):
+        build_universal_cover(rp2, 10_000)
 
 
 def test_build_rp2_cover(rp2_cover):
