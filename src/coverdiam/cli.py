@@ -476,7 +476,7 @@ def groups_enumerate(pres_path, budget):
         table = todd_coxeter(load_presentation(pres_path), budget)
     except _USER_ERRORS as exc:
         _fail(exc)
-    _print_json({"order": table.coset_count, "complete": table.complete})
+    _print_json({"order": table.coset_count})
 
 
 @groups_grp.command("diameter")

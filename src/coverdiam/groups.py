@@ -310,7 +310,6 @@ class CosetTable:
     """
 
     action: tuple[tuple[int, ...], ...]
-    complete: bool = True
 
     def __post_init__(self):
         inverse = []

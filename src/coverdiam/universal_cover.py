@@ -13,7 +13,7 @@ import importlib.resources
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable
 
 import numpy as np
@@ -52,7 +52,9 @@ class CoveringComplex:
 
     Total-complex vertices are pairs (base vertex, sheet).  The deck group
     is stored as sheet permutations (left multiplications of the regular
-    representation); it acts freely and transitively on every fiber.
+    representation); it acts freely and transitively on every fiber.  The
+    PE models of the last level asked for are kept, so the checks at one
+    level share their graphs, APSP and diameters.
     """
 
     base: SimplicialComplex2
@@ -62,6 +64,15 @@ class CoveringComplex:
     edge_permutation: dict  # base edge (u, v) sorted -> sheet permutation for u->v
     deck: tuple[tuple[int, ...], ...]
     simply_connected: TrivialityResult
+    _pe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def pe(self, level: int) -> tuple[PEApprox, PEApprox]:
+        """(base, total) PE models at `level`; only the last level is kept."""
+        if level not in self._pe:
+            self._pe.clear()
+            self._pe[level] = (pe_subdivision_graph(self.base, level),
+                               pe_subdivision_graph(self.total, level))
+        return self._pe[level]
 
     def lift_vertex(self, v, sheet: int):
         return (v, sheet)
@@ -315,8 +326,12 @@ def verify_universal_bound(
     """
     if cover is None:
         cover = build_universal_cover(k, budget)
-    d_base = pe_subdivision_graph(k, level).diameter().value
-    d_cover = pe_subdivision_graph(cover.total, level).diameter().value
+    elif (cover.base.vertices, cover.base.edges, cover.base.triangles) != (
+            k.vertices, k.edges, k.triangles):
+        raise ValueError("cover was built over a different base complex")
+    pe_base, pe_total = cover.pe(level)
+    d_base = pe_base.diameter().value
+    d_cover = pe_total.diameter().value
     bound = 4.0 * math.sqrt(cover.sheets) * d_base
     ratio = d_cover / d_base
     return UniversalBoundReport(
@@ -422,8 +437,7 @@ def fiber_ball_nerve(
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
     n = c.sheets
-    pe_base = pe_subdivision_graph(c.base, level)
-    pe_total = pe_subdivision_graph(c.total, level)
+    pe_base, pe_total = c.pe(level)
     d = pe_base.diameter().value
     r = (d + epsilon) if radius is None else radius
     mesh_ok = epsilon >= 1.0 / level - 1e-12
@@ -517,8 +531,7 @@ def pe_projection(c: CoveringComplex, level: int) -> dict[str, str]:
     barycentric indexing transfers unchanged.  The map is n-to-1 and sends
     subdivision edges to subdivision edges of equal length.
     """
-    pe_base = pe_subdivision_graph(c.base, level)
-    pe_total = pe_subdivision_graph(c.total, level)
+    pe_base, pe_total = c.pe(level)
     base_edge_index = {e: j for j, e in enumerate(c.base.edges)}
     base_tri_index = {t: m for m, t in enumerate(c.base.triangles)}
 

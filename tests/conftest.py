@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coverdiam.complexes import SimplicialComplex2
 from coverdiam.metric_graph import MetricGraph
 
 
@@ -53,3 +54,15 @@ def random_connected_graph(rng: random.Random, max_vertices=8, max_edges=12) -> 
         v = rng.randrange(nv)
         edges.append((f"e{len(edges)}", f"v{u}", f"v{v}", round(rng.uniform(0.2, 2.0), 6)))
     return MetricGraph(vertices, edges)
+
+
+def pseudo_projective_plane(k: int) -> SimplicialComplex2:
+    """Order-k pseudo-projective plane, pi_1 = Z_k: a ring of 3k vertices
+    wraps k times around the triangle 0 1 2 and is coned off at vertex 3."""
+    m = 3 * k
+    triangles = []
+    for i in range(m):
+        a, b = i % 3, (i + 1) % 3
+        r, r_next = 4 + i, 4 + (i + 1) % m
+        triangles += [(a, b, r), (b, r, r_next), (r, r_next, 3)]
+    return SimplicialComplex2(range(m + 4), triangles)

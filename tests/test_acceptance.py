@@ -47,7 +47,7 @@ from coverdiam.universal_cover import (
     verify_universal_bound,
 )
 
-from .conftest import random_connected_graph
+from .conftest import pseudo_projective_plane, random_connected_graph
 
 
 @contextmanager
@@ -269,6 +269,18 @@ def test_fiber_ball_nerve_pipeline():
                 if i != j:
                     assert rep.fiber_distances[i][j] < pair_cap
         assert rep.chain_ok and rep.chain_below_sqrt_bound
+
+
+def test_fiber_ball_nerve_reuses_the_verified_level():
+    plane = pseudo_projective_plane(6)
+    cover = build_universal_cover(plane, 100_000)
+    verify_universal_bound(plane, 2, 100_000, cover=cover)
+    with criterion("nerve: order-6 plane cover at level 2, after its verify", 0.05):
+        rep = fiber_ball_nerve(cover, p=0, epsilon=0.5, level=2, budget=100_000)
+    assert (rep.sheets, rep.d_base, rep.d_cover) == (6, 2.5, 4.5)
+    assert rep.nerve.f_vector == (6, 15, 20)
+    assert rep.matches_deck_cayley and rep.nerve_simply_connected.status == "yes"
+    assert rep.fiber_pairs_ok and rep.chain_ok
 
 
 def test_short_generators_bound_and_rank(figure_eight, theta):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coverdiam.complexes import SimplicialComplex2, flag_triangles, pi1_presentation
+from coverdiam.complexes import flag_triangles, pi1_presentation
 from coverdiam.errors import EnumerationOverflow, InvariantError, NotGeneratingError
 from coverdiam.groups import (
     CosetTable,
@@ -24,6 +24,7 @@ from coverdiam.groups import (
 from coverdiam.separator import zoo_instances
 from coverdiam.universal_cover import build_universal_cover, rp2_complex
 
+from .conftest import pseudo_projective_plane
 from .oracle import exponent_rank_fraction
 
 
@@ -357,18 +358,6 @@ def test_is_trivial_unknown_on_budget():
 def cyclic_powers(n: int, k: int) -> Presentation:
     """Z_n on generators a, a^2, .., a^k: relators a^n and b_j a^-j."""
     return Presentation(k, [(1,) * n] + [(j,) + (-1,) * j for j in range(2, k + 1)])
-
-
-def pseudo_projective_plane(k: int) -> SimplicialComplex2:
-    """Order-k pseudo-projective plane, pi_1 = Z_k: a ring of 3k vertices
-    wraps k times around the triangle 0 1 2 and is coned off at vertex 3."""
-    m = 3 * k
-    triangles = []
-    for i in range(m):
-        a, b = i % 3, (i + 1) % 3
-        r, r_next = 4 + i, 4 + (i + 1) % m
-        triangles += [(a, b, r), (b, r, r_next), (r, r_next, 3)]
-    return SimplicialComplex2(range(m + 4), triangles)
 
 
 def _flag_presentation(p: Presentation, gens) -> Presentation:

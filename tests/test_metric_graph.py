@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from coverdiam import universal_cover
 from coverdiam.cli import sweep_base_graph, sweep_instance
-from coverdiam.complexes import SimplicialComplex2
 from coverdiam.errors import DisconnectedGraphError, InvariantError
 from coverdiam.metric_graph import (
     EdgePoint,
@@ -27,7 +26,7 @@ from coverdiam.metric_graph import (
     vertex_apsp,
 )
 
-from .conftest import random_connected_graph
+from .conftest import pseudo_projective_plane, random_connected_graph
 from .oracle import continuous_diameter_allpairs, mesh_diameter, mesh_point_distance
 
 
@@ -237,24 +236,13 @@ _PINNED = [
 ]
 
 
-def _pseudo_projective_plane(k: int) -> SimplicialComplex2:
-    """A ring of 3k vertices wound k times round a triangle and coned off: pi_1 = Z_k."""
-    ring = [4 + i for i in range(3 * k)]
-    triangles = []
-    for i, r in enumerate(ring):
-        a, b = i % 3, (i + 1) % 3
-        r_next = ring[(i + 1) % len(ring)]
-        triangles += [(a, b, r), (b, r, r_next), (r, r_next, 3)]
-    return SimplicialComplex2(range(3 * k + 4), triangles)
-
-
 @functools.lru_cache(maxsize=None)
 def _pinned_graphs() -> dict:
     graphs = {}
     rp2 = universal_cover.build_universal_cover(universal_cover.rp2_complex(), 100_000)
     for level in (3, 4):
         graphs[f"rp2/L{level}"] = universal_cover.pe_subdivision_graph(rp2.total, level).graph
-    lens = universal_cover.build_universal_cover(_pseudo_projective_plane(3), 100_000)
+    lens = universal_cover.build_universal_cover(pseudo_projective_plane(3), 100_000)
     graphs["lens3/base"] = universal_cover.pe_subdivision_graph(lens.base, 1).graph
     graphs["lens3/cover"] = universal_cover.pe_subdivision_graph(lens.total, 1).graph
     for i in range(20):
@@ -299,7 +287,7 @@ def _differential_graphs(family: str) -> tuple:
         graphs = _pe_graphs(rp2, range(1, 9))
     elif family == "lens":
         for k in (3, 4, 6):
-            cover = universal_cover.build_universal_cover(_pseudo_projective_plane(k), 100_000)
+            cover = universal_cover.build_universal_cover(pseudo_projective_plane(k), 100_000)
             graphs += [(f"k{k}/{name}", g) for name, g in _pe_graphs(cover, (1, 2))]
     elif family == "ties":
         # every loop pair of the bouquet ties; the cycle's antipodes all tie
@@ -554,6 +542,24 @@ def _check_diameter_against_mesh(g, mesh=0.05):
     res = continuous_diameter(g)
     approx = mesh_diameter(g, mesh)
     assert approx - 1e-9 <= res.value <= approx + mesh + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_diameter_invariant_under_renaming_and_input_order(seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, max_vertices=6, max_edges=10)
+    # numeric names sort differently as strings, so the internal order changes
+    vname = dict(zip(g.vertices, (f"w{x}" for x in rng.sample(range(1000), len(g.vertices)))))
+    ename = dict(zip((e.id for e in g.edges), (f"f{x}" for x in rng.sample(range(1000), len(g.edges)))))
+    vertices = list(vname.values())
+    edges = [(ename[e.id], vname[e.u], vname[e.v], e.length) for e in g.edges]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    # the renamed graph sums its distances in another order: values may
+    # differ in the last bit (3.7e-16 relative at worst over 3000 graphs)
+    renamed = continuous_diameter(MetricGraph(vertices, edges)).value
+    assert renamed == pytest.approx(continuous_diameter(g).value, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,7 @@
+import gc
+import json
 import math
+import weakref
 
 import pytest
 
@@ -14,6 +17,8 @@ from coverdiam.universal_cover import (
     rp2_complex,
     verify_universal_bound,
 )
+
+from .conftest import pseudo_projective_plane
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +179,16 @@ def test_bound_ratio_stable_under_refinement(rp2, rp2_cover):
     assert max(ratios) / min(ratios) <= 1.15
 
 
+def test_bound_rejects_cover_of_another_complex(rp2, rp2_cover, filled_triangle):
+    renamed = SimplicialComplex2([v + 10 for v in rp2.vertices],
+                                 [tuple(v + 10 for v in t) for t in rp2.triangles])
+    unfilled = SimplicialComplex2(rp2.vertices, rp2.triangles[1:], rp2.edges)
+    assert unfilled.edges == rp2.edges
+    for other in (filled_triangle, renamed, unfilled):
+        with pytest.raises(ValueError, match="different base complex"):
+            verify_universal_bound(other, 2, 10_000, cover=rp2_cover)
+
+
 # ------------------------------------------------------------ fiber nerve
 
 
@@ -227,6 +242,74 @@ def test_nerve_epsilon_validation(rp2_cover):
         fiber_ball_nerve(rp2_cover, p=1, epsilon=0.0, level=3)
     with pytest.raises(ValueError):
         fiber_ball_nerve(rp2_cover, p=99, epsilon=0.1, level=3)
+
+
+# ------------------------------------------- PE models shared by one level
+
+# (base, operations on one cover): ("verify", level) or ("nerve", level, eps)
+_REUSE_CASES = {
+    "rp2": ("rp2", [("verify", 3), ("verify", 4), ("verify", 6), ("nerve", 4, 0.05)]),
+    "rp2-nerve-first": ("rp2", [("nerve", 4, 0.05), ("verify", 4)]),
+    "lens3": (3, [("verify", 1), ("nerve", 1, 1.0)]),
+    "lens4": (4, [("verify", 1), ("nerve", 1, 1.0)]),
+    "lens6": (6, [("verify", 1), ("nerve", 1, 1.0)]),
+    "lens6-nerve-first": (6, [("nerve", 1, 1.0), ("verify", 1)]),
+}
+
+
+def _report_bytes(k, cover, op) -> str:
+    if op[0] == "verify":
+        rep = verify_universal_bound(k, op[1], 100_000, cover=cover)
+    else:
+        rep = fiber_ball_nerve(cover, k.vertices[0], op[2], op[1])
+    return json.dumps(rep.to_json_dict())
+
+
+@pytest.mark.parametrize("case", sorted(_REUSE_CASES))
+def test_shared_pe_models_match_a_fresh_cover(case):
+    key, ops = _REUSE_CASES[case]
+    k = rp2_complex() if key == "rp2" else pseudo_projective_plane(key)
+    shared = build_universal_cover(k, 100_000)
+    for op in ops:
+        fresh = build_universal_cover(k, 100_000)
+        assert _report_bytes(k, shared, op) == _report_bytes(k, fresh, op), op
+
+
+def test_nerve_after_verify_reuses_both_diameters(rp2, monkeypatch):
+    import coverdiam.universal_cover as uc
+
+    calls = []
+    diameter = uc.continuous_diameter
+
+    def counted(g):
+        calls.append(g)
+        return diameter(g)
+
+    monkeypatch.setattr(uc, "continuous_diameter", counted)
+    cover = build_universal_cover(rp2, 10_000)
+    verify_universal_bound(rp2, 4, 10_000, cover=cover)
+    fiber_ball_nerve(cover, p=1, epsilon=0.05, level=4)
+    assert len(calls) == 2
+
+
+def test_cover_keeps_pe_models_of_one_level(rp2, monkeypatch):
+    import coverdiam.universal_cover as uc
+
+    made = []
+    subdivide = uc.pe_subdivision_graph
+
+    def recorded(k, level):
+        pe = subdivide(k, level)
+        made.append(weakref.ref(pe))
+        return pe
+
+    monkeypatch.setattr(uc, "pe_subdivision_graph", recorded)
+    cover = build_universal_cover(rp2, 10_000)
+    for level in range(1, 7):
+        verify_universal_bound(rp2, level, 10_000, cover=cover)
+    gc.collect()
+    assert len(made) == 12
+    assert sum(ref() is not None for ref in made) <= 2
 
 
 # ----------------------------------------------------------- arithmetic
