@@ -160,7 +160,7 @@ def derive_cover(g: MetricGraph, v: Voltage) -> CoveringGraph:
     missing = [e.id for e in g.edges if e.id not in v.assignment]
     if missing:
         raise ValueError(f"voltage missing assignment for edges {missing}")
-    unknown = [eid for eid in v.assignment if eid not in {e.id for e in g.edges}]
+    unknown = sorted(v.assignment.keys() - {e.id for e in g.edges})
     if unknown:
         raise ValueError(f"voltage assigns unknown edges {unknown}")
     for name in list(g.vertices) + [e.id for e in g.edges]:

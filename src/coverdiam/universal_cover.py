@@ -4,7 +4,10 @@ The cover is built from the regular representation: coset enumeration of
 the spanning-tree presentation supplies a sheet permutation per non-tree
 edge (tree edges stay put), and vertices, edges and triangles lift
 accordingly.  Metric questions are asked of the piecewise-equilateral
-model via edgewise subdivision graphs.
+model via edgewise subdivision graphs.  The cover's subdivision graph is
+the permutation-voltage cover of the base's: each subdivision edge carries
+the transport between the base vertices that carry its endpoints, so the
+total model comes from `derive_cover` and projects by its own lifts.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .complexes import (
     nerve2,
     spanning_tree_presentation,
 )
+from .covering import CoveringGraph, Voltage, derive_cover
 from .errors import CoverNotCovering, EnumerationOverflow, InvariantError
 from .groups import CosetTable, TrivialityResult, todd_coxeter
 from .metric_graph import DiameterResult, Edge, MetricGraph, continuous_diameter
@@ -68,17 +72,33 @@ class CoveringComplex:
 
     def pe(self, level: int) -> tuple[PEApprox, PEApprox]:
         """(base, total) PE models at `level`; only the last level is kept."""
+        pe_base, pe_total, _ = self._pe_models(level)
+        return pe_base, pe_total
+
+    def _pe_models(self, level: int) -> tuple[PEApprox, PEApprox, CoveringGraph]:
+        """The PE models and the voltage cover that the total model wraps."""
         if level not in self._pe:
             self._pe.clear()
-            self._pe[level] = (pe_subdivision_graph(self.base, level),
-                               pe_subdivision_graph(self.total, level))
+            pe_base = pe_subdivision_graph(self.base, level)
+            derived = derive_cover(pe_base.graph, self._pe_voltage(pe_base))
+            ids = {(v, s): derived.lift_vertex(pe_base.vertex_id(v), s)
+                   for v in self.base.vertices for s in range(self.sheets)}
+            self._pe[level] = (pe_base, PEApprox(self.total, level, derived.graph, ids),
+                               derived)
         return self._pe[level]
 
-    def lift_vertex(self, v, sheet: int):
-        return (v, sheet)
+    def _pe_voltage(self, pe_base: PEApprox) -> Voltage:
+        """Per PE edge P->Q, the transport from carrier(P) to carrier(Q).
 
-    def project_vertex(self, tv) -> tuple:
-        return tv
+        Subdivision edges run from the smaller carrier to the larger, so the
+        transport is the identity or the permutation of a sorted base edge.
+        """
+        carrier = pe_base._carriers
+        transport = dict(self.edge_permutation)
+        transport.update({(v, v): tuple(range(self.sheets)) for v in self.base.vertices})
+        return Voltage(self.sheets, {
+            e.id: transport[(carrier[e.u], carrier[e.v])] for e in pe_base.graph.edges
+        })
 
     def fiber(self, v) -> tuple:
         return tuple((v, s) for s in range(self.sheets))
@@ -184,7 +204,8 @@ class PEApprox:
 
     Triangles split into level^2 sub-triangles of side 1/level; shared
     sub-edges are identified.  The graph metric dominates the flat metric
-    by at most 2/sqrt(3).
+    by at most 2/sqrt(3).  A model built by `pe_subdivision_graph` also
+    records, per subdivision vertex, the complex vertex that carries it.
     """
 
     def __init__(self, complex2: SimplicialComplex2, level: int, graph: MetricGraph,
@@ -193,6 +214,7 @@ class PEApprox:
         self.level = level
         self.graph = graph
         self._vertex_ids = vertex_ids
+        self._carriers: dict = {}
         self._diameter: DiameterResult | None = None
 
     def vertex_id(self, v) -> str:
@@ -205,7 +227,11 @@ class PEApprox:
 
 
 def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
-    """Subdivision graph of the unit-equilateral model; rejects other lengths."""
+    """Subdivision graph of the unit-equilateral model; rejects other lengths.
+
+    A vertex carries itself, an edge point is carried by its edge's smaller
+    endpoint and a triangle's interior point by its smallest corner.
+    """
     if level < 1:
         raise ValueError("level must be a positive integer")
     if k.edge_lengths is not None and any(v != 1.0 for v in k.edge_lengths.values()):
@@ -215,7 +241,7 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
 
     vert_ids = {v: f"v{i}" for i, v in enumerate(k.vertices)}
     edge_index = {e: j for j, e in enumerate(k.edges)}
-    names: list[str] = list(vert_ids.values())
+    carrier = {name: v for v, name in vert_ids.items()}  # vertex name -> its carrier
     edges_out: list[Edge] = []
 
     def edge_point(e: tuple, t: int) -> str:
@@ -227,7 +253,7 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
         return f"e{edge_index[e]}:{t}"
 
     for e, j in edge_index.items():
-        names.extend(f"e{j}:{t}" for t in range(1, L))
+        carrier.update((f"e{j}:{t}", e[0]) for t in range(1, L))
         for t in range(L):
             edges_out.append(
                 Edge(f"E{j}:{t}", edge_point(e, t), edge_point(e, t + 1), h)
@@ -250,7 +276,7 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
 
         for x in range(L - 2, 0, -1):
             for y in range(1, L - x):
-                names.append(f"t{m}:{x},{y}")
+                carrier[f"t{m}:{x},{y}"] = a
 
         count = 0
         for x in range(L + 1):
@@ -276,8 +302,9 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
         if count != 3 * L * (L - 1) // 2:
             raise InvariantError(f"triangle {m} subdivided into {count} edges")
 
-    graph = MetricGraph(names, edges_out, require_connected=k.is_connected())
+    graph = MetricGraph(carrier, edges_out, require_connected=k.is_connected())
     approx = PEApprox(k, level, graph, vert_ids)
+    approx._carriers = carrier
     nv, ne, nf = k.f_vector
     if len(graph.vertices) != nv + (L - 1) * ne + ((L - 1) * (L - 2) // 2) * nf:
         raise InvariantError("PE subdivision has the wrong vertex count")
@@ -462,7 +489,8 @@ def fiber_ball_nerve(
         dist=lambda x, i: dists[i, x],
     )
 
-    nerve_connected = _nerve_bfs_diameter(nerve) >= 0
+    nerve_diam = _nerve_bfs_diameter(nerve)
+    nerve_connected = nerve_diam >= 0
     # deck elements moving the basepoint lift by less than 2(d + eps)
     fdist = [[float(dists[i, sources[j]]) for j in range(n)] for i in range(n)]
     threshold = 2 * (d + epsilon) if radius is None else 2 * r
@@ -487,7 +515,6 @@ def fiber_ball_nerve(
         if nerve_connected
         else TrivialityResult("no", "nerve 1-skeleton disconnected")
     )
-    nerve_diam = _nerve_bfs_diameter(nerve)
     diam_bound = cayley_diameter_bound(n)
     pair_bound = diam_bound * 2 * (d + epsilon)
     pairs_ok = all(
@@ -526,42 +553,12 @@ def fiber_ball_nerve(
 def pe_projection(c: CoveringComplex, level: int) -> dict[str, str]:
     """Vertex map from the total subdivision graph onto the base one.
 
-    Total vertices are (base vertex, sheet) pairs, so sorted simplices over
-    the total complex project to sorted simplices of the base and the
-    barycentric indexing transfers unchanged.  The map is n-to-1 and sends
-    subdivision edges to subdivision edges of equal length.
+    The total graph is the voltage cover of the base graph, so this is the
+    cover's own projection: n-to-1, and onto the base subdivision edges
+    with their lengths (`derive_cover` checks both).
     """
-    pe_base, pe_total = c.pe(level)
-    base_edge_index = {e: j for j, e in enumerate(c.base.edges)}
-    base_tri_index = {t: m for m, t in enumerate(c.base.triangles)}
-
-    mapping: dict[str, str] = {}
-    for i, tv in enumerate(pe_total.complex.vertices):
-        mapping[f"v{i}"] = pe_base.vertex_id(tv[0])
-    for j, te in enumerate(pe_total.complex.edges):
-        (u, _), (v, _) = te
-        jb = base_edge_index[(u, v)]
-        for t in range(1, level):
-            mapping[f"e{j}:{t}"] = f"e{jb}:{t}"
-    for m, tt in enumerate(pe_total.complex.triangles):
-        mb = base_tri_index[tuple(x for x, _ in tt)]
-        for x in range(1, level):
-            for y in range(1, level - x):
-                mapping[f"t{m}:{x},{y}"] = f"t{mb}:{x},{y}"
-
-    # n-to-1 and edge-preserving
-    counts: dict[str, int] = {}
-    for img in mapping.values():
-        counts[img] = counts.get(img, 0) + 1
-    if set(counts) != set(pe_base.graph.vertices):
-        raise InvariantError("PE projection is not onto the base vertices")
-    if any(v != c.sheets for v in counts.values()):
-        raise InvariantError("PE projection is not n-to-1")
-    base_pairs = {tuple(sorted((e.u, e.v))) for e in pe_base.graph.edges}
-    for e in pe_total.graph.edges:
-        if tuple(sorted((mapping[e.u], mapping[e.v]))) not in base_pairs:
-            raise InvariantError(f"PE projection does not map edge {e.id} to an edge")
-    return mapping
+    derived = c._pe_models(level)[2]
+    return {dv: derived.project_vertex(dv)[0] for dv in derived.graph.vertices}
 
 
 # --------------------------------------------------------- final algebra

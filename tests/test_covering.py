@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coverdiam.cli import sweep_instance
 from coverdiam.errors import DisconnectedCoverError, InvariantError, PathNotLongEnough
 from coverdiam.covering import (
     Voltage,
@@ -109,6 +112,13 @@ def test_derive_figure_eight(fig8_cover):
 def test_derive_missing_assignment(unit_triangle):
     with pytest.raises(ValueError, match="missing"):
         derive_cover(unit_triangle, Voltage(2, {"e0": [0, 1]}))
+
+
+def test_derive_unknown_assignment(unit_triangle):
+    assignment = {e.id: [0, 1] for e in unit_triangle.edges}
+    assignment["e9"] = [1, 0]
+    with pytest.raises(ValueError, match=r"unknown edges \['e9'\]"):
+        derive_cover(unit_triangle, Voltage(2, assignment))
 
 
 def test_voltage_validation():
@@ -267,6 +277,26 @@ def test_bound_random_sweep_small():
         d_cover = continuous_diameter(cover.graph).value
         assert d_cover <= sheets * d_base + 1e-9
         done += 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), instance=st.integers(0, 99))
+def test_bound_invariant_under_sheet_relabelling(seed, instance):
+    g, volt, _, _ = sweep_instance(seed, instance)
+    n = volt.sheets
+    pi = list(range(n))
+    random.Random(seed).shuffle(pi)
+    # pi sigma pi^-1: sheet pi[s] goes where sheet s went, renamed by pi
+    conjugated = {}
+    for eid, sigma in volt.assignment.items():
+        perm = [0] * n
+        for s in range(n):
+            perm[pi[s]] = pi[sigma[s]]
+        conjugated[eid] = perm
+    before = verify_diameter_bound(g, volt)
+    after = verify_diameter_bound(g, Voltage(n, conjugated))
+    assert after.holds == before.holds
+    assert after.d_cover == pytest.approx(before.d_cover, rel=1e-12)
 
 
 # --------------------------------------------------------- shortening

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -142,9 +143,14 @@ def test_pe_vertex_distances_nonincreasing_under_refinement(rp2):
 
 
 def test_pe_projection_n_to_one(rp2_cover):
-    mapping = pe_projection(rp2_cover, 3)  # validates internally
-    base_pe = pe_subdivision_graph(rp2_cover.base, 3)
-    assert len(mapping) == rp2_cover.sheets * len(base_pe.graph.vertices)
+    mapping = pe_projection(rp2_cover, 3)
+    base_pe, cover_pe = rp2_cover.pe(3)
+    assert set(mapping) == set(cover_pe.graph.vertices)
+    assert Counter(mapping.values()) == {v: rp2_cover.sheets for v in base_pe.graph.vertices}
+    # every cover edge lands on a base edge of its own length
+    base_edges = {frozenset((e.u, e.v)): e.length for e in base_pe.graph.edges}
+    for e in cover_pe.graph.edges:
+        assert base_edges[frozenset((mapping[e.u], mapping[e.v]))] == e.length
 
 
 def test_monotone_refinement(rp2_cover):
@@ -296,20 +302,56 @@ def test_cover_keeps_pe_models_of_one_level(rp2, monkeypatch):
     import coverdiam.universal_cover as uc
 
     made = []
-    subdivide = uc.pe_subdivision_graph
+    pe = uc.CoveringComplex.pe
 
-    def recorded(k, level):
-        pe = subdivide(k, level)
-        made.append(weakref.ref(pe))
-        return pe
+    def recorded(self, level):
+        models = pe(self, level)
+        made.extend(weakref.ref(m) for m in models)
+        return models
 
-    monkeypatch.setattr(uc, "pe_subdivision_graph", recorded)
+    monkeypatch.setattr(uc.CoveringComplex, "pe", recorded)
     cover = build_universal_cover(rp2, 10_000)
     for level in range(1, 7):
         verify_universal_bound(rp2, level, 10_000, cover=cover)
     gc.collect()
     assert len(made) == 12
     assert sum(ref() is not None for ref in made) <= 2
+
+
+# ------------------------------- derived PE cover against the subdivided total
+
+_DERIVED_CASES = (
+    [("triangle", level) for level in (1, 2, 3)]
+    + [("rp2", level) for level in range(1, 9)]
+    + [(k, level) for k in (3, 4, 6) for level in (1, 2)]
+)
+
+
+def _subdivided_total_cover(k, level):
+    """A cover whose total model at `level` subdivides `cover.total` itself."""
+    cover = build_universal_cover(k, 100_000)
+    cover._pe[level] = (pe_subdivision_graph(k, level),
+                        pe_subdivision_graph(cover.total, level), None)
+    return cover
+
+
+@pytest.mark.parametrize("key,level", _DERIVED_CASES)
+def test_derived_pe_cover_matches_subdivided_total(key, level, rp2, filled_triangle):
+    k = {"rp2": rp2, "triangle": filled_triangle}.get(key) or pseudo_projective_plane(key)
+    cover = build_universal_cover(k, 100_000)
+    reference = _subdivided_total_cover(k, level)
+    derived = cover.pe(level)[1]
+    old = reference.pe(level)[1]
+    assert len(derived.graph.vertices) == len(old.graph.vertices)
+    assert len(derived.graph.edges) == len(old.graph.edges)
+    assert derived.diameter().value == old.diameter().value
+    assert (_report_bytes(k, cover, ("verify", level))
+            == _report_bytes(k, reference, ("verify", level)))
+    eps = 1.0 / level
+    got = fiber_ball_nerve(cover, k.vertices[0], eps, level)
+    want = fiber_ball_nerve(reference, k.vertices[0], eps, level)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert got.fiber_distances == want.fiber_distances
 
 
 # ----------------------------------------------------------- arithmetic
