@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+# a route within this share of sheets * d(base) is at the bound up to rounding
+_ROUNDING = 1e-12
 
 
 class Voltage:
@@ -252,9 +254,9 @@ def is_connected_cover(c: CoveringGraph) -> ConnectivityReport:
 
 
 def _endpoint_side(offset: float, length: float, tol: float = _TOL) -> str | None:
-    if abs(offset) <= tol:
+    if abs(offset) <= tol * length:
         return "u"
-    if abs(offset - length) <= tol:
+    if abs(offset - length) <= tol * length:
         return "v"
     return None
 
@@ -473,6 +475,9 @@ class ShorteningTrace:
 def pigeonhole_shorten(c: CoveringGraph, route: PathRoute) -> ShorteningTrace:
     """Strictly shorten a route of length > sheets * d(base), same endpoints.
 
+    A route within _ROUNDING of the bound is at it, since the bound is
+    rounded: it raises PathNotLongEnough like one below it.
+
     The route is cut into equal n-ths (each piece longer than the base
     diameter d); each projected piece gets a shortest-path replacement of
     length <= d, giving n strictly shorter comparison curves re-lifted to
@@ -484,7 +489,7 @@ def pigeonhole_shorten(c: CoveringGraph, route: PathRoute) -> ShorteningTrace:
     n = c.sheets
     d = c.base_diameter().value
     total = route.length
-    if not (total > n * d):
+    if not (total > n * d * (1.0 + _ROUNDING)):
         raise PathNotLongEnough(
             f"route length {total} is within the bound {n} * {d} = {n * d}"
         )
@@ -500,9 +505,9 @@ def pigeonhole_shorten(c: CoveringGraph, route: PathRoute) -> ShorteningTrace:
         shortest_route(c.base, proj_points[k], proj_points[k + 1]) for k in range(n)
     ]
     for k in range(n):
-        if alphas[k].length > d + _TOL:
+        if alphas[k].length > d * (1.0 + _TOL):
             raise InvariantError(f"shortcut {k} is longer than the base diameter")
-        if pieces[k].length <= d - _TOL:
+        if pieces[k].length <= d:
             raise InvariantError(f"piece {k} is not longer than the base diameter")
 
     q = route.end

@@ -153,7 +153,8 @@ class PathRoute:
         cuts = list(arclengths)
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ValueError("arclengths must be strictly increasing")
-        if cuts and (cuts[0] <= 0 or cuts[-1] >= self.length + _EPS):
+        eps = _EPS * self.length
+        if cuts and (cuts[0] <= 0 or cuts[-1] >= self.length + eps):
             raise ValueError("arclengths must lie strictly inside the route")
         pieces: list[PathRoute] = []
         current: list[RouteLeg] = []
@@ -163,7 +164,7 @@ class PathRoute:
         last_point = self.start
         for leg in self.legs:
             pos = 0.0  # consumed portion of this leg
-            while next_cut <= acc + leg.length - _EPS:
+            while next_cut <= acc + leg.length - eps:
                 local = next_cut - acc
                 frac = local / leg.length
                 mid = leg.start + (leg.end - leg.start) * frac
@@ -177,7 +178,7 @@ class PathRoute:
             start_off = leg.start + (leg.end - leg.start) * (pos / leg.length)
             current.append(RouteLeg(leg.edge, start_off, leg.end))
             acc += leg.length
-            if abs(next_cut - acc) <= _EPS:
+            if abs(next_cut - acc) <= eps:
                 pieces.append(PathRoute.from_legs(current, anchor_if_empty=last_point))
                 last_point = EdgePoint(leg.edge, leg.end)
                 current = []
@@ -236,6 +237,7 @@ class MetricGraph:
         if require_connected and not self.is_connected:
             raise DisconnectedGraphError("metric graph is not connected")
 
+        self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._apsp_cache: DistanceMatrix | None = None
         self._sssp_cache: dict[str, tuple[dict[str, float], dict[str, tuple[str, str]]]] = {}
 
@@ -264,7 +266,7 @@ class MetricGraph:
 
     def check_point(self, p: EdgePoint) -> Edge:
         e = self.edge(p.edge)
-        if not (-_TOL <= p.offset <= e.length + _TOL):
+        if not (-_TOL * e.length <= p.offset <= e.length * (1.0 + _TOL)):
             raise ValueError(
                 f"offset {p.offset} out of range [0, {e.length}] on edge {p.edge!r}"
             )
@@ -291,23 +293,33 @@ class MetricGraph:
 
     # -- shortest paths -----------------------------------------------
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Endpoint vertex indices u, v and lengths of the edges, in edge order."""
+        if self._edge_arrays is None:
+            self._edge_arrays = (
+                np.array([self._vindex[e.u] for e in self.edges], dtype=np.int64),
+                np.array([self._vindex[e.v] for e in self.edges], dtype=np.int64),
+                np.array([e.length for e in self.edges], dtype=float),
+            )
+        return self._edge_arrays
+
     def apsp(self) -> "DistanceMatrix":
         if self._apsp_cache is None:
             n = len(self.vertices)
-            best: dict[tuple[int, int], float] = {}
-            for e in self.edges:
-                i, j = self._vindex[e.u], self._vindex[e.v]
-                if i == j:
-                    continue
-                key = (min(i, j), max(i, j))
-                if key not in best or e.length < best[key]:
-                    best[key] = e.length
-            if best:
-                rows, cols, data = zip(*((i, j, l) for (i, j), l in best.items()))
-                mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-            else:
-                mat = csr_matrix((n, n))
-            values = _sp_dijkstra(mat, directed=False)
+            u, v, length = self.edge_arrays()
+            link = u != v
+            rows = np.concatenate((u[link], v[link]))
+            cols = np.concatenate((v[link], u[link]))
+            w = np.concatenate((length[link], length[link]))
+            # one entry per ordered vertex pair, the shortest parallel edge
+            order = np.lexsort((w, cols, rows))
+            rows, cols, w = rows[order], cols[order], w[order]
+            first = np.ones(len(rows), dtype=bool)
+            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
+            mat = csr_matrix((w[first], cols[first], indptr), shape=(n, n))
+            values = _sp_dijkstra(mat, directed=True)
             self._apsp_cache = DistanceMatrix(self.vertices, values)
         return self._apsp_cache
 
@@ -372,18 +384,22 @@ def vertex_apsp(g: MetricGraph) -> DistanceMatrix:
 
 
 def point_vertex(g: MetricGraph, p: EdgePoint, tol: float = _TOL) -> str | None:
-    """The vertex a point sits on, or None for interior points."""
+    """The vertex a point sits on, or None for interior points.
+
+    ``tol`` is a share of the length of the point's edge.
+    """
     e = g.check_point(p)
-    if abs(p.offset) <= tol:
+    if abs(p.offset) <= tol * e.length:
         return e.u
-    if abs(p.offset - e.length) <= tol:
+    if abs(p.offset - e.length) <= tol * e.length:
         return e.v
     return None
 
 
 def points_coincide(g: MetricGraph, p: EdgePoint, q: EdgePoint, tol: float = _TOL) -> bool:
-    """Whether two edge points denote the same point of the length space."""
-    if p.edge == q.edge and abs(p.offset - q.offset) <= tol:
+    """Whether two edge points denote the same point of the length space,
+    up to ``tol`` times the length of their edges."""
+    if p.edge == q.edge and abs(p.offset - q.offset) <= tol * g.edge(p.edge).length:
         return True
     vp, vq = point_vertex(g, p, tol), point_vertex(g, q, tol)
     return vp is not None and vp == vq
@@ -561,6 +577,10 @@ _NEAR_BEST = 1e-12
 # a bound rounded in floats may sit a few ulps under the candidates it
 # bounds, so pruning by bounds other than the corner bound leaves this slack
 _BOUND_SLACK = 4e-12
+# on fewer than _SEED_FROM live edges a separate seed block costs more
+# than it prunes
+_SEED_ROWS = 8
+_SEED_FROM = 100
 
 
 def continuous_diameter(g: MetricGraph) -> DiameterResult:
@@ -571,26 +591,40 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
     (0, (L + d_uv)/2).  For offsets s, t on distinct edges i < j the
     distance is the min of four linear pieces through the corner distances
     A = d(u_i, u_j), B = d(u_i, v_j), C = d(v_i, u_j), E = d(v_i, v_j).
-    The best value starts at the largest vertex or same-edge distance,
-    both attained, and the pairs are then cut down in four stages:
+    The best value `top` starts at the largest vertex or same-edge
+    distance, both attained, and the pairs are then cut down in four
+    stages:
 
     1. Edge bound.  min(A + E, B + C) <= (A + B + C + E)/2 <= H_i, where
-       H_i = max_w d(u_i, w) + d(v_i, w); edges with
-       (H_i + Li + max L)/2 below the best are in no surviving pair.
+       H_i = max_w d(u_i, w) + d(v_i, w); no pair holding an edge whose
+       (H_i + Li + max L)/2 is below `top` survives.  Edges are taken in
+       descending order of that bound, so the live edges are a prefix of
+       that order, and the prefix shrinks as `top` rises.
     2. Corner bound.  The min of the four pieces is at most the mean of
        either opposite two, so a pair of live edges whose
-       (min(A + E, B + C) + Li + Lj)/2 is below the best is skipped.
+       (min(A + E, B + C) + Li + Lj)/2 is below `top` is skipped.
     3. Exact pair maximum.  Over t the maximum is (a(s) + b(s) + Lj)/2 for
-       the tents a, b of _pair_maxima, so four evaluations in s give it;
-       the largest is the diameter, up to rounding, and only pairs whose
-       maximum is near it are kept.
+       the tents a, b of _pair_maxima, so four evaluations in s give it,
+       and `top` is raised to each block's largest.  From _SEED_FROM live
+       edges on, the first block pairs only the _SEED_ROWS edges of the
+       largest bounds with the others, which seeds `top` with an attained
+       value near the diameter before most pairs are formed; the later
+       blocks prune against it.  Only pairs whose maximum is near `top`
+       are kept, and the kept set is refolded against `top` each time it
+       doubles past _PAIR_CHUNK pairs.
     4. Crossing candidates.  The maximum over a pair's rectangle lies at a
-       corner or at a crossing of two of the pieces' defining lines, so
-       that finite set, evaluated for the kept pairs in one broadcast,
-       gives the value and the witness.
+       corner or at a crossing of two of the pieces' defining lines.
+       Candidates within _NEAR_BEST of `top` are ties, broken by the least
+       (edge id, offset); the least one's first edge is the lower edge of
+       its pair.  So the kept pairs are sorted by lower edge and evaluated
+       in that order: the least lower edge's pairs first, then chunks of
+       _PAIR_CHUNK numbers, stopping once every pair of the least lower
+       edge with a tie, or of a same-edge tie, has been evaluated.
 
-    Near-best candidates are ties, broken lexicographically by
-    (edge id, offset).  No temporary holds more than _PAIR_CHUNK numbers.
+    A block holds at most _PAIR_CHUNK pairs, or one row of them.  Past
+    _PAIR_CHUNK pairs, the kept set holds only pairs within _BOUND_SLACK of
+    an attained `top`, at most twice as many as its last fold left, plus
+    one block.
     """
     if not g.is_connected:
         raise DisconnectedGraphError("continuous diameter needs a connected graph")
@@ -600,70 +634,82 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
 
     dm = g.apsp().values
     edges = g.edges
-    u = np.array([g._vindex[e.u] for e in edges])
-    v = np.array([g._vindex[e.v] for e in edges])
-    Lall = np.array([e.length for e in edges])
+    u, v, Lall = g.edge_arrays()
 
     half = (Lall + dm[u, v]) / 2.0
-    best = max(float(dm.max()), float(half.max()))
+    top = max(float(dm.max()), float(half.max()))
 
     def corners(i, j):
         return dm[u[i], u[j]], dm[u[i], v[j]], dm[v[i], u[j]], dm[v[i], v[j]], Lall[i], Lall[j]
 
-    # stage 1: the edge bound, over blocks of APSP rows
+    # stage 1: the edge bound, over blocks of APSP rows; edges in descending
+    # order of it
     H = np.empty(m)
     rows = max(1, _PAIR_CHUNK // len(dm))
     for lo in range(0, m, rows):
         H[lo : lo + rows] = (dm[u[lo : lo + rows]] + dm[v[lo : lo + rows]]).max(axis=1)
-    live = np.nonzero((H + Lall + Lall.max()) / 2.0 >= best - _BOUND_SLACK * best)[0]
+    bound = (H + Lall + Lall.max()) / 2.0
+    order = np.argsort(-bound, kind="stable")
+    bound = bound[order]
 
-    # stages 2 and 3 over the live-edge pairs a < b, in blocks of rows a
-    top = best
-    kept_i, kept_j, kept_max = [], [], []
-    n_live = len(live)
-    rows = max(1, _PAIR_CHUNK // max(1, n_live))
-    for lo in range(0, n_live, rows):
-        a, b = np.nonzero(np.arange(lo, min(lo + rows, n_live))[:, None] < np.arange(n_live))
-        ii, jj = live[lo + a], live[b]
+    # stages 2 and 3 over the pairs a < b of the live prefix, in blocks of
+    # rows a; each pair as (i, j) with i < j
+    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    n_kept, fold_at = 0, _PAIR_CHUNK
+    lo = 0
+    while True:
+        n_live = int(np.count_nonzero(bound >= top - _BOUND_SLACK * top))
+        if lo >= n_live - 1:
+            break
+        rows = max(1, _PAIR_CHUNK // n_live)
+        if lo == 0 and n_live >= _SEED_FROM:
+            rows = min(rows, _SEED_ROWS)
+        hi = min(lo + rows, n_live)
+        a, b = np.nonzero(np.arange(lo, hi)[:, None] < np.arange(n_live))
+        a, b = order[lo + a], order[b]
+        lo = hi
+        ii, jj = np.minimum(a, b), np.maximum(a, b)
         A, B, C, E, Li, Lj = corners(ii, jj)
-        near = (np.minimum(A + E, B + C) + Li + Lj) / 2.0 >= best - _NEAR_BEST * best
+        near = (np.minimum(A + E, B + C) + Li + Lj) / 2.0 >= top - _NEAR_BEST * top
         if not near.any():
             continue
         pmax = _pair_maxima(A[near], B[near], C[near], E[near], Li[near], Lj[near])
         top = max(top, float(pmax.max()))
         keep = pmax >= top - _BOUND_SLACK * top
-        kept_i.append(ii[near][keep])
-        kept_j.append(jj[near][keep])
-        kept_max.append(pmax[keep])
+        kept.append((ii[near][keep], jj[near][keep], pmax[keep]))
+        n_kept += len(kept[-1][2])
+        if n_kept > fold_at:
+            kept = [_fold(kept, top)]
+            n_kept = len(kept[0][2])
+            fold_at = max(_PAIR_CHUNK, 2 * n_kept)
 
-    # stage 4: the crossing candidates of the kept pairs
-    found: list[tuple[np.ndarray, ...]] = []
-    if kept_max:
-        keep = np.concatenate(kept_max) >= top - _BOUND_SLACK * top
-        ii, jj = np.concatenate(kept_i)[keep], np.concatenate(kept_j)[keep]
-        step = _PAIR_CHUNK // len(_CROSS_A)
-        for lo in range(0, len(ii), step):
-            i, j = ii[lo : lo + step], jj[lo : lo + step]
-            s, t, val = _cross_candidates(*corners(i, j))
-            best = max(best, float(val.max()))
-            hits = np.nonzero(val >= best - _NEAR_BEST * best)
-            found.append((val[hits], i[hits[1]], s[hits], j[hits[1]], t[hits]))
-
-    # near-best points as (edge, offset, edge, offset), each pair in
-    # (edge id, offset) order, then the least of them in that order
-    thresh = best - _NEAR_BEST * best
+    # stage 4: near-best points as (edge, offset, edge, offset), each pair
+    # in (edge id, offset) order.  Edges are sorted by id, so the least
+    # point pair, the witness, has the least first edge of them all.
+    thresh = top - _NEAR_BEST * top
     same = np.nonzero(half >= thresh)[0]
     ends = [(same, np.zeros(len(same)), same, half[same])]
-    for val, *points in found:
-        ends.append(tuple(x[val >= thresh] for x in points))
+    first = same[0] if len(same) else m
+    if kept:
+        ii, jj, _ = _fold(kept, top)
+        by_first = np.argsort(ii, kind="stable")
+        ii, jj = ii[by_first], jj[by_first]
+        step = max(1, _PAIR_CHUNK // len(_CROSS_A))
+        # the first chunk is the least lower edge's pairs alone
+        lo, hi = 0, min(step, int(np.searchsorted(ii, ii[0], side="right")))
+        while lo < len(ii) and ii[lo] <= first:
+            i, j = ii[lo:hi], jj[lo:hi]
+            lo, hi = hi, hi + step
+            s, t, val = _cross_candidates(*corners(i, j))
+            hits = np.nonzero(val >= thresh)
+            if len(hits[1]):
+                ends.append((i[hits[1]], s[hits], j[hits[1]], t[hits]))
+                first = min(first, int(i[hits[1]].min()))
     e1, o1, e2, o2 = (np.concatenate(x) for x in zip(*ends))
-    rank = np.empty(m, dtype=np.int64)
-    rank[sorted(range(m), key=lambda k: edges[k].id)] = np.arange(m)
-    swap = rank[e1] > rank[e2]
-    e1, e2 = np.where(swap, e2, e1), np.where(swap, e1, e2)
-    o1, o2 = np.where(swap, o2, o1), np.where(swap, o1, o2)
+    if not len(e1):
+        raise InvariantError(f"no candidate reaches the pair maximum {top!r}")
     least = np.ones(len(e1), dtype=bool)
-    for key in (rank[e1], o1, rank[e2], o2):
+    for key in (e1, o1, e2, o2):
         least &= key == key[least].min()
     w = int(np.argmax(least))
     witness = (
@@ -671,11 +717,19 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
         EdgePoint(edges[e2[w]].id, float(o2[w]) + 0.0),
     )
     value = point_distance(g, witness[0], witness[1])
-    if abs(value - best) > 1e-9 * best:
+    if abs(value - top) > 1e-9 * top:
         raise InvariantError(
-            f"witness distance {value!r} differs from the candidate maximum {best!r}"
+            f"witness distance {value!r} differs from the candidate maximum {top!r}"
         )
     return DiameterResult(value, witness)
+
+
+def _fold(kept, top):
+    """The kept (i, j, pair maximum) blocks as one, without the pairs whose
+    maximum has fallen below `top`."""
+    ii, jj, pmax = (np.concatenate(x) for x in zip(*kept))
+    keep = pmax >= top - _BOUND_SLACK * top
+    return ii[keep], jj[keep], pmax[keep]
 
 
 # -- subdivision --------------------------------------------------------

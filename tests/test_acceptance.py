@@ -23,6 +23,7 @@ from coverdiam.covering import (
 from coverdiam.errors import PathNotLongEnough
 from coverdiam.groups import Presentation
 from coverdiam.metric_graph import (
+    EdgePoint,
     MetricGraph,
     PathRoute,
     RouteLeg,
@@ -100,13 +101,16 @@ def test_cover_diameter_bound_on_seeded_sweep():
             assert row["d_cover"] <= row["sheets"] * row["d_base"] + 1e-9
 
 
-def _shipped_covers():
-    triangle = MetricGraph(
+def _shipped_covers(scale: float = 1.0):
+    def graph(vertices, edges):
+        return MetricGraph(vertices, [(e, a, b, length * scale) for e, a, b, length in edges])
+
+    triangle = graph(
         ["v0", "v1", "v2"],
         [("e0", "v0", "v1", 1.0), ("e1", "v1", "v2", 1.0), ("e2", "v2", "v0", 1.0)],
     )
-    fig8 = MetricGraph(["v"], [("a", "v", "v", 1.0), ("b", "v", "v", 1.0)])
-    theta = MetricGraph(
+    fig8 = graph(["v"], [("a", "v", "v", 1.0), ("b", "v", "v", 1.0)])
+    theta = graph(
         ["u", "v"], [("a", "u", "v", 1.0), ("b", "u", "v", 1.0), ("c", "u", "v", 2.0)]
     )
     return [
@@ -132,30 +136,42 @@ def _seeded_walk(rng, cover, min_length):
     return PathRoute.from_legs(legs)
 
 
+def _shorten_seeded_routes(scale: float) -> None:
+    rng = random.Random(2024)
+    covers = _shipped_covers(scale)
+    for k in range(25):
+        cover = covers[k % len(covers)]
+        n, d = cover.sheets, cover.base_diameter().value
+        route = _seeded_walk(rng, cover, n * d + rng.uniform(0.5, 4.0) * scale)
+        current = route
+        steps = 0
+        while True:
+            try:
+                trace = pigeonhole_shorten(cover, current)
+            except PathNotLongEnough:
+                break
+            assert trace.shortened.length < current.length, k
+            assert points_coincide(cover.graph, trace.shortened.start, current.start)
+            assert points_coincide(cover.graph, trace.shortened.end, current.end)
+            current = trace.shortened
+            steps += 1
+            assert steps <= 50
+        assert current.length <= n * d * (1 + 1e-12), k
+        assert points_coincide(cover.graph, current.start, route.start)
+        assert points_coincide(cover.graph, current.end, route.end)
+
+
 def test_constructive_shortening_converges():
     with criterion("shortening: 25 seeded routes reach the bound in <= 50 steps", 30.0):
-        rng = random.Random(2024)
-        covers = _shipped_covers()
-        for k in range(25):
-            cover = covers[k % len(covers)]
-            n, d = cover.sheets, cover.base_diameter().value
-            route = _seeded_walk(rng, cover, n * d + rng.uniform(0.5, 4.0))
-            current = route
-            steps = 0
-            while True:
-                try:
-                    trace = pigeonhole_shorten(cover, current)
-                except PathNotLongEnough:
-                    break
-                assert trace.shortened.length < current.length
-                assert points_coincide(cover.graph, trace.shortened.start, current.start)
-                assert points_coincide(cover.graph, trace.shortened.end, current.end)
-                current = trace.shortened
-                steps += 1
-                assert steps <= 50
-            assert current.length <= n * d + 1e-9
-            assert points_coincide(cover.graph, current.start, route.start)
-            assert points_coincide(cover.graph, current.end, route.end)
+        _shorten_seeded_routes(1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6, 1e9])
+def test_constructive_shortening_converges_at_any_scale(scale):
+    # a route exactly at sheets * d(base), which rounding leaves an ulp
+    # above the computed bound, is within the bound and not shortened
+    with criterion(f"shortening: the 25 seeded routes, lengths scaled by {scale:g}", 30.0):
+        _shorten_seeded_routes(scale)
 
 
 def test_cayley_bound_zoo():
@@ -249,6 +265,22 @@ def test_continuous_diameter_on_rp2_level_twelve():
         tracemalloc.stop()
     assert res.value == pytest.approx(3.0, rel=1e-12)
     assert peak < 32 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
+
+def test_continuous_diameter_on_order_twelve_plane_level_two():
+    cover = build_universal_cover(pseudo_projective_plane(12), 100_000)
+    g = cover.pe(2)[1].graph
+    assert len(g.edges) == 7416  # 27,494,820 edge pairs, 612,612 tied at the diameter
+    g.apsp()
+    tracemalloc.start()
+    try:
+        with criterion("diameter: order-12 plane cover at level 2, APSP given, peak < 64 MB", 1.0):
+            res = continuous_diameter(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.value, res.witness) == (4.5, (EdgePoint("E0:0@0", 0.25), EdgePoint("E0:0@10", 0.25)))
+    assert peak < 64 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
 def test_fiber_ball_nerve_pipeline():

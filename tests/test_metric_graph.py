@@ -286,9 +286,9 @@ def _differential_graphs(family: str) -> tuple:
         rp2 = universal_cover.build_universal_cover(universal_cover.rp2_complex(), 100_000)
         graphs = _pe_graphs(rp2, range(1, 9))
     elif family == "lens":
-        for k in (3, 4, 6):
+        for k, levels in ((3, (1, 2)), (4, (1, 2)), (6, (1, 2)), (8, (1,))):
             cover = universal_cover.build_universal_cover(pseudo_projective_plane(k), 100_000)
-            graphs += [(f"k{k}/{name}", g) for name, g in _pe_graphs(cover, (1, 2))]
+            graphs += [(f"k{k}/{name}", g) for name, g in _pe_graphs(cover, levels)]
     elif family == "ties":
         # every loop pair of the bouquet ties; the cycle's antipodes all tie
         loops = [(f"e{i}", "v", "v", 1.0) for i in range(40)]
@@ -309,7 +309,14 @@ def test_diameter_matches_allpairs_search(family):
 def test_diameter_independent_of_chunk_size(chunk, monkeypatch):
     import coverdiam.metric_graph as mg
 
-    graphs = _differential_graphs("rp2")[:4] + _differential_graphs("ties")
+    # the lens covers' witness stage straddles chunks; on some sweep graphs
+    # the kept pairs come in another order than their lower edges'
+    graphs = (
+        _differential_graphs("rp2")[:4]
+        + _differential_graphs("ties")
+        + tuple(item for item in _differential_graphs("lens") if item[0].startswith("k6/cover/"))
+        + tuple(item for item in _differential_graphs("sweep") if item[0].startswith("7/"))
+    )
     expected = [continuous_diameter(g) for _, g in graphs]
     monkeypatch.setattr(mg, "_PAIR_CHUNK", chunk)
     for (name, g), res in zip(graphs, expected):
