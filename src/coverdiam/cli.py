@@ -19,6 +19,7 @@ import click
 from .complexes import load_complex
 from .covering import (
     Voltage,
+    cover_bound_report,
     derive_cover,
     is_connected_cover,
     load_voltage,
@@ -197,19 +198,17 @@ def _run_sweep_cover(config: ExperimentConfig) -> Report:
         row = {"instance": i, "repro": repro, "error": None}
         try:
             g, volt, cover, resamples = sweep_instance(config.seed, i)
-            d_base = continuous_diameter(g).value
-            d_cover = continuous_diameter(cover.graph).value
-            bound = cover.sheets * d_base
+            rep = cover_bound_report(cover, config.tol)
             row.update(
                 vertices=len(g.vertices),
                 edges=len(g.edges),
-                sheets=cover.sheets,
+                sheets=rep.sheets,
                 resamples=resamples,
-                d_base=d_base,
-                d_cover=d_cover,
-                bound=bound,
-                margin=bound + config.tol - d_cover,
-                status="PASS" if d_cover <= bound + config.tol else "FAIL",
+                d_base=rep.d_base,
+                d_cover=rep.d_cover,
+                bound=rep.bound,
+                margin=rep.bound + rep.tol - rep.d_cover,
+                status="PASS" if rep.holds else "FAIL",
             )
         except Exception as exc:  # surfaced per row, sweep continues
             row.update(status="ERROR", error=f"{type(exc).__name__}: {exc}")
@@ -323,11 +322,11 @@ def _print_json(obj) -> None:
     click.echo(json.dumps(_f12(obj), indent=2))
 
 
-def _parse_gens(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, option: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(",") if t.strip() != "")
     except ValueError:
-        raise click.UsageError(f"--gens expects comma-separated indices, got {text!r}")
+        raise click.UsageError(f"{option} expects comma-separated integers, got {text!r}")
 
 
 def _load_route(path) -> PathRoute:
@@ -384,16 +383,10 @@ def diam_cmd(graph_path):
         res = continuous_diameter(g)
     except _USER_ERRORS as exc:
         _fail(exc)
-    x, y = res.witness
-    _print_json(
-        {
-            "diameter": res.value,
-            "witness": [
-                {"edge": x.edge, "offset": x.offset},
-                {"edge": y.edge, "offset": y.offset},
-            ],
-        }
-    )
+    witness = None if res.witness is None else [
+        {"edge": p.edge, "offset": p.offset} for p in res.witness
+    ]
+    _print_json({"diameter": res.value, "witness": witness})
 
 
 @main.group("cover")
@@ -487,7 +480,7 @@ def groups_diameter(pres_path, gens, budget):
     """Word-metric diameter of a Cayley graph."""
     try:
         table = todd_coxeter(load_presentation(pres_path), budget)
-        c = cayley_graph(table, _parse_gens(gens))
+        c = cayley_graph(table, _parse_ints(gens, "--gens"))
         res = word_metric_diameter(c)
     except _USER_ERRORS as exc:
         _fail(exc)
@@ -522,7 +515,7 @@ def cayley_verify(pres_path, gens, zoo_name, budget):
         else:
             if pres_path is None or gens is None:
                 raise click.UsageError("need --presentation and --gens, or --zoo")
-            pres, gen_tuple = load_presentation(pres_path), _parse_gens(gens)
+            pres, gen_tuple = load_presentation(pres_path), _parse_ints(gens, "--gens")
         rep = verify_cayley_bound(pres, gen_tuple, budget)
     except _USER_ERRORS as exc:
         _fail(exc)
@@ -575,7 +568,9 @@ def ucover_build(complex_path, budget):
 @click.option("--format", "fmt", default="json", type=click.Choice(["csv", "json"]), show_default=True)
 def ucover_verify(complex_path, level, levels, budget, tol, out, fmt):
     """Check d(cover) < 4 sqrt(n) d(base) on subdivision graphs."""
-    level_tuple = tuple(int(t) for t in levels.split(",")) if levels else (level,)
+    level_tuple = _parse_ints(levels, "--levels") if levels else (level,)
+    if not level_tuple:
+        raise click.UsageError(f"--levels names no level, got {levels!r}")
     try:
         report = run(
             ExperimentConfig(

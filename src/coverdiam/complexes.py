@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Sequence
 
+from ._search import bfs
 from .errors import DisconnectedGraphError
 from .groups import CayleyGraph, Presentation, TrivialityResult, free_reduce, is_trivial
-from .metric_graph import MetricGraph, PathRoute, RouteLeg, subdivide, validate_route
+from .metric_graph import MetricGraph, PathRoute, RouteLeg, subdivide, tree_legs, validate_route
 
 __all__ = [
     "SimplicialComplex2",
@@ -95,15 +96,7 @@ class SimplicialComplex2:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return len(bfs(self.vertices[0], self.neighbors)) == len(self.vertices)
 
 
 def complex_from_json(obj: dict) -> SimplicialComplex2:
@@ -276,26 +269,13 @@ def short_loop_generators(
     dist, parent = sub.single_source(basepoint)
     tree_edges = {eid for eid, _ in parent.values()}
 
-    def tree_route_from(v: str) -> list[RouteLeg]:
-        legs: list[RouteLeg] = []
-        while v != basepoint:
-            eid, prev = parent[v]
-            e = sub.edge(eid)
-            if e.u == prev:
-                legs.append(RouteLeg(eid, 0.0, e.length))
-            else:
-                legs.append(RouteLeg(eid, e.length, 0.0))
-            v = prev
-        legs.reverse()
-        return legs
-
     witnesses = []
     for e in sub.edges:
         if e.id in tree_edges:
             continue
-        legs = tree_route_from(e.u)
+        legs = tree_legs(sub, parent, basepoint, e.u)
         legs.append(RouteLeg(e.id, 0.0, e.length))
-        back = tree_route_from(e.v)
+        back = tree_legs(sub, parent, basepoint, e.v)
         legs.extend(l.reversed() for l in reversed(back))
         sub_route = PathRoute.from_legs(legs, anchor_if_empty=sub.vertex_point(basepoint))
         route = smap.route_to_base(sub_route)

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._search import bfs
 from .errors import DisconnectedCoverError, InvariantError, PathNotLongEnough
 from .metric_graph import (
     DiameterResult,
@@ -228,20 +229,15 @@ def is_connected_cover(c: CoveringGraph) -> ConnectivityReport:
     lie in one component; the cover is connected iff there is one orbit
     (the monodromy action is transitive).
     """
+    if c.graph.is_connected:  # searched once already, when the graph was built
+        return ConnectivityReport(True, (tuple(range(c.sheets)),))
     comp: dict[str, int] = {}
     next_id = 0
     for start in c.graph.vertices:
-        if start in comp:
-            continue
-        comp[start] = next_id
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for _, y in c.graph.neighbors(x):
-                if y not in comp:
-                    comp[y] = next_id
-                    stack.append(y)
-        next_id += 1
+        if start not in comp:
+            reached = bfs(start, lambda x: (y for _, y in c.graph.neighbors(x)))
+            comp.update(dict.fromkeys(reached, next_id))
+            next_id += 1
     root = c.base.vertices[0]
     orbit_members: dict[int, list[int]] = {}
     for s in range(c.sheets):
@@ -441,7 +437,12 @@ def verify_diameter_bound(g: MetricGraph, v: Voltage, tol: float = 1e-9) -> Cove
     cover = derive_cover(g, v)
     if not is_connected_cover(cover).connected:
         raise DisconnectedCoverError("derived graph is disconnected")
-    base_res = continuous_diameter(g)
+    return cover_bound_report(cover, tol)
+
+
+def cover_bound_report(cover: CoveringGraph, tol: float) -> CoverBoundReport:
+    """The d(cover) <= sheets * d(base) verdict on a cover known to be connected."""
+    base_res = cover.base_diameter()
     cover_res = continuous_diameter(cover.graph)
     bound = cover.sheets * base_res.value
     return CoverBoundReport(

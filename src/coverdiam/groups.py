@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Literal, Sequence
 
+from ._search import bfs
 from .errors import EnumerationOverflow, InvariantError, NotGeneratingError
 
 __all__ = [
@@ -414,14 +415,7 @@ def cayley_graph(t: CosetTable, generating_subset: Iterable[int]) -> CayleyGraph
             labeled.append((g, letter, h))
 
     # orbit of the identity must be everything
-    seen = {0}
-    stack = [0]
-    while stack:
-        g = stack.pop()
-        for h in neighbor_sets[g]:
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
+    seen = bfs(0, neighbor_sets.__getitem__)
     if len(seen) != n:
         raise NotGeneratingError(
             f"generators {chosen} reach only {len(seen)} of {n} elements"
@@ -437,14 +431,8 @@ def cayley_graph(t: CosetTable, generating_subset: Iterable[int]) -> CayleyGraph
 
 def bfs_distances(c: CayleyGraph, source: int) -> list[int]:
     dist = [-1] * c.element_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        g = queue.popleft()
-        for h in c.neighbors[g]:
-            if dist[h] < 0:
-                dist[h] = dist[g] + 1
-                queue.append(h)
+    for g, hops in bfs(source, c.neighbors.__getitem__).items():
+        dist[g] = hops
     return dist
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
+from ._search import bfs
 from .errors import DisconnectedGraphError, InvariantError
 
 __all__ = [
@@ -281,15 +282,10 @@ class MetricGraph:
         return EdgePoint(e.id, 0.0 if side == "u" else e.length)
 
     def _check_connected(self) -> bool:
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for _, w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        # ends are read directly: going through the neighbors() generator would dominate the search
+        ends = self._incident
+        reached = bfs(self.vertices[0], lambda v: [e.v if s == "u" else e.u for e, s in ends[v]])
+        return len(reached) == len(self.vertices)
 
     # -- shortest paths -----------------------------------------------
 
@@ -453,22 +449,28 @@ def concat_routes(g: MetricGraph, *routes: PathRoute) -> PathRoute:
     return PathRoute.from_legs(legs, anchor_if_empty=routes[0].start)
 
 
+def tree_legs(g: MetricGraph, parent: dict[str, tuple[str, str]], root: str, v: str) -> list[RouteLeg]:
+    """Full-edge legs from root to v along the parent tree of `single_source(root)`.
+
+    A parent edge is never a loop (its length is positive), so the edge
+    runs forward exactly when its u end is the parent vertex.
+    """
+    legs: list[RouteLeg] = []
+    while v != root:
+        eid, prev = parent[v]
+        e = g.edge(eid)
+        legs.append(RouteLeg(eid, 0.0, e.length) if e.u == prev else RouteLeg(eid, e.length, 0.0))
+        v = prev
+    legs.reverse()
+    return legs
+
+
 def vertex_route(g: MetricGraph, a: str, b: str) -> PathRoute:
     """A shortest route between two vertices, as explicit full-edge legs."""
     dist, parent = g.single_source(a)
     if b not in dist:
         raise DisconnectedGraphError(f"no route from {a!r} to {b!r}")
-    legs: list[RouteLeg] = []
-    v = b
-    while v != a:
-        eid, prev = parent[v]
-        e = g.edge(eid)
-        if e.u == prev and (e.v == v or e.u == e.v):
-            legs.append(RouteLeg(eid, 0.0, e.length))
-        else:
-            legs.append(RouteLeg(eid, e.length, 0.0))
-        v = prev
-    legs.reverse()
+    legs = tree_legs(g, parent, a, b)
     anchor = g.vertex_point(a) if not legs else None
     return PathRoute.from_legs(legs, anchor_if_empty=anchor)
 

@@ -17,6 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._search import bfs
 from .complexes import flag_triangles, is_simply_connected
 from .errors import InvariantError
 from .groups import (
@@ -74,23 +75,12 @@ def sphere_decomposition(c: CayleyGraph) -> SphereDecomposition:
         geodesic.append(prev)
     geodesic.reverse()
 
-    layers = []
-    for i in range(m + 1):
-        layers.append(frozenset(g for g, d in enumerate(dist) if d == i))
-
-    components = []
-    for i, g_i in enumerate(geodesic):
-        layer = layers[i]
-        comp = {g_i}
-        queue = deque([g_i])
-        while queue:
-            x = queue.popleft()
-            for y in c.neighbors[x]:
-                if y in layer and y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        components.append(frozenset(comp))
-    return SphereDecomposition(c.element_count, tuple(geodesic), tuple(layers), tuple(components))
+    layers = tuple(frozenset(g for g, d in enumerate(dist) if d == i) for i in range(m + 1))
+    components = tuple(
+        frozenset(bfs(g_i, lambda x: (y for y in c.neighbors[x] if y in layer)))
+        for g_i, layer in zip(geodesic, layers)
+    )
+    return SphereDecomposition(c.element_count, tuple(geodesic), layers, components)
 
 
 def check_separation(c: CayleyGraph, d: SphereDecomposition, i: int) -> bool:
@@ -100,19 +90,8 @@ def check_separation(c: CayleyGraph, d: SphereDecomposition, i: int) -> bool:
     if not (0 < i < m):
         raise IndexError(f"index {i} must be interior to 0..{m}")
     removed = d.components[i]
-    source, target = d.geodesic[0], d.geodesic[m]
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in c.neighbors[x]:
-            if y in removed or y in seen:
-                continue
-            if y == target:
-                return False
-            seen.add(y)
-            queue.append(y)
-    return True
+    reached = bfs(d.geodesic[0], lambda x: (y for y in c.neighbors[x] if y not in removed))
+    return d.geodesic[m] not in reached
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable
 
 import numpy as np
 
+from ._search import bfs
 from .complexes import (
     SimplicialComplex2,
     is_simply_connected,
@@ -430,14 +430,7 @@ class NerveReport:
 def _nerve_bfs_diameter(k: SimplicialComplex2) -> int:
     best = 0
     for src in k.vertices:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            for y in k.neighbors(x):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
+        dist = bfs(src, k.neighbors)
         if len(dist) < len(k.vertices):
             return -1
         best = max(best, max(dist.values()))
@@ -497,17 +490,8 @@ def fiber_ball_nerve(
     gen_set = tuple(
         a for a in range(1, n) if fdist[0][c.deck[a][0]] < threshold
     )
-    # delta(i -> j): the unique deck element with lambda(i) = j
-    delta = {}
-    for a, lam in enumerate(c.deck):
-        for i in range(n):
-            delta[(i, lam[i])] = a
-    cayley_edges = {
-        tuple(sorted((i, j)))
-        for i in range(n)
-        for j in range(n)
-        if i != j and delta[(i, j)] in gen_set
-    }
+    # the deck group acts freely, so a generator moves every sheet: no loops
+    cayley_edges = {tuple(sorted((i, c.deck[a][i]))) for a in gen_set for i in range(n)}
     matches = set(nerve.edges) == cayley_edges
 
     sc = (

@@ -125,6 +125,14 @@ def test_diam_command(runner, data_dir):
     assert json.loads(result.output)["diameter"] == 1.5
 
 
+def test_diam_command_on_edgeless_graph(runner, tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vertices": ["v0"], "edges": []}))
+    result = runner.invoke(main, ["diam", "--graph", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"diameter": 0.0, "witness": None}
+
+
 def test_cover_verify_command(runner, data_dir):
     result = runner.invoke(
         main,
@@ -286,6 +294,16 @@ def test_ucover_commands(runner, data_dir, tmp_path):
     assert result.exit_code == 0
     obj = json.loads(out.read_text())
     assert all(r["status"] == "PASS" for r in obj["rows"])
+
+
+@pytest.mark.parametrize("levels", ["3,x", ","])
+def test_ucover_verify_rejects_malformed_levels(runner, data_dir, levels):
+    result = runner.invoke(
+        main,
+        ["ucover", "verify-bound", "--complex", str(data_dir / "rp2_complex.json"), "--levels", levels],
+    )
+    assert result.exit_code == 2
+    assert "--levels" in result.output
 
 
 def test_ucover_nerve_command(runner, data_dir):

@@ -97,6 +97,14 @@ def test_derive_identity_voltage_gives_disjoint_copies(theta):
     assert rep.orbits == ((0,), (1,), (2,))
 
 
+def test_orbits_numbered_by_first_derived_vertex():
+    # "v00@0" sorts before "v0@0", so the orbit of sheet 2 comes first
+    g = MetricGraph(["v0", "v00"], [("a", "v0", "v00", 1.0), ("b", "v0", "v0", 1.0)])
+    rep = is_connected_cover(derive_cover(g, Voltage(3, {"a": [1, 2, 0], "b": [1, 0, 2]})))
+    assert not rep.connected
+    assert rep.orbits == ((2,), (0, 1))
+
+
 def test_derive_figure_eight(fig8_cover):
     g = fig8_cover.graph
     assert len(g.vertices) == 2

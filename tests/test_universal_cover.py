@@ -10,6 +10,7 @@ from coverdiam.complexes import SimplicialComplex2, is_simply_connected
 from coverdiam.errors import CoverNotCovering, EnumerationOverflow, InvariantError
 from coverdiam.groups import TrivialityResult
 from coverdiam.universal_cover import (
+    _nerve_bfs_diameter,
     build_universal_cover,
     fiber_ball_nerve,
     final_inequality_holds,
@@ -221,6 +222,12 @@ def test_nerve_trivial_cover(filled_triangle):
     assert rep.matches_deck_cayley
     assert rep.nerve_simply_connected.status == "yes"
     assert rep.fiber_pairs_ok and rep.chain_ok
+
+
+def test_nerve_hop_diameter():
+    path = SimplicialComplex2(range(5), [], [(i, i + 1) for i in range(4)])
+    assert _nerve_bfs_diameter(path) == 4
+    assert _nerve_bfs_diameter(SimplicialComplex2(range(3), [], [(0, 1)])) == -1
 
 
 def test_nerve_radius_too_tight_raises(rp2_cover):
