@@ -560,7 +560,7 @@ def ucover_build(complex_path, budget):
 
 @ucover_grp.command("verify-bound")
 @click.option("--complex", "complex_path", required=True, type=click.Path(exists=True))
-@click.option("--level", default=6, show_default=True)
+@click.option("--level", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--levels", default=None, help="comma-separated levels for a sweep report")
 @click.option("--budget", default=100_000, show_default=True)
 @click.option("--tol", default=1e-9, show_default=True)
@@ -569,8 +569,8 @@ def ucover_build(complex_path, budget):
 def ucover_verify(complex_path, level, levels, budget, tol, out, fmt):
     """Check d(cover) < 4 sqrt(n) d(base) on subdivision graphs."""
     level_tuple = _parse_ints(levels, "--levels") if levels else (level,)
-    if not level_tuple:
-        raise click.UsageError(f"--levels names no level, got {levels!r}")
+    if not level_tuple or min(level_tuple) < 1:
+        raise click.UsageError(f"--levels expects positive levels, got {levels!r}")
     try:
         report = run(
             ExperimentConfig(
@@ -590,7 +590,7 @@ def ucover_verify(complex_path, level, levels, budget, tol, out, fmt):
 @click.option("--complex", "complex_path", required=True, type=click.Path(exists=True))
 @click.option("--basepoint", default=None, help="base vertex (default: first)")
 @click.option("--epsilon", default=0.05, show_default=True)
-@click.option("--level", default=6, show_default=True)
+@click.option("--level", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--budget", default=100_000, show_default=True)
 def ucover_nerve(complex_path, basepoint, epsilon, level, budget):
     """Fiber-ball nerve checks for the universal cover."""

@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 from ._search import bfs
 from .errors import DisconnectedGraphError
 from .groups import CayleyGraph, Presentation, TrivialityResult, free_reduce, is_trivial
-from .metric_graph import MetricGraph, PathRoute, RouteLeg, subdivide, tree_legs, validate_route
+from .metric_graph import MetricGraph, PathRoute, RouteLeg, tree_legs, validate_route
 
 __all__ = [
     "SimplicialComplex2",
@@ -244,41 +244,37 @@ def nerve2(
 
 @dataclass(frozen=True)
 class LoopWitness:
-    """A closed route at the basepoint, one per non-tree edge of a subdivision."""
+    """A closed route at the basepoint, one per edge off a shortest-path tree."""
 
     route: PathRoute
     basepoint: str
     length: float
 
 
-def short_loop_generators(
-    g: MetricGraph, basepoint: str, mesh: float
-) -> tuple[LoopWitness, ...]:
+def short_loop_generators(g: MetricGraph, basepoint: str) -> tuple[LoopWitness, ...]:
     """Spanning-tree loop generators of the fundamental group, all short.
 
-    The graph is subdivided to the mesh, a shortest-path tree is grown from
-    the basepoint, and each non-tree edge e = (u, v) yields the loop
-    (tree path to u) * e * (tree path v back).  Loop lengths are at most
-    2 * ecc(basepoint) + mesh, hence below twice (diameter + mesh).
+    A shortest-path tree is grown from the basepoint on g itself, and each
+    edge e = (u, v) off the tree yields the loop (tree path to u) * e *
+    (tree path v back), in edge-id order.  As |d(u) - d(v)| <= L, the two
+    tree paths meet at the point of e at distance (d(u) + L + d(v)) / 2,
+    which is at most the basepoint's eccentricity, so every loop is at most
+    2 * ecc(basepoint) <= 2 * diameter long.
     """
     if not g.has_vertex(basepoint):
         raise ValueError(f"unknown basepoint {basepoint!r}")
-    if not (mesh > 0):
-        raise ValueError("mesh must be positive")
-    sub, smap = subdivide(g, mesh)
-    dist, parent = sub.single_source(basepoint)
+    dist, parent = g.single_source(basepoint)
     tree_edges = {eid for eid, _ in parent.values()}
 
     witnesses = []
-    for e in sub.edges:
+    for e in g.edges:
         if e.id in tree_edges:
             continue
-        legs = tree_legs(sub, parent, basepoint, e.u)
+        legs = tree_legs(g, parent, basepoint, e.u)
         legs.append(RouteLeg(e.id, 0.0, e.length))
-        back = tree_legs(sub, parent, basepoint, e.v)
+        back = tree_legs(g, parent, basepoint, e.v)
         legs.extend(l.reversed() for l in reversed(back))
-        sub_route = PathRoute.from_legs(legs, anchor_if_empty=sub.vertex_point(basepoint))
-        route = smap.route_to_base(sub_route)
+        route = PathRoute.from_legs(legs)
         validate_route(g, route)
         witnesses.append(
             LoopWitness(route, basepoint, dist[e.u] + e.length + dist[e.v])

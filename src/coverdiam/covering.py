@@ -24,6 +24,7 @@ from .metric_graph import (
     RouteLeg,
     concat_routes,
     continuous_diameter,
+    endpoint_side,
     points_coincide,
     point_vertex,
     shortest_route,
@@ -249,14 +250,6 @@ def is_connected_cover(c: CoveringGraph) -> ConnectivityReport:
 # ------------------------------------------------------------- lifting
 
 
-def _endpoint_side(offset: float, length: float, tol: float = _TOL) -> str | None:
-    if abs(offset) <= tol * length:
-        return "u"
-    if abs(offset - length) <= tol * length:
-        return "v"
-    return None
-
-
 def _lift_route_at(c: CoveringGraph, route: PathRoute, start: EdgePoint) -> PathRoute:
     """The unique lift of a base route beginning at the given derived point."""
     validate_route(c.base, route)
@@ -267,14 +260,8 @@ def _lift_route_at(c: CoveringGraph, route: PathRoute, start: EdgePoint) -> Path
         return PathRoute.empty(start)
 
     # position state: either inside a specific derived edge, or at a derived vertex
-    start_edge = c.graph.edge(start.edge)
-    side = _endpoint_side(start.offset, start_edge.length)
-    at_vertex: str | None = None
-    on_edge: str | None = None
-    if side is None:
-        on_edge = start.edge
-    else:
-        at_vertex = start_edge.u if side == "u" else start_edge.v
+    at_vertex = point_vertex(c.graph, start)
+    on_edge = start.edge if at_vertex is None else None
 
     legs: list[RouteLeg] = []
     for leg in route.legs:
@@ -286,7 +273,7 @@ def _lift_route_at(c: CoveringGraph, route: PathRoute, start: EdgePoint) -> Path
         else:
             if at_vertex is None:
                 raise InvariantError("lift lost its vertex between legs")
-            entry = _endpoint_side(leg.start, base_edge.length)
+            entry = endpoint_side(leg.start, base_edge.length)
             if entry is None:
                 raise ValueError("route jumps to an edge interior")
             sheet = c.project_vertex(at_vertex)[1]
@@ -295,12 +282,11 @@ def _lift_route_at(c: CoveringGraph, route: PathRoute, start: EdgePoint) -> Path
             else:
                 derived_id = c.lift_edge(leg.edge, c.voltage.inverse_perm(leg.edge)[sheet])
         legs.append(RouteLeg(derived_id, leg.start, leg.end))
-        exit_side = _endpoint_side(leg.end, base_edge.length)
+        exit_side = endpoint_side(leg.end, base_edge.length)
         if exit_side is None:
             on_edge, at_vertex = derived_id, None
         else:
-            de = c.graph.edge(derived_id)
-            on_edge, at_vertex = None, (de.u if exit_side == "u" else de.v)
+            on_edge, at_vertex = None, getattr(c.graph.edge(derived_id), exit_side)
     return PathRoute.from_legs(legs, anchor_if_empty=start)
 
 

@@ -10,7 +10,6 @@ candidate set, so no mesh appears outside of test oracles.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -240,7 +239,6 @@ class MetricGraph:
 
         self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._apsp_cache: DistanceMatrix | None = None
-        self._sssp_cache: dict[str, tuple[dict[str, float], dict[str, tuple[str, str]]]] = {}
 
     # -- basic access -------------------------------------------------
 
@@ -299,51 +297,51 @@ class MetricGraph:
             )
         return self._edge_arrays
 
+    def _csr(self) -> csr_matrix:
+        """Vertex adjacency in CSR form, weighted by the shortest edge of each pair."""
+        n = len(self.vertices)
+        u, v, length = self.edge_arrays()
+        link = u != v
+        rows = np.concatenate((u[link], v[link]))
+        cols = np.concatenate((v[link], u[link]))
+        w = np.concatenate((length[link], length[link]))
+        # one entry per ordered vertex pair, the shortest parallel edge
+        order = np.lexsort((w, cols, rows))
+        rows, cols, w = rows[order], cols[order], w[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
+        return csr_matrix((w[first], cols[first], indptr), shape=(n, n))
+
     def apsp(self) -> "DistanceMatrix":
         if self._apsp_cache is None:
-            n = len(self.vertices)
-            u, v, length = self.edge_arrays()
-            link = u != v
-            rows = np.concatenate((u[link], v[link]))
-            cols = np.concatenate((v[link], u[link]))
-            w = np.concatenate((length[link], length[link]))
-            # one entry per ordered vertex pair, the shortest parallel edge
-            order = np.lexsort((w, cols, rows))
-            rows, cols, w = rows[order], cols[order], w[order]
-            first = np.ones(len(rows), dtype=bool)
-            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
-            mat = csr_matrix((w[first], cols[first], indptr), shape=(n, n))
-            values = _sp_dijkstra(mat, directed=True)
+            values = _sp_dijkstra(self._csr(), directed=True)
             self._apsp_cache = DistanceMatrix(self.vertices, values)
         return self._apsp_cache
 
-    def vertex_distance(self, u: str, v: str) -> float:
-        return self.apsp().get(u, v)
-
     def single_source(self, source: str) -> tuple[dict[str, float], dict[str, tuple[str, str]]]:
-        """Deterministic Dijkstra with parent edges: parent[v] = (edge id, previous vertex)."""
-        if source in self._sssp_cache:
-            return self._sssp_cache[source]
+        """Distances and a shortest-path tree from one vertex, by the Dijkstra of `apsp()`.
+
+        dist holds the reachable vertices.  parent[v] = (edge id, previous
+        vertex): the previous vertex p is the Dijkstra predecessor, and the
+        edge is the shortest between p and v, the least id among equal
+        lengths, so dist[v] = dist[p] + its length.
+        """
         if source not in self._vindex:
             raise ValueError(f"unknown vertex {source!r}")
-        dist: dict[str, float] = {source: 0.0}
+        d, pred = _sp_dijkstra(self._csr(), directed=True, indices=self._vindex[source],
+                               return_predecessors=True)
+        dist: dict[str, float] = {}
         parent: dict[str, tuple[str, str]] = {}
-        done: set[str] = set()
-        heap: list[tuple[float, str]] = [(0.0, source)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if v in done:
-                continue
-            done.add(v)
-            for e, w in self.neighbors(v):
-                nd = d + e.length
-                if w not in dist or nd < dist[w]:
-                    dist[w] = nd
-                    parent[w] = (e.id, v)
-                    heapq.heappush(heap, (nd, w))
-        self._sssp_cache[source] = (dist, parent)
+        for j in np.flatnonzero(np.isfinite(d)):
+            v = self.vertices[j]
+            dist[v] = float(d[j])
+            if v != source:
+                p = self.vertices[pred[j]]
+                # neighbors() runs in edge-id order and min() keeps the first least
+                e = min((e for e, w in self.neighbors(v) if w == p), key=lambda e: e.length)
+                parent[v] = (e.id, p)
         return dist, parent
 
     # -- serialization ------------------------------------------------
@@ -379,17 +377,24 @@ def vertex_apsp(g: MetricGraph) -> DistanceMatrix:
 # -- point utilities ---------------------------------------------------
 
 
+def endpoint_side(offset: float, length: float, tol: float = _TOL) -> str | None:
+    """"u" or "v" for an offset at that end of an edge of the given length,
+    None inside it; ``tol`` is a share of the length."""
+    if abs(offset) <= tol * length:
+        return "u"
+    if abs(offset - length) <= tol * length:
+        return "v"
+    return None
+
+
 def point_vertex(g: MetricGraph, p: EdgePoint, tol: float = _TOL) -> str | None:
     """The vertex a point sits on, or None for interior points.
 
     ``tol`` is a share of the length of the point's edge.
     """
     e = g.check_point(p)
-    if abs(p.offset) <= tol * e.length:
-        return e.u
-    if abs(p.offset - e.length) <= tol * e.length:
-        return e.v
-    return None
+    side = endpoint_side(p.offset, e.length, tol)
+    return None if side is None else getattr(e, side)
 
 
 def points_coincide(g: MetricGraph, p: EdgePoint, q: EdgePoint, tol: float = _TOL) -> bool:
@@ -401,20 +406,30 @@ def points_coincide(g: MetricGraph, p: EdgePoint, q: EdgePoint, tol: float = _TO
     return vp is not None and vp == vq
 
 
-def point_distance(g: MetricGraph, x: EdgePoint, y: EdgePoint) -> float:
-    """Exact length-space distance between two points of the graph."""
+def _shortest_way(g: MetricGraph, x: EdgePoint, y: EdgePoint) -> tuple[float, int]:
+    """(distance, kind) of the shortest way between two points.
+
+    Kind -1 runs along their shared edge; kind 2i + j leaves x by end i of
+    its edge and reaches y by end j of its edge (0 for u, 1 for v).  The
+    first strict minimum in that order wins.
+    """
     ex = g.check_point(x)
     ey = g.check_point(y)
-    best = math.inf
-    if x.edge == y.edge:
-        best = abs(x.offset - y.offset)
+    # on distinct edges with every exit at inf, kind 0 stays, and its
+    # vertex route raises DisconnectedGraphError
+    best, kind = (abs(x.offset - y.offset), -1) if x.edge == y.edge else (math.inf, 0)
     dm = g.apsp()
-    for vx, cx in ((ex.u, x.offset), (ex.v, ex.length - x.offset)):
-        for vy, cy in ((ey.u, y.offset), (ey.v, ey.length - y.offset)):
+    for i, (vx, cx) in enumerate(((ex.u, x.offset), (ex.v, ex.length - x.offset))):
+        for j, (vy, cy) in enumerate(((ey.u, y.offset), (ey.v, ey.length - y.offset))):
             cand = cx + dm.get(vx, vy) + cy
             if cand < best:
-                best = cand
-    return best
+                best, kind = cand, 2 * i + j
+    return best, kind
+
+
+def point_distance(g: MetricGraph, x: EdgePoint, y: EdgePoint) -> float:
+    """Exact length-space distance between two points of the graph."""
+    return _shortest_way(g, x, y)[0]
 
 
 # -- routes ------------------------------------------------------------
@@ -477,27 +492,14 @@ def vertex_route(g: MetricGraph, a: str, b: str) -> PathRoute:
 
 def shortest_route(g: MetricGraph, x: EdgePoint, y: EdgePoint) -> PathRoute:
     """An explicit shortest route between two points; length equals point_distance."""
-    ex = g.check_point(x)
-    ey = g.check_point(y)
-    dm = g.apsp()
-
-    candidates: list[tuple[float, int]] = []
-    if x.edge == y.edge:
-        candidates.append((abs(x.offset - y.offset), -1))
-    exits_x = ((ex.u, x.offset, 0.0), (ex.v, ex.length - x.offset, ex.length))
-    exits_y = ((ey.u, y.offset, 0.0), (ey.v, ey.length - y.offset, ey.length))
-    for i, (vx, cx, _) in enumerate(exits_x):
-        for j, (vy, cy, _) in enumerate(exits_y):
-            candidates.append((cx + dm.get(vx, vy) + cy, 2 * i + j))
-    best_len, best_kind = min(candidates, key=lambda t: (t[0], t[1]))
-    if best_kind == -1:
+    _, kind = _shortest_way(g, x, y)
+    if kind == -1:
         return PathRoute.from_legs([RouteLeg(x.edge, x.offset, y.offset)], anchor_if_empty=x)
-    i, j = divmod(best_kind, 2)
-    vx, _, off_x = exits_x[i]
-    vy, _, off_y = exits_y[j]
-    legs = [RouteLeg(x.edge, x.offset, off_x)]
-    legs.extend(vertex_route(g, vx, vy).legs)
-    legs.append(RouteLeg(y.edge, off_y, y.offset))
+    ex, ey = g.edge(x.edge), g.edge(y.edge)
+    i, j = divmod(kind, 2)
+    legs = [RouteLeg(x.edge, x.offset, (0.0, ex.length)[i])]
+    legs.extend(vertex_route(g, (ex.u, ex.v)[i], (ey.u, ey.v)[j]).legs)
+    legs.append(RouteLeg(y.edge, (0.0, ey.length)[j], y.offset))
     return PathRoute.from_legs(legs, anchor_if_empty=x)
 
 
@@ -751,12 +753,6 @@ class SubdivisionMap:
             for k, sub in enumerate(subs):
                 self._parent[sub] = (eid, k)
 
-    def pieces(self, eid: str) -> tuple[str, ...]:
-        return self._pieces[eid]
-
-    def parent(self, sub_eid: str) -> tuple[str, int]:
-        return self._parent[sub_eid]
-
     def map_point(self, p: EdgePoint) -> EdgePoint:
         """The same point, in coordinates of the refined graph."""
         self.base.check_point(p)
@@ -773,23 +769,6 @@ class SubdivisionMap:
         eid, k = self._parent[p.edge]
         h = self._piece_length[eid]
         return EdgePoint(eid, k * h + p.offset)
-
-    def route_to_base(self, route: PathRoute) -> PathRoute:
-        """Rewrite a route of the refined graph in base-graph coordinates."""
-        if route.is_empty:
-            return PathRoute.empty(self.point_to_base(route.start))
-        legs: list[RouteLeg] = []
-        for leg in route.legs:
-            eid, k = self._parent[leg.edge]
-            h = self._piece_length[eid]
-            a, b = k * h + leg.start, k * h + leg.end
-            if legs and legs[-1].edge == eid and legs[-1].end == a and (
-                (legs[-1].end - legs[-1].start) * (b - a) > 0
-            ):
-                legs[-1] = RouteLeg(eid, legs[-1].start, b)
-            else:
-                legs.append(RouteLeg(eid, a, b))
-        return PathRoute.from_legs(legs, anchor_if_empty=self.point_to_base(route.start))
 
 
 def subdivide(g: MetricGraph, max_piece: float) -> tuple[MetricGraph, SubdivisionMap]:

@@ -1,20 +1,25 @@
 """Brute-force mesh oracles and predecessor algorithms, kept independent of
 the code paths they check."""
 
+import heapq
 from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from coverdiam.complexes import LoopWitness
 from coverdiam.errors import InvariantError
 from coverdiam.groups import Presentation
 from coverdiam.metric_graph import (
     DiameterResult,
     EdgePoint,
     MetricGraph,
+    PathRoute,
+    RouteLeg,
     point_distance,
     subdivide,
+    tree_legs,
 )
 
 
@@ -66,6 +71,56 @@ def mesh_point_distance(g: MetricGraph, x: EdgePoint, y: EdgePoint, mesh: float)
     mat, idx = _csr(sub)
     d = dijkstra(mat, directed=False, indices=[idx[snap(x)]])
     return float(d[0, idx[snap(y)]])
+
+
+def single_source_heapq(g: MetricGraph, source: str):
+    """Pure-Python heapq Dijkstra with parent edges, parent[v] = (edge id,
+    previous vertex); the predecessor of MetricGraph.single_source."""
+    dist = {source: 0.0}
+    parent = {}
+    done = set()
+    heap = [(0.0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        for e, w in g.neighbors(v):
+            nd = d + e.length
+            if w not in dist or nd < dist[w]:
+                dist[w] = nd
+                parent[w] = (e.id, v)
+                heapq.heappush(heap, (nd, w))
+    return dist, parent
+
+
+def short_loop_generators_subdivided(g: MetricGraph, basepoint: str, mesh: float):
+    """Spanning-tree loops grown on a mesh-`mesh` subdivision and rewritten
+    in base coordinates, in sub-edge id order; the predecessor of
+    complexes.short_loop_generators."""
+    sub, smap = subdivide(g, mesh)
+    dist, parent = single_source_heapq(sub, basepoint)
+    tree_edges = {eid for eid, _ in parent.values()}
+    loops = []
+    for e in sub.edges:
+        if e.id in tree_edges:
+            continue
+        legs = tree_legs(sub, parent, basepoint, e.u) + [RouteLeg(e.id, 0.0, e.length)]
+        legs += [l.reversed() for l in reversed(tree_legs(sub, parent, basepoint, e.v))]
+        base_legs = []
+        for leg in legs:
+            a = smap.point_to_base(EdgePoint(leg.edge, leg.start))
+            b = smap.point_to_base(EdgePoint(leg.edge, leg.end))
+            last = base_legs[-1] if base_legs else None
+            if last and last.edge == a.edge and last.end == a.offset and (
+                (last.end - last.start) * (b.offset - a.offset) > 0
+            ):
+                base_legs[-1] = RouteLeg(a.edge, last.start, b.offset)
+            else:
+                base_legs.append(RouteLeg(a.edge, a.offset, b.offset))
+        route = PathRoute.from_legs(base_legs)
+        loops.append(LoopWitness(route, basepoint, dist[e.u] + e.length + dist[e.v]))
+    return tuple(loops)
 
 
 def exponent_rank_fraction(p: Presentation) -> int:

@@ -316,16 +316,15 @@ def test_fiber_ball_nerve_reuses_the_verified_level():
 
 
 def test_short_generators_bound_and_rank(figure_eight, theta):
-    with criterion("short generators: loop length < 2(d + mesh), full rank", 10.0):
-        mesh = 0.25
+    with criterion("short generators: loop length <= 2d, full rank", 10.0):
         graphs = [figure_eight, theta]
         rng = random.Random(777)
         graphs.extend(random_connected_graph(rng, 6, 9) for _ in range(10))
         for g in graphs:
             d = continuous_diameter(g).value
             rank = len(g.edges) - len(g.vertices) + 1
-            loops = short_loop_generators(g, g.vertices[0], mesh)
+            loops = short_loop_generators(g, g.vertices[0])
             assert len(loops) == rank
             for w in loops:
-                assert w.length < 2 * (d + mesh)
-                assert abs(w.route.length - w.length) <= 1e-9
+                assert w.length <= 2 * d * (1 + 1e-12)
+                assert abs(w.route.length - w.length) <= 1e-12 * w.length

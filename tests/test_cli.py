@@ -296,7 +296,7 @@ def test_ucover_commands(runner, data_dir, tmp_path):
     assert all(r["status"] == "PASS" for r in obj["rows"])
 
 
-@pytest.mark.parametrize("levels", ["3,x", ","])
+@pytest.mark.parametrize("levels", ["3,x", ",", "0", "0,3"])
 def test_ucover_verify_rejects_malformed_levels(runner, data_dir, levels):
     result = runner.invoke(
         main,
@@ -304,6 +304,17 @@ def test_ucover_verify_rejects_malformed_levels(runner, data_dir, levels):
     )
     assert result.exit_code == 2
     assert "--levels" in result.output
+
+
+@pytest.mark.parametrize("command", ["verify-bound", "nerve"])
+@pytest.mark.parametrize("level", ["0", "-2"])
+def test_ucover_rejects_nonpositive_level(runner, data_dir, command, level):
+    result = runner.invoke(
+        main,
+        ["ucover", command, "--complex", str(data_dir / "rp2_complex.json"), "--level", level],
+    )
+    assert result.exit_code == 2
+    assert "--level" in result.output
 
 
 def test_ucover_nerve_command(runner, data_dir):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coverdiam.cli import sweep_base_graph
 from coverdiam.complexes import (
     SimplicialComplex2,
     complex_from_json,
@@ -26,6 +27,7 @@ from coverdiam.metric_graph import (
 )
 
 from .conftest import random_connected_graph
+from .oracle import short_loop_generators_subdivided
 
 RP2_FACES = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
@@ -201,7 +203,7 @@ def test_nerve_monotone_in_radius_and_samples(hex_cycle):
 
 
 def test_short_loops_figure_eight(figure_eight):
-    loops = short_loop_generators(figure_eight, "v", 1.0)
+    loops = short_loop_generators(figure_eight, "v")
     assert len(loops) == 2
     assert all(w.length == pytest.approx(1.0) for w in loops)
     for w in loops:
@@ -214,17 +216,16 @@ def test_short_loops_figure_eight(figure_eight):
 
 def test_short_loops_tree_is_empty():
     tree = MetricGraph(["x", "y", "z"], [("e0", "x", "y", 1.0), ("e1", "y", "z", 0.5)])
-    assert short_loop_generators(tree, "x", 0.25) == ()
+    assert short_loop_generators(tree, "x") == ()
 
 
 def test_short_loops_theta(theta):
     d = continuous_diameter(theta).value
-    loops = short_loop_generators(theta, "u", 0.25)
+    loops = short_loop_generators(theta, "u")
     assert len(loops) == 2  # rank of the theta graph
     for w in loops:
-        assert w.length <= 2 * d + 0.25 + 1e-9
-        assert w.length < 2 * (d + 0.25)
-        assert w.route.length == pytest.approx(w.length)
+        assert w.length <= 2 * d * (1 + 1e-12)
+        assert w.route.length == pytest.approx(w.length, rel=1e-12)
 
 
 def test_short_loops_random_graphs_bound_and_rank():
@@ -234,10 +235,35 @@ def test_short_loops_random_graphs_bound_and_rank():
         basepoint = g.vertices[0]
         rank = len(g.edges) - len(g.vertices) + 1
         d = continuous_diameter(g).value
-        loops = short_loop_generators(g, basepoint, 0.25)
+        loops = short_loop_generators(g, basepoint)
         assert len(loops) == rank
         for w in loops:
-            assert w.length < 2 * (d + 0.25)
+            assert w.length <= 2 * d * (1 + 1e-12)
             validate_route(g, w.route)
             assert points_coincide(g, w.route.start, g.vertex_point(basepoint))
             assert points_coincide(g, w.route.end, g.vertex_point(basepoint))
+
+
+def test_short_loops_match_subdivided_oracle():
+    for i in range(200):
+        g = sweep_base_graph(7, i)
+        for basepoint in g.vertices[:2]:
+            loops = short_loop_generators(g, basepoint)
+            want = short_loop_generators_subdivided(g, basepoint, 0.1)
+            assert len(loops) == len(want)
+            for a, b in zip(sorted(w.length for w in loops), sorted(w.length for w in want)):
+                assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_short_loops_have_exact_legs_in_edge_order():
+    for i in range(200):
+        g = sweep_base_graph(7, i)
+        basepoint = g.vertices[0]
+        tree = {eid for eid, _ in g.single_source(basepoint)[1].values()}
+        loops = short_loop_generators(g, basepoint)
+        off_tree = [e.id for e in g.edges if e.id not in tree]
+        assert [{l.edge for l in w.route.legs} - tree for w in loops] == [{e} for e in off_tree]
+        for w in loops:
+            assert w.route.length == pytest.approx(w.length, rel=1e-12)
+            for leg in w.route.legs:
+                assert sorted((leg.start, leg.end)) == [0.0, g.edge(leg.edge).length], i

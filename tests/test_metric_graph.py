@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import random
 
 import numpy as np
@@ -27,7 +28,12 @@ from coverdiam.metric_graph import (
 )
 
 from .conftest import pseudo_projective_plane, random_connected_graph
-from .oracle import continuous_diameter_allpairs, mesh_diameter, mesh_point_distance
+from .oracle import (
+    continuous_diameter_allpairs,
+    mesh_diameter,
+    mesh_point_distance,
+    single_source_heapq,
+)
 
 
 # ---------------------------------------------------------------- apsp
@@ -490,6 +496,54 @@ def test_shortest_route_matches_point_distance():
             assert points_coincide(g, r.start, x)
             assert points_coincide(g, r.end, y)
             assert r.length == pytest.approx(point_distance(g, x, y), abs=1e-9)
+
+
+def _single_source_graphs():
+    for seed in (1, 7):
+        for i in range(60):
+            g, _, cover, _ = sweep_instance(seed, i)
+            yield g
+            yield cover.graph
+    rp2_cover = universal_cover.build_universal_cover(universal_cover.rp2_complex(), 100_000)
+    for level in (1, 2, 3):
+        yield from (pe.graph for pe in rp2_cover.pe(level))
+    rng = random.Random(4242)
+    for _ in range(200):
+        yield random_connected_graph(rng)
+
+
+def test_single_source_matches_heapq_oracle():
+    for g in _single_source_graphs():
+        for source in g.vertices[:: max(1, len(g.vertices) // 4)]:
+            dist, parent = g.single_source(source)
+            want, _ = single_source_heapq(g, source)
+            assert dist.keys() == want.keys()
+            for v, d in dist.items():
+                assert d == pytest.approx(want[v], rel=1e-12)
+            assert parent.keys() == dist.keys() - {source}
+            for v, (eid, p) in parent.items():
+                e = g.edge(eid)
+                assert {e.u, e.v} == {p, v}
+                assert abs(dist[p] + e.length - dist[v]) <= 1e-12 * dist[v]
+
+
+def test_single_source_parallel_tie_takes_least_id():
+    g = MetricGraph(["x", "y"], [("c", "x", "y", 1.0), ("a", "x", "y", 2.0), ("b", "y", "x", 1.0)])
+    assert g.single_source("x") == ({"x": 0.0, "y": 1.0}, {"y": ("b", "x")})
+    assert g.single_source("y")[1] == {"x": ("b", "y")}
+
+
+def test_shortest_route_across_components_raises():
+    g = MetricGraph(
+        ["a", "b", "c", "d"],
+        [("e", "a", "b", 1.0), ("f", "c", "d", 1.0)],
+        require_connected=False,
+    )
+    x, y = EdgePoint("e", 0.5), EdgePoint("f", 0.25)
+    assert point_distance(g, x, y) == math.inf
+    with pytest.raises(DisconnectedGraphError):
+        shortest_route(g, x, y)
+    assert shortest_route(g, x, EdgePoint("e", 0.75)).legs == (RouteLeg("e", 0.5, 0.75),)
 
 
 def test_concat_routes(theta):
