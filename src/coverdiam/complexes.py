@@ -259,11 +259,16 @@ def short_loop_generators(g: MetricGraph, basepoint: str) -> tuple[LoopWitness, 
     (tree path v back), in edge-id order.  As |d(u) - d(v)| <= L, the two
     tree paths meet at the point of e at distance (d(u) + L + d(v)) / 2,
     which is at most the basepoint's eccentricity, so every loop is at most
-    2 * ecc(basepoint) <= 2 * diameter long.
+    2 * ecc(basepoint) <= 2 * diameter long.  Raises DisconnectedGraphError
+    when some vertex is out of the basepoint's reach.
     """
     if not g.has_vertex(basepoint):
         raise ValueError(f"unknown basepoint {basepoint!r}")
     dist, parent = g.single_source(basepoint)
+    if len(dist) < len(g.vertices):
+        raise DisconnectedGraphError(
+            f"{len(g.vertices) - len(dist)} vertices are unreachable from {basepoint!r}"
+        )
     tree_edges = {eid for eid, _ in parent.values()}
 
     witnesses = []

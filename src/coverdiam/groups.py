@@ -2,9 +2,12 @@
 
 Words are tuples of signed 1-based generator numbers: +k is generator k-1,
 -k its inverse.  In files, words are strings over a..z with uppercase
-meaning inverse ("ABab" is a^-1 b^-1 a b).  Enumeration is HLT-style
-relator scanning over the trivial subgroup with a deterministic
-first-free-coset definition order, so completed tables are reproducible.
+meaning inverse ("ABab" is a^-1 b^-1 a b).  Presentations are first
+Tietze-reduced (Havas, ISSAC 1991; Holt-Eick-O'Brien, Handbook of
+Computational Group Theory, 2.9).  Enumeration is HLT-style relator
+scanning of the reduced presentation over the trivial subgroup with a
+deterministic first-free-coset definition order, so completed tables are
+reproducible; the table is then lifted back to every original generator.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable, Literal, Sequence
 
@@ -25,9 +29,11 @@ __all__ = [
     "CayleyGraph",
     "WordDiameter",
     "TrivialityResult",
+    "TietzeReduction",
     "parse_word",
     "word_to_string",
     "free_reduce",
+    "tietze_reduce",
     "todd_coxeter",
     "cayley_graph",
     "word_metric_diameter",
@@ -48,6 +54,18 @@ def free_reduce(word: Sequence[int]) -> Word:
         else:
             out.append(letter)
     return tuple(out)
+
+
+def _invert_word(word: Sequence[int]) -> Word:
+    return tuple(-x for x in reversed(word))
+
+
+def _cyclic_reduce(word: Word) -> Word:
+    """A freely reduced word with its cancelling ends stripped (a conjugate)."""
+    i, j = 0, len(word)
+    while j - i > 1 and word[i] == -word[j - 1]:
+        i, j = i + 1, j - 1
+    return word[i:j]
 
 
 def parse_word(text: str, generator_count: int) -> Word:
@@ -189,19 +207,20 @@ class _Enumerator:
                 row[c] = -1
                 if self.table[d][c ^ 1] == g:
                     self.table[d][c ^ 1] = -1
+                # g*x = d carries over to the representatives in both
+                # directions: the entry of d cleared above may have been
+                # the only record of nu*x^-1 = mu
                 mu, nu = self.find(g), self.find(d)
                 e = self.table[mu][c]
                 if e >= 0:
-                    if self.find(e) != nu:
-                        self._union(e, nu, dead)
+                    self._union(e, nu, dead)
                 else:
                     self.table[mu][c] = nu
-                    e2 = self.table[nu][c ^ 1]
-                    if e2 >= 0:
-                        if self.find(e2) != mu:
-                            self._union(e2, mu, dead)
-                    else:
-                        self.table[nu][c ^ 1] = mu
+                e2 = self.table[nu][c ^ 1]
+                if e2 >= 0:
+                    self._union(e2, mu, dead)
+                else:
+                    self.table[nu][c ^ 1] = mu
 
     def set_entry(self, x: int, c: int, y: int) -> None:
         ex = self.table[x][c]
@@ -345,20 +364,147 @@ class CosetTable:
         )
 
 
-def todd_coxeter(p: Presentation, max_cosets: int) -> CosetTable:
-    """Enumerate cosets of the trivial subgroup; coset_count is the group order.
+@dataclass(frozen=True)
+class TietzeReduction:
+    """A presentation of the same group on fewer generators.
 
-    Raises EnumerationOverflow when more than max_cosets cosets would be
-    live at once (infinite group or budget too small).
+    ``presentation`` is on the ``kept`` original generators, renumbered
+    1..len(kept) in increasing order.  ``eliminated`` lists (generator,
+    word) in elimination order: the word, over original generator numbers,
+    equals the generator in the group and uses only generators still
+    present when it was eliminated, so tracing the words in reverse order
+    expresses every eliminated generator in the kept ones.
     """
+
+    presentation: Presentation
+    kept: tuple[int, ...]
+    eliminated: tuple[tuple[int, Word], ...]
+
+
+def tietze_reduce(p: Presentation) -> TietzeReduction:
+    """Eliminate generators that occur once in a short relator.
+
+    While some cyclically reduced relator of length <= 3 contains a
+    generator g exactly once, the relator is solved for g (a word of at
+    most 2 letters), dropped, and g's word is substituted into the
+    relators that an occurrence index lists for g; those are then freely
+    and cyclically reduced, and empty ones dropped.  The shortest, then
+    lowest-numbered, relator goes first, and within it the generator that
+    occurs in the fewest relators (the least number among equals), so the
+    result depends only on p.  Each step is a Tietze move, so the group is
+    unchanged; a relator equal to an earlier one or to its inverse is
+    dropped at the end.
+    """
+    relators: dict[int, Word] = {}
+    # generator -> ids of the relators holding it; None once eliminated
+    index: list[set[int] | None] = [set() for _ in range(p.generator_count + 1)]
+    short: list[tuple[int, int]] = []  # (length, relator id), entries may be stale
+
+    def store(i: int, word: Word) -> None:
+        if word:
+            relators[i] = word
+            for x in word:
+                index[abs(x)].add(i)
+            if len(word) <= 3:
+                heappush(short, (len(word), i))
+
+    def drop(i: int) -> Word:
+        word = relators.pop(i)
+        for x in word:
+            holding = index[abs(x)]
+            if holding is not None:
+                holding.discard(i)
+        return word
+
+    for i, w in enumerate(p.relators):
+        store(i, _cyclic_reduce(w))
+
+    eliminated: list[tuple[int, Word]] = []
+    while short:
+        length, i = heappop(short)
+        word = relators.get(i)
+        if word is None or len(word) != length:
+            continue
+        gens = [abs(x) for x in word]
+        once = [h for h in gens if gens.count(h) == 1]
+        if not once:
+            continue
+        g = min(once, key=lambda h: (len(index[h]), h))
+        drop(i)
+        k = gens.index(g)
+        rest = word[k + 1:] + word[:k]  # word is a rotation of word[k] * rest
+        sub = rest if word[k] < 0 else _invert_word(rest)
+        inverse = _invert_word(sub)
+        eliminated.append((g, sub))
+        holding, index[g] = index[g], None
+        for j in holding:
+            new: list[int] = []
+            for x in drop(j):
+                if x == g:
+                    new += sub
+                elif x == -g:
+                    new += inverse
+                else:
+                    new.append(x)
+            store(j, _cyclic_reduce(free_reduce(new)))
+
+    kept = tuple(g for g in range(1, p.generator_count + 1) if index[g] is not None)
+    number = {g: i + 1 for i, g in enumerate(kept)}
+    seen: set[Word] = set()
+    reduced = []
+    for i in sorted(relators):
+        w = tuple(number[x] if x > 0 else -number[-x] for x in relators[i])
+        key = min(w, _invert_word(w))
+        if key not in seen:
+            seen.add(key)
+            reduced.append(w)
+    return TietzeReduction(Presentation(len(kept), reduced), kept, tuple(eliminated))
+
+
+def _enumerate(p: Presentation, max_cosets: int) -> CosetTable:
+    """HLT enumeration of p itself; the completed table satisfies p's relators."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
     if p.generator_count == 0:
         return CosetTable(action=())
     enum = _Enumerator(p.generator_count, max_cosets)
     enum.run(p.relators)
-    action = tuple(tuple(perm) for perm in enum.compress())
-    table = CosetTable(action=action)
+    return CosetTable(action=tuple(tuple(perm) for perm in enum.compress()))
+
+
+def _lift(reduction: TietzeReduction, table: CosetTable) -> CosetTable:
+    """The table of the reduced presentation, acting by every original generator.
+
+    An eliminated generator acts as its substitution word; the words are
+    traced in reverse order of elimination, so each uses only generators
+    whose action is already known.
+    """
+    identity = tuple(range(table.coset_count))
+    # generator -> (its permutation, its inverse's)
+    perms = {g: (table.action[i], table._inverse[i]) for i, g in enumerate(reduction.kept)}
+
+    def trace(word: Word) -> tuple[int, ...]:
+        perm = identity
+        for x in word:
+            image = perms[abs(x)][x < 0]
+            perm = tuple(image[c] for c in perm)
+        return perm
+
+    for g, word in reversed(reduction.eliminated):
+        perms[g] = (trace(word), trace(_invert_word(word)))
+    return CosetTable(action=tuple(perms[g][0] for g in sorted(perms)))
+
+
+def todd_coxeter(p: Presentation, max_cosets: int) -> CosetTable:
+    """Enumerate cosets of the trivial subgroup; coset_count is the group order.
+
+    The Tietze-reduced presentation is enumerated and its table lifted to
+    every generator of p, then checked against p's own relators.  Raises
+    EnumerationOverflow when more than max_cosets cosets would be live at
+    once (infinite group or budget too small).
+    """
+    reduction = tietze_reduce(p)
+    table = _lift(reduction, _enumerate(reduction.presentation, max_cosets))
     if not table.satisfies(p):
         raise InvariantError("completed coset table violates a relator")
     return table
@@ -503,19 +649,28 @@ def _exponent_matrix_rank(p: Presentation) -> int:
 def is_trivial(p: Presentation, max_cosets: int) -> TrivialityResult:
     """Decide triviality of the presented group, if the budget allows.
 
-    The cheap No-path certifies an infinite abelianization from the rational
-    rank of the exponent-sum matrix, computed exactly by sparse integer
-    elimination; otherwise enumeration decides, with Unknown on overflow.
+    The presentation is Tietze-reduced first; eliminating every generator
+    proves the group trivial.  Otherwise the cheap No-path certifies an
+    infinite abelianization from the rational rank of the reduced
+    exponent-sum matrix, computed exactly by sparse integer elimination.
+    Tietze moves keep generators - rank, so the rank is reported in p's
+    own counts.  Otherwise enumeration of the reduced presentation
+    decides, with Unknown on overflow.
     """
-    if p.generator_count > 0:
-        rank = _exponent_matrix_rank(p)
-        if rank < p.generator_count:
-            return TrivialityResult(
-                "no",
-                f"abelianization infinite: exponent matrix rank {rank} < {p.generator_count}",
-            )
+    q = tietze_reduce(p).presentation
+    if q.generator_count == 0:
+        return TrivialityResult(
+            "yes", f"Tietze moves eliminated all {p.generator_count} generators"
+        )
+    rank = _exponent_matrix_rank(q)
+    if rank < q.generator_count:
+        rank += p.generator_count - q.generator_count
+        return TrivialityResult(
+            "no",
+            f"abelianization infinite: exponent matrix rank {rank} < {p.generator_count}",
+        )
     try:
-        table = todd_coxeter(p, max_cosets)
+        table = _enumerate(q, max_cosets)
     except EnumerationOverflow:
         return TrivialityResult("unknown", f"budget {max_cosets} exhausted")
     if table.coset_count == 1:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from ._search import bfs
 from .errors import DisconnectedGraphError, InvariantError
@@ -297,8 +295,16 @@ class MetricGraph:
             )
         return self._edge_arrays
 
-    def _csr(self) -> csr_matrix:
-        """Vertex adjacency in CSR form, weighted by the shortest edge of each pair."""
+    def _dijkstra(self, **kwargs):
+        """scipy's Dijkstra on the vertex adjacency in CSR form, weighted by
+        the shortest edge of each pair.
+
+        scipy is imported here, at the first shortest path, so commands
+        that need none (``cayley``, ``groups``) never load it.
+        """
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
         n = len(self.vertices)
         u, v, length = self.edge_arrays()
         link = u != v
@@ -312,12 +318,12 @@ class MetricGraph:
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
-        return csr_matrix((w[first], cols[first], indptr), shape=(n, n))
+        csr = csr_matrix((w[first], cols[first], indptr), shape=(n, n))
+        return dijkstra(csr, directed=True, **kwargs)
 
     def apsp(self) -> "DistanceMatrix":
         if self._apsp_cache is None:
-            values = _sp_dijkstra(self._csr(), directed=True)
-            self._apsp_cache = DistanceMatrix(self.vertices, values)
+            self._apsp_cache = DistanceMatrix(self.vertices, self._dijkstra())
         return self._apsp_cache
 
     def single_source(self, source: str) -> tuple[dict[str, float], dict[str, tuple[str, str]]]:
@@ -330,8 +336,7 @@ class MetricGraph:
         """
         if source not in self._vindex:
             raise ValueError(f"unknown vertex {source!r}")
-        d, pred = _sp_dijkstra(self._csr(), directed=True, indices=self._vindex[source],
-                               return_predecessors=True)
+        d, pred = self._dijkstra(indices=self._vindex[source], return_predecessors=True)
         dist: dict[str, float] = {}
         parent: dict[str, tuple[str, str]] = {}
         for j in np.flatnonzero(np.isfinite(d)):

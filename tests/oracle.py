@@ -9,8 +9,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from coverdiam.complexes import LoopWitness
-from coverdiam.errors import InvariantError
-from coverdiam.groups import Presentation
+from coverdiam.errors import EnumerationOverflow, InvariantError
+from coverdiam.groups import (
+    CosetTable,
+    Presentation,
+    TrivialityResult,
+    _enumerate,
+    _exponent_matrix_rank,
+)
 from coverdiam.metric_graph import (
     DiameterResult,
     EdgePoint,
@@ -147,6 +153,34 @@ def exponent_rank_fraction(p: Presentation) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def todd_coxeter_unreduced(p: Presentation, max_cosets: int) -> CosetTable:
+    """HLT enumeration of p with every generator, no Tietze reduction: the
+    predecessor of groups.todd_coxeter."""
+    table = _enumerate(p, max_cosets)
+    if not table.satisfies(p):
+        raise InvariantError("completed coset table violates a relator")
+    return table
+
+
+def is_trivial_unreduced(p: Presentation, max_cosets: int) -> TrivialityResult:
+    """Exponent rank of p, then enumeration of p, no Tietze reduction: the
+    predecessor of groups.is_trivial."""
+    if p.generator_count > 0:
+        rank = _exponent_matrix_rank(p)
+        if rank < p.generator_count:
+            return TrivialityResult(
+                "no",
+                f"abelianization infinite: exponent matrix rank {rank} < {p.generator_count}",
+            )
+    try:
+        table = todd_coxeter_unreduced(p, max_cosets)
+    except EnumerationOverflow:
+        return TrivialityResult("unknown", f"budget {max_cosets} exhausted")
+    if table.coset_count == 1:
+        return TrivialityResult("yes")
+    return TrivialityResult("no", f"completed, order {table.coset_count}")
 
 
 def _allpairs_cross_candidates(A, B, C, E, Li, Lj):

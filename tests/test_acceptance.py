@@ -9,11 +9,17 @@ import random
 import time
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 from coverdiam.cli import ExperimentConfig, run
-from coverdiam.complexes import short_loop_generators
+from coverdiam.complexes import (
+    SimplicialComplex2,
+    load_complex,
+    pi1_presentation,
+    short_loop_generators,
+)
 from coverdiam.covering import (
     Voltage,
     derive_cover,
@@ -21,7 +27,7 @@ from coverdiam.covering import (
     verify_diameter_bound,
 )
 from coverdiam.errors import PathNotLongEnough
-from coverdiam.groups import Presentation
+from coverdiam.groups import Presentation, todd_coxeter
 from coverdiam.metric_graph import (
     EdgePoint,
     MetricGraph,
@@ -249,6 +255,37 @@ def test_universal_cover_pipeline_on_projective_plane():
             {k_: round(v, 6) for k_, v in ratios.items()},
             "(cap 4*sqrt(2) ~ 5.657)",
         )
+
+
+def _relabelled(k: SimplicialComplex2, rng: random.Random) -> SimplicialComplex2:
+    labels = list(range(1, len(k.vertices) + 1))
+    rng.shuffle(labels)
+    name = dict(zip(k.vertices, labels))
+    return SimplicialComplex2(labels, [[name[v] for v in t] for t in k.triangles])
+
+
+def test_relabelled_order_five_plane_enumerates():
+    # this renumbering of the order-5 plane once ran for minutes
+    p = pi1_presentation(load_complex(Path(__file__).parent / "data" / "plane5_relabelled.json"))
+    assert p.generator_count == 45
+    with criterion("groups: relabelled order-5 plane enumerates", 0.1):
+        assert todd_coxeter(p, 100_000).coset_count == 5
+
+
+def test_relabelled_planes_build():
+    for order in range(3, 13):
+        plane = pseudo_projective_plane(order)
+        for seed in range(16):
+            k = _relabelled(plane, random.Random(f"plane:{order}:{seed}"))
+            with criterion(f"universal cover: order-{order} plane, relabelling {seed}", 1.0):
+                cover = build_universal_cover(k, 100_000)
+            assert cover.sheets == order and cover.simply_connected.is_yes
+
+
+def test_order_24_plane_builds():
+    with criterion("universal cover: order-24 pseudo-projective plane", 1.0):
+        cover = build_universal_cover(pseudo_projective_plane(24), 100_000)
+    assert cover.sheets == 24 and cover.simply_connected.is_yes
 
 
 def test_continuous_diameter_on_rp2_level_twelve():

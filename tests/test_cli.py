@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import coverdiam
 from coverdiam.cli import (
     ExperimentConfig,
     Report,
@@ -260,14 +265,31 @@ def test_cayley_zoo_csv_output(runner, tmp_path):
 
 
 def test_cayley_zoo_error_rows_exit_3(runner, tmp_path):
-    # a 5-coset budget overflows on most instances: ERROR rows but no FAIL
+    # a 5-coset budget overflows on most instances: ERROR rows but no FAIL.
+    # The Tietze-reduced Z4 (one generator, a^4) fits a budget of 5, where
+    # enumerating all three generators needed 7
     out = tmp_path / "zoo.json"
     result = runner.invoke(
         main, ["cayley", "zoo", "--budget", "5", "--format", "json", "--out", str(out)]
     )
     summary = json.loads(out.read_text())["summary"]
-    assert summary["error"] == 72 and summary["fail"] == 0
+    assert summary["error"] == 69 and summary["fail"] == 0
     assert result.exit_code == 3
+
+
+def test_cayley_check_never_imports_scipy():
+    # scipy is loaded at the first shortest path; Cayley checks take none
+    src = str(Path(coverdiam.__file__).resolve().parents[1])
+    code = (
+        "import sys, coverdiam.cli\n"
+        "from coverdiam.separator import verify_cayley_bound, zoo_instances\n"
+        "z = zoo_instances()[-1]\n"
+        "assert verify_cayley_bound(z.presentation, z.gens, 100000).verdict\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ucover_commands(runner, data_dir, tmp_path):

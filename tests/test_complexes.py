@@ -219,6 +219,14 @@ def test_short_loops_tree_is_empty():
     assert short_loop_generators(tree, "x") == ()
 
 
+def test_short_loops_unreachable_edge_is_disconnected_error():
+    g = MetricGraph(
+        ["a", "b", "c"], [("e0", "a", "b", 1.0), ("e1", "c", "c", 1.0)], require_connected=False
+    )
+    with pytest.raises(DisconnectedGraphError):
+        short_loop_generators(g, "a")
+
+
 def test_short_loops_theta(theta):
     d = continuous_diameter(theta).value
     loops = short_loop_generators(theta, "u")

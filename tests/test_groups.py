@@ -17,6 +17,7 @@ from coverdiam.groups import (
     parse_word,
     presentation_from_json,
     presentation_to_json,
+    tietze_reduce,
     todd_coxeter,
     word_metric_diameter,
     word_to_string,
@@ -25,7 +26,7 @@ from coverdiam.separator import zoo_instances
 from coverdiam.universal_cover import build_universal_cover, rp2_complex
 
 from .conftest import pseudo_projective_plane
-from .oracle import exponent_rank_fraction
+from .oracle import exponent_rank_fraction, is_trivial_unreduced, todd_coxeter_unreduced
 
 
 def cyclic(k: int) -> Presentation:
@@ -136,6 +137,14 @@ def test_enumeration_survives_heavy_collapse():
     # only after long coincidence cascades
     p = Presentation(2, [(-2, 1, 2, -1, -1), (-1, 2, 1, -2, -2)])
     assert todd_coxeter(p, 5000).coset_count == 1
+
+
+def test_enumeration_keeps_inverse_entries_through_coincidences():
+    # collapsing a^4 onto a = 1 used to lose the entry 0*a^-1 = 0 while
+    # keeping 0*a = 0; every pass then defined one coset that collapsed
+    # again, and enumeration never ended
+    assert todd_coxeter_unreduced(Presentation(1, [(1,) * 4, (1,) * 4, (1,)]), 10).coset_count == 1
+    assert todd_coxeter(Presentation(1, [(1,) * 3, (1,) * 5]), 10).coset_count == 1
 
 
 def test_enumeration_against_permutation_models():
@@ -350,6 +359,118 @@ def test_is_trivial_unknown_on_budget():
     res = is_trivial(p, 500)
     assert res.status == "unknown"
     assert "budget" in res.certificate
+
+
+# ------------------------------------------------------ Tietze reduction
+
+
+def test_tietze_reduce_eliminates_and_records_substitutions():
+    # Z6 on a, b = a^2, c = b a: c and then b go, a stays
+    p = Presentation(3, [(1,) * 6, (-3, 2, 1), (2, -1, -1)])
+    r = tietze_reduce(p)
+    assert r.kept == (1,)
+    assert r.presentation == Presentation(1, [(1,) * 6])
+    assert r.eliminated == ((3, (2, 1)), (2, (1, 1)))
+    t = todd_coxeter(p, 100)
+    assert t.coset_count == 6 and t.satisfies(p)
+    for g, word in r.eliminated:
+        assert all(t.act(c, g) == t.trace(c, word) for c in range(6))
+
+
+def test_tietze_reduce_keeps_generators_without_short_relators():
+    p = Presentation(2, [(1, 1), (2, 2)])  # every generator occurs twice
+    r = tietze_reduce(p)
+    assert r.kept == (1, 2) and r.eliminated == () and r.presentation == p
+
+
+def test_tietze_reduce_drops_duplicate_relators():
+    p = Presentation(2, [(1, 2, 1, 2), (1, 2, 1, 2), (-2, -1, -2, -1), (1, 1, 1)])
+    assert tietze_reduce(p).presentation == Presentation(2, [(1, 2, 1, 2), (1, 1, 1)])
+
+
+def test_is_trivial_yes_certificate_counts_eliminations():
+    res = is_trivial(Presentation(3, [(1, 2), (2,), (3, -1)]), 10)
+    assert res.status == "yes"
+    assert res.certificate == "Tietze moves eliminated all 3 generators"
+
+
+def _cayley_presentations():
+    """(presentation, generator subset) of the zoo and the cyclic-power families."""
+    out = [(inst.presentation, inst.gens) for inst in zoo_instances()]
+    families = [(3 * k, k) for k in range(3, 8)] + [(36, 4), (30, 5), (40, 5), (160, 8)]
+    out += [(cyclic_powers(n, k), tuple(range(k))) for n, k in families]
+    return out
+
+
+def _random_small_presentations():
+    """300 seeded presentations on 1..5 generators with short relators,
+    most of them finite, plus infinite ones that must stay unknown."""
+    rng = random.Random(5150)
+    out = [Presentation(2, [(1, 1), (2, 2)])]  # infinite dihedral group
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        relators = []
+        for _ in range(rng.randint(0, n + 2)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                relators.append([rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 6))])
+            elif kind == 1:
+                relators.append([rng.randint(1, n)] * rng.randint(1, 8))
+            elif kind == 2:
+                a, b = rng.randint(1, n), rng.randint(1, n)
+                relators.append([a, b, -a, -b])
+            else:  # a candidate for elimination
+                relators.append([rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(2, 3))])
+        out.append(Presentation(n, relators))
+    return out
+
+
+def _plane_presentations():
+    out = []
+    for k in range(3, 13):
+        plane = pseudo_projective_plane(k)
+        out += [pi1_presentation(plane), pi1_presentation(build_universal_cover(plane, 100_000).total)]
+    return out
+
+
+_ORACLE_CASES = {
+    "cayley groups": lambda: [p for p, _ in _cayley_presentations()],
+    "cayley flag fillings": lambda: [_flag_presentation(p, gens) for p, gens in _cayley_presentations()],
+    "planes and their totals": _plane_presentations,
+    "random": _random_small_presentations,
+}
+
+
+def _order_or_overflow(enumerate_, p, budget):
+    try:
+        table = enumerate_(p, budget)
+    except EnumerationOverflow:
+        return None
+    assert table.satisfies(p)
+    return table.coset_count
+
+
+@pytest.mark.parametrize("family", sorted(_ORACLE_CASES))
+def test_reduced_path_matches_unreduced_oracle(family):
+    budget = 500 if family == "random" else 100_000
+    statuses = set()
+    for p in _ORACLE_CASES[family]():
+        new, old = is_trivial(p, budget), is_trivial_unreduced(p, budget)
+        assert new.status == old.status, p
+        if new.status != "yes":
+            assert new.certificate == old.certificate, p
+        statuses.add(new.status)
+        if family != "cayley flag fillings":  # their orders are not needed and can be large
+            assert _order_or_overflow(todd_coxeter, p, budget) == _order_or_overflow(
+                todd_coxeter_unreduced, p, budget
+            ), p
+    if family == "random":
+        assert statuses == {"yes", "no", "unknown"}
+
+
+def test_infinite_dihedral_stays_unknown():
+    p = Presentation(2, [(1, 1), (2, 2)])
+    assert is_trivial(p, 500).status == is_trivial_unreduced(p, 500).status == "unknown"
 
 
 # ------------------------------------------------------- exponent rank
