@@ -326,6 +326,17 @@ class MetricGraph:
             self._apsp_cache = DistanceMatrix(self.vertices, self._dijkstra())
         return self._apsp_cache
 
+    def distance_rows(self, vertices: Sequence[str]) -> np.ndarray:
+        """Rows of `apsp().values` for the given vertices, in their order:
+        the cached rows, or else the same Dijkstra from those vertices only."""
+        try:
+            rows = [self._vindex[v] for v in vertices]
+        except KeyError as exc:
+            raise ValueError(f"unknown vertex {exc.args[0]!r}") from None
+        if self._apsp_cache is not None:
+            return self._apsp_cache.values[rows]
+        return self._dijkstra(indices=rows)
+
     def single_source(self, source: str) -> tuple[dict[str, float], dict[str, tuple[str, str]]]:
         """Distances and a shortest-path tree from one vertex, by the Dijkstra of `apsp()`.
 
@@ -611,7 +622,20 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
        that order, and the prefix shrinks as `top` rises.
     2. Corner bound.  The min of the four pieces is at most the mean of
        either opposite two, so a pair of live edges whose
-       (min(A + E, B + C) + Li + Lj)/2 is below `top` is skipped.
+       (min(A + E, B + C) + Li + Lj)/2 is below `top` is skipped.  From
+       _SEED_FROM live edges on, most such pairs are never formed.  A
+       corner is within Li + Lj of its opposite one (E <= Li + A + Lj), so
+       the corner bound is at most any corner plus Li + Lj, and a pair
+       with a corner below top - Li - Lj fails it.  Each block's row edge
+       r marks the vertices at least top - (_NEAR_BEST + _BOUND_SLACK)*top
+       - Lr - max L from both of its ends, and is paired only with edges
+       whose two ends are marked.  Max L stands in for Lj, which only
+       lowers the floor.  The floor's _BOUND_SLACK covers rounding: the
+       APSP matrix need not be symmetric to the last bit, so the filter
+       may read a corner from the other side than the corner bound does.
+       A distance summed over k edges is off by at most about k ulps of
+       `top`, and the bound and the floor by a few more, which stays
+       under 4e-12 of `top` on shortest paths of up to about 10,000 edges.
     3. Exact pair maximum.  Over t the maximum is (a(s) + b(s) + Lj)/2 for
        the tents a, b of _pair_maxima, so four evaluations in s give it,
        and `top` is raised to each block's largest.  From _SEED_FROM live
@@ -665,6 +689,7 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
     # rows a; each pair as (i, j) with i < j
     kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     n_kept, fold_at = 0, _PAIR_CHUNK
+    Lmax = Lall.max()
     lo = 0
     while True:
         n_live = int(np.count_nonzero(bound >= top - _BOUND_SLACK * top))
@@ -674,8 +699,17 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
         if lo == 0 and n_live >= _SEED_FROM:
             rows = min(rows, _SEED_ROWS)
         hi = min(lo + rows, n_live)
-        a, b = np.nonzero(np.arange(lo, hi)[:, None] < np.arange(n_live))
-        a, b = order[lo + a], order[b]
+        # row positions lo..hi-1 against the later positions lo..n_live-1
+        pairs = np.arange(lo, hi)[:, None] < np.arange(lo, n_live)
+        if n_live >= _SEED_FROM:
+            # far corner filter: a row edge's partner needs both ends far
+            # from both of its ends
+            r, later = order[lo:hi], order[lo:n_live]
+            floor = (top - (_NEAR_BEST + _BOUND_SLACK) * top - Lall[r] - Lmax)[:, None]
+            far = (dm[u[r]] >= floor) & (dm[v[r]] >= floor)
+            pairs &= far[:, u[later]] & far[:, v[later]]
+        a, b = np.nonzero(pairs)
+        a, b = order[lo + a], order[lo + b]
         lo = hi
         ii, jj = np.minimum(a, b), np.maximum(a, b)
         A, B, C, E, Li, Lj = corners(ii, jj)

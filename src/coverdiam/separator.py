@@ -41,6 +41,7 @@ __all__ = [
     "check_size_bounds",
     "translated_copy",
     "left_multiplication",
+    "left_multiplications",
     "cayley_diameter_bound",
     "verify_cayley_bound",
     "zoo_instances",
@@ -129,24 +130,47 @@ def check_size_bounds(d: SphereDecomposition) -> SizeBoundReport:
     )
 
 
-def left_multiplication(t: CosetTable, a: int) -> tuple[int, ...]:
-    """The permutation g -> a*g, propagated from the identity along the
-    right action (left and right multiplication commute)."""
+def _identity_tree(t: CosetTable) -> list[tuple[int, int, int]]:
+    """(h, g, letter) with h = g*letter for every element h but the
+    identity, in the visit order of a BFS from it, so g comes before h."""
     n = t.coset_count
-    image = [-1] * n
-    image[0] = a
+    seen = [True] + [False] * (n - 1)
+    tree = []
     queue = deque([0])
     while queue:
         g = queue.popleft()
         for k in range(1, t.generator_count + 1):
             for letter in (k, -k):
                 h = t.act(g, letter)
-                if image[h] < 0:
-                    image[h] = t.act(image[g], letter)
+                if not seen[h]:
+                    seen[h] = True
+                    tree.append((h, g, letter))
                     queue.append(h)
-    if min(image) < 0:
+    if len(tree) != n - 1:
         raise InvariantError("left multiplication missed an element")
+    return tree
+
+
+def _along_tree(t: CosetTable, tree: list[tuple[int, int, int]], a: int) -> tuple[int, ...]:
+    # left and right multiplication commute: a*(g*letter) = (a*g)*letter.
+    # The tree sets every entry but the identity's, which is a.
+    image = [a] * t.coset_count
+    for h, g, letter in tree:
+        image[h] = t.act(image[g], letter)
     return tuple(image)
+
+
+def left_multiplication(t: CosetTable, a: int) -> tuple[int, ...]:
+    """The permutation g -> a*g, propagated from the identity along the
+    right action (left and right multiplication commute)."""
+    return _along_tree(t, _identity_tree(t), a)
+
+
+def left_multiplications(t: CosetTable) -> tuple[tuple[int, ...], ...]:
+    """Every left multiplication g -> a*g, in the order of a; one BFS tree
+    from the identity serves them all."""
+    tree = _identity_tree(t)
+    return tuple(_along_tree(t, tree, a) for a in range(t.coset_count))
 
 
 def translated_copy(c: CayleyGraph, t: CosetTable, a: int, s: Iterable[int]) -> frozenset:

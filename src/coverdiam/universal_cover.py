@@ -31,7 +31,7 @@ from .covering import CoveringGraph, Voltage, derive_cover
 from .errors import CoverNotCovering, EnumerationOverflow, InvariantError
 from .groups import CosetTable, TrivialityResult, todd_coxeter
 from .metric_graph import DiameterResult, Edge, MetricGraph, continuous_diameter
-from .separator import cayley_diameter_bound, left_multiplication
+from .separator import cayley_diameter_bound, left_multiplications
 
 __all__ = [
     "CoveringComplex",
@@ -58,7 +58,8 @@ class CoveringComplex:
     is stored as sheet permutations (left multiplications of the regular
     representation); it acts freely and transitively on every fiber.  The
     PE models of the last level asked for are kept, so the checks at one
-    level share their graphs, APSP and diameters.
+    level share their graphs and APSP.  The diameters of every level asked
+    for are kept, so a later check at such a level computes none again.
     """
 
     base: SimplicialComplex2
@@ -69,6 +70,15 @@ class CoveringComplex:
     deck: tuple[tuple[int, ...], ...]
     simply_connected: TrivialityResult
     _pe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _diameters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def diameters(self, level: int) -> tuple[DiameterResult, DiameterResult]:
+        """Continuous diameters of the (base, total) PE models at `level`."""
+        if level not in self._diameters:
+            pe_base, pe_total = self.pe(level)
+            self._diameters[level] = (continuous_diameter(pe_base.graph),
+                                      continuous_diameter(pe_total.graph))
+        return self._diameters[level]
 
     def pe(self, level: int) -> tuple[PEApprox, PEApprox]:
         """(base, total) PE models at `level`; only the last level is kept."""
@@ -154,7 +164,7 @@ def build_universal_cover(k: SimplicialComplex2, budget: int) -> CoveringComplex
     if sc.status != "yes":
         raise InvariantError("universal cover failed its simple-connectivity check")
 
-    deck = tuple(left_multiplication(table, a) for a in range(n))
+    deck = left_multiplications(table)
     cover = CoveringComplex(
         base=k,
         total=total,
@@ -215,15 +225,9 @@ class PEApprox:
         self.graph = graph
         self._vertex_ids = vertex_ids
         self._carriers: dict = {}
-        self._diameter: DiameterResult | None = None
 
     def vertex_id(self, v) -> str:
         return self._vertex_ids[v]
-
-    def diameter(self) -> DiameterResult:
-        if self._diameter is None:
-            self._diameter = continuous_diameter(self.graph)
-        return self._diameter
 
 
 def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
@@ -356,9 +360,7 @@ def verify_universal_bound(
     elif (cover.base.vertices, cover.base.edges, cover.base.triangles) != (
             k.vertices, k.edges, k.triangles):
         raise ValueError("cover was built over a different base complex")
-    pe_base, pe_total = cover.pe(level)
-    d_base = pe_base.diameter().value
-    d_cover = pe_total.diameter().value
+    d_base, d_cover = (d.value for d in cover.diameters(level))
     bound = 4.0 * math.sqrt(cover.sheets) * d_base
     ratio = d_cover / d_base
     return UniversalBoundReport(
@@ -457,14 +459,15 @@ def fiber_ball_nerve(
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
     n = c.sheets
-    pe_base, pe_total = c.pe(level)
-    d = pe_base.diameter().value
+    d, d_cover = (res.value for res in c.diameters(level))
     r = (d + epsilon) if radius is None else radius
     mesh_ok = epsilon >= 1.0 / level - 1e-12
 
+    pe_total = c.pe(level)[1]
     graph = pe_total.graph
-    sources = [graph.vertex_index(pe_total.vertex_id((p, s))) for s in range(n)]
-    dists = graph.apsp().values[sources]
+    fiber = [pe_total.vertex_id((p, s)) for s in range(n)]
+    sources = [graph.vertex_index(v) for v in fiber]
+    dists = graph.distance_rows(fiber)
 
     nearest = dists.min(axis=0)
     worst = int(nearest.argmax())
@@ -504,7 +507,6 @@ def fiber_ball_nerve(
     pairs_ok = all(
         fdist[i][j] < pair_bound for i in range(n) for j in range(n) if i != j
     )
-    d_cover = pe_total.diameter().value
     chain_bound = 2 * d + diam_bound * 2 * (d + epsilon)
     return NerveReport(
         sheets=n,

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from coverdiam.complexes import SimplicialComplex2
+from coverdiam.groups import Presentation
 from coverdiam.metric_graph import MetricGraph
 
 
@@ -66,3 +67,8 @@ def pseudo_projective_plane(k: int) -> SimplicialComplex2:
         r, r_next = 4 + i, 4 + (i + 1) % m
         triangles += [(a, b, r), (b, r, r_next), (r, r_next, 3)]
     return SimplicialComplex2(range(m + 4), triangles)
+
+
+def cyclic_powers(n: int, k: int) -> Presentation:
+    """Z_n on generators a, a^2, .., a^k: relators a^n and b_j a^-j."""
+    return Presentation(k, [(1,) * n] + [(j,) + (-1,) * j for j in range(2, k + 1)])

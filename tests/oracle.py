@@ -2,6 +2,7 @@
 the code paths they check."""
 
 import heapq
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -277,3 +278,23 @@ def continuous_diameter_allpairs(g: MetricGraph, chunk: int = 200_000) -> Diamet
     if abs(value - best) > 1e-9 * best:
         raise InvariantError(f"witness distance {value!r} differs from {best!r}")
     return DiameterResult(value, witness)
+
+
+def left_multiplication_bfs(t: CosetTable, a: int) -> tuple[int, ...]:
+    """g -> a*g by a BFS over every letter from the identity, one BFS per
+    element: the predecessor of `separator.left_multiplications`."""
+    n = t.coset_count
+    image = [-1] * n
+    image[0] = a
+    queue = deque([0])
+    while queue:
+        g = queue.popleft()
+        for k in range(1, t.generator_count + 1):
+            for letter in (k, -k):
+                h = t.act(g, letter)
+                if image[h] < 0:
+                    image[h] = t.act(image[g], letter)
+                    queue.append(h)
+    if min(image) < 0:
+        raise InvariantError("left multiplication missed an element")
+    return tuple(image)

@@ -304,6 +304,23 @@ def test_continuous_diameter_on_rp2_level_twelve():
     assert peak < 32 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
+def test_continuous_diameter_on_rp2_base_level_twelve():
+    # every base vertex has eccentricity 1.5, so the edge bound prunes no
+    # edge: the far-corner filter decides which pairs are formed
+    g = pe_subdivision_graph(rp2_complex(), 12).graph
+    assert len(g.edges) == 2160  # 2,331,720 edge pairs
+    g.apsp()
+    tracemalloc.start()
+    try:
+        with criterion("diameter: RP^2 base at level 12, APSP given, peak < 8 MB", 0.15):
+            res = continuous_diameter(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.value == pytest.approx(37 / 24, rel=1e-12)
+    assert peak < 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
+
 def test_continuous_diameter_on_order_twelve_plane_level_two():
     cover = build_universal_cover(pseudo_projective_plane(12), 100_000)
     g = cover.pe(2)[1].graph

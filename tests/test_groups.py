@@ -25,7 +25,7 @@ from coverdiam.groups import (
 from coverdiam.separator import zoo_instances
 from coverdiam.universal_cover import build_universal_cover, rp2_complex
 
-from .conftest import pseudo_projective_plane
+from .conftest import cyclic_powers, pseudo_projective_plane
 from .oracle import exponent_rank_fraction, is_trivial_unreduced, todd_coxeter_unreduced
 
 
@@ -474,11 +474,6 @@ def test_infinite_dihedral_stays_unknown():
 
 
 # ------------------------------------------------------- exponent rank
-
-
-def cyclic_powers(n: int, k: int) -> Presentation:
-    """Z_n on generators a, a^2, .., a^k: relators a^n and b_j a^-j."""
-    return Presentation(k, [(1,) * n] + [(j,) + (-1,) * j for j in range(2, k + 1)])
 
 
 def _flag_presentation(p: Presentation, gens) -> Presentation:

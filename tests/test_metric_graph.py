@@ -301,11 +301,45 @@ def _differential_graphs(family: str) -> tuple:
         graphs.append(("bouquet40", MetricGraph(["v"], loops)))
         cycle = [(f"e{i}", f"v{i}", f"v{(i + 1) % 200}", 1.0) for i in range(200)]
         graphs.append(("cycle200", MetricGraph([f"v{i}" for i in range(200)], cycle)))
+    elif family == "large":
+        for seed in range(6):
+            g = _large_graph(random.Random(seed))
+            for scale in (1e-6, 1.0, 1e9):
+                edges = [(e.id, e.u, e.v, e.length * scale) for e in g.edges]
+                graphs.append((f"{seed}/{scale}", MetricGraph(g.vertices, edges)))
     return tuple(graphs)
 
 
-@pytest.mark.parametrize("family", ["sweep", "rescaled", "rp2", "lens", "ties"])
+def _large_graph(rng: random.Random) -> MetricGraph:
+    """A connected multigraph of 100-300 edges, loops and parallel edges
+    allowed, whose lengths mix unit, short, mid and long edges."""
+    m = rng.randint(100, 300)
+    nv = rng.randint(m // 6, m // 2)
+    ends = [(rng.randrange(i), i) for i in range(1, nv)]
+    ends += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(m - len(ends))]
+    draws = (lambda: 1.0, lambda: rng.uniform(0.01, 0.1), lambda: rng.uniform(0.2, 2.0),
+             lambda: rng.uniform(2.0, 8.0))
+    edges = [(f"e{k}", f"v{a}", f"v{b}", round(rng.choice(draws)(), 6))
+             for k, (a, b) in enumerate(ends)]
+    return MetricGraph([f"v{i}" for i in range(nv)], edges)
+
+
+_FAMILIES = ["sweep", "rescaled", "rp2", "lens", "ties", "large"]
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
 def test_diameter_matches_allpairs_search(family):
+    for name, g in _differential_graphs(family):
+        res, ref = continuous_diameter(g), continuous_diameter_allpairs(g)
+        assert (res.value, res.witness) == (ref.value, ref.witness), name
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_far_corner_filter_matches_allpairs_search(family, monkeypatch):
+    import coverdiam.metric_graph as mg
+
+    # the filter and the seed block then run on every graph, whatever its size
+    monkeypatch.setattr(mg, "_SEED_FROM", 1)
     for name, g in _differential_graphs(family):
         res, ref = continuous_diameter(g), continuous_diameter_allpairs(g)
         assert (res.value, res.witness) == (ref.value, ref.witness), name
@@ -327,6 +361,21 @@ def test_diameter_independent_of_chunk_size(chunk, monkeypatch):
     monkeypatch.setattr(mg, "_PAIR_CHUNK", chunk)
     for (name, g), res in zip(graphs, expected):
         assert continuous_diameter(g) == res, name
+
+
+def test_distance_rows_match_apsp_rows():
+    graphs = [g for _, g in _differential_graphs("rp2")[:4]]
+    graphs += [sweep_instance(7, i)[2].graph for i in range(10)]
+    for g in graphs:
+        fresh = MetricGraph(g.vertices, g.edges)
+        picks = [fresh.vertices[k] for k in (0, len(fresh.vertices) // 2, -1, 0)]
+        rows = fresh.distance_rows(picks)
+        assert fresh._apsp_cache is None
+        want = fresh.apsp().values[[fresh.vertex_index(v) for v in picks]]
+        assert rows.tobytes() == want.tobytes()
+        assert fresh.distance_rows(picks).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="nowhere"):
+        graphs[0].distance_rows(["nowhere"])
 
 
 def _edge_pair_corners(g):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from coverdiam.complexes import spanning_tree_presentation
 from coverdiam.groups import Presentation, cayley_graph, todd_coxeter
 from coverdiam.separator import (
     cayley_diameter_bound,
@@ -9,11 +10,15 @@ from coverdiam.separator import (
     check_size_bounds,
     layer_sum_inequality_holds,
     left_multiplication,
+    left_multiplications,
     sphere_decomposition,
     translated_copy,
     verify_cayley_bound,
     zoo_instances,
 )
+
+from .conftest import cyclic_powers, pseudo_projective_plane
+from .oracle import left_multiplication_bfs
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +167,18 @@ def test_translation_preserves_size_and_edges():
                 1 for g in s for h in s if lam[h] in c.neighbors[lam[g]]
             )
             assert edges_s == edges_img
+
+
+def test_left_multiplications_match_the_bfs_per_element():
+    tables = [todd_coxeter(inst.presentation, 100_000) for inst in zoo_instances()]
+    families = [(3 * k, k) for k in range(3, 8)] + [(36, 4), (30, 5), (40, 5)]
+    tables += [todd_coxeter(cyclic_powers(n, k), 100_000) for n, k in families]
+    tables += [todd_coxeter(spanning_tree_presentation(pseudo_projective_plane(k)).presentation,
+                            100_000) for k in range(3, 13)]
+    for t in tables:
+        want = tuple(left_multiplication_bfs(t, a) for a in range(t.coset_count))
+        assert left_multiplications(t) == want
+        assert left_multiplication(t, t.coset_count - 1) == want[-1]
 
 
 def test_left_multiplication_is_group_action():

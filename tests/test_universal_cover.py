@@ -9,6 +9,7 @@ import pytest
 from coverdiam.complexes import SimplicialComplex2, is_simply_connected
 from coverdiam.errors import CoverNotCovering, EnumerationOverflow, InvariantError
 from coverdiam.groups import TrivialityResult
+from coverdiam.metric_graph import continuous_diameter
 from coverdiam.universal_cover import (
     _nerve_bfs_diameter,
     build_universal_cover,
@@ -155,8 +156,8 @@ def test_pe_projection_n_to_one(rp2_cover):
 
 
 def test_monotone_refinement(rp2_cover):
-    d2 = pe_subdivision_graph(rp2_cover.total, 2).diameter().value
-    d4 = pe_subdivision_graph(rp2_cover.total, 4).diameter().value
+    d2 = continuous_diameter(pe_subdivision_graph(rp2_cover.total, 2).graph).value
+    d4 = continuous_diameter(pe_subdivision_graph(rp2_cover.total, 4).graph).value
     assert d4 <= d2 + 1e-9
 
 
@@ -305,6 +306,36 @@ def test_nerve_after_verify_reuses_both_diameters(rp2, monkeypatch):
     assert len(calls) == 2
 
 
+def test_nerve_at_an_earlier_level_recomputes_no_diameter(rp2, monkeypatch):
+    import coverdiam.universal_cover as uc
+    from coverdiam.metric_graph import MetricGraph
+
+    calls, apsp_calls = [], []
+    diameter, apsp = uc.continuous_diameter, MetricGraph.apsp
+
+    def counted(g):
+        calls.append(g)
+        return diameter(g)
+
+    def counted_apsp(self):
+        apsp_calls.append(self)
+        return apsp(self)
+
+    monkeypatch.setattr(uc, "continuous_diameter", counted)
+    monkeypatch.setattr(MetricGraph, "apsp", counted_apsp)
+    cover = build_universal_cover(rp2, 10_000)
+    for level in (3, 4, 6):
+        verify_universal_bound(rp2, level, 10_000, cover=cover)
+    before = len(apsp_calls)
+    rep = fiber_ball_nerve(cover, p=1, epsilon=0.05, level=4)
+    assert len(calls) == 6
+    assert len(apsp_calls) == before
+    monkeypatch.undo()
+    fresh = fiber_ball_nerve(build_universal_cover(rp2, 10_000), p=1, epsilon=0.05, level=4)
+    assert rep.fiber_distances == fresh.fiber_distances
+    assert (rep.d_base, rep.d_cover) == (fresh.d_base, fresh.d_cover)
+
+
 def test_cover_keeps_pe_models_of_one_level(rp2, monkeypatch):
     import coverdiam.universal_cover as uc
 
@@ -351,7 +382,7 @@ def test_derived_pe_cover_matches_subdivided_total(key, level, rp2, filled_trian
     old = reference.pe(level)[1]
     assert len(derived.graph.vertices) == len(old.graph.vertices)
     assert len(derived.graph.edges) == len(old.graph.edges)
-    assert derived.diameter().value == old.diameter().value
+    assert continuous_diameter(derived.graph).value == continuous_diameter(old.graph).value
     assert (_report_bytes(k, cover, ("verify", level))
             == _report_bytes(k, reference, ("verify", level)))
     eps = 1.0 / level
