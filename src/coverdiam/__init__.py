@@ -17,13 +17,10 @@ from .metric_graph import (
     MetricGraph,
     PathRoute,
     RouteLeg,
-    SubdivisionMap,
     continuous_diameter,
     load_metric_graph,
     point_distance,
     shortest_route,
-    subdivide,
-    vertex_apsp,
 )
 from .groups import (
     CayleyGraph,

@@ -160,18 +160,21 @@ def sweep_voltage(seed: int, instance: int, g: MetricGraph, sheets: int, attempt
     return Voltage(sheets, assignment)
 
 
-def sweep_instance(seed: int, instance: int, max_resamples: int = 200):
+_MAX_RESAMPLES = 200
+
+
+def sweep_instance(seed: int, instance: int):
     """Connected random cover; disconnected voltages are resampled and counted."""
     g = sweep_base_graph(seed, instance)
     rank = len(g.edges) - len(g.vertices) + 1
     sheets = 1 if rank == 0 else _rng(seed, instance, "sheets").randint(1, 6)
-    for attempt in range(max_resamples):
+    for attempt in range(_MAX_RESAMPLES):
         volt = sweep_voltage(seed, instance, g, sheets, attempt)
         cover = derive_cover(g, volt)
         if is_connected_cover(cover).connected:
             return g, volt, cover, attempt
     raise RuntimeError(f"no connected cover found for instance {instance} "
-                       f"after {max_resamples} resamples")
+                       f"after {_MAX_RESAMPLES} resamples")
 
 
 # -------------------------------------------------------------------- run

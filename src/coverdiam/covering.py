@@ -319,14 +319,6 @@ class DeckTransformation:
     def apply_vertex(self, dv: str) -> str:
         return self.vertex_map[dv]
 
-    def apply_point(self, p: EdgePoint) -> EdgePoint:
-        return EdgePoint(self.edge_map[p.edge], p.offset)
-
-    def apply_route(self, route: PathRoute) -> PathRoute:
-        legs = tuple(RouteLeg(self.edge_map[l.edge], l.start, l.end) for l in route.legs)
-        anchor = self.apply_point(route.anchor) if route.anchor is not None else None
-        return PathRoute(legs, anchor)
-
 
 def deck_transformations(c: CoveringGraph) -> tuple[DeckTransformation, ...]:
     """All automorphisms of the derived graph commuting with the projection.

@@ -271,9 +271,9 @@ class _Enumerator:
 
     def run(self, relators: Sequence[Word]) -> None:
         # Each pass scans every live coset (chasing growth within the pass).
-        # A pass that ends without closing must have processed at least one
-        # coincidence, strictly decreasing the live count, so the number of
-        # passes is bounded by the definitions, which the budget bounds.
+        # Only a closed table or EnumerationOverflow (more than max_cosets
+        # live cosets) ends the loop: the budget bounds live cosets, not
+        # passes or definitions, so a coincidence fault would loop forever.
         while True:
             a = 0
             while a < len(self.table):

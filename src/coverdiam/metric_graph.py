@@ -28,11 +28,8 @@ __all__ = [
     "MetricGraph",
     "DistanceMatrix",
     "DiameterResult",
-    "SubdivisionMap",
-    "vertex_apsp",
     "point_distance",
     "continuous_diameter",
-    "subdivide",
     "shortest_route",
     "vertex_route",
     "points_coincide",
@@ -385,40 +382,35 @@ class DistanceMatrix:
         return float(self.values[self._idx[u], self._idx[v]])
 
 
-def vertex_apsp(g: MetricGraph) -> DistanceMatrix:
-    """All-pairs shortest-path distances between vertices."""
-    return g.apsp()
-
-
 # -- point utilities ---------------------------------------------------
 
 
-def endpoint_side(offset: float, length: float, tol: float = _TOL) -> str | None:
+def endpoint_side(offset: float, length: float) -> str | None:
     """"u" or "v" for an offset at that end of an edge of the given length,
-    None inside it; ``tol`` is a share of the length."""
-    if abs(offset) <= tol * length:
+    None inside it; the slack is ``_TOL`` of the length."""
+    if abs(offset) <= _TOL * length:
         return "u"
-    if abs(offset - length) <= tol * length:
+    if abs(offset - length) <= _TOL * length:
         return "v"
     return None
 
 
-def point_vertex(g: MetricGraph, p: EdgePoint, tol: float = _TOL) -> str | None:
+def point_vertex(g: MetricGraph, p: EdgePoint) -> str | None:
     """The vertex a point sits on, or None for interior points.
 
-    ``tol`` is a share of the length of the point's edge.
+    The slack is ``_TOL`` of the length of the point's edge.
     """
     e = g.check_point(p)
-    side = endpoint_side(p.offset, e.length, tol)
+    side = endpoint_side(p.offset, e.length)
     return None if side is None else getattr(e, side)
 
 
-def points_coincide(g: MetricGraph, p: EdgePoint, q: EdgePoint, tol: float = _TOL) -> bool:
+def points_coincide(g: MetricGraph, p: EdgePoint, q: EdgePoint) -> bool:
     """Whether two edge points denote the same point of the length space,
-    up to ``tol`` times the length of their edges."""
-    if p.edge == q.edge and abs(p.offset - q.offset) <= tol * g.edge(p.edge).length:
+    up to ``_TOL`` times the length of their edges."""
+    if p.edge == q.edge and abs(p.offset - q.offset) <= _TOL * g.edge(p.edge).length:
         return True
-    vp, vq = point_vertex(g, p, tol), point_vertex(g, q, tol)
+    vp, vq = point_vertex(g, p), point_vertex(g, q)
     return vp is not None and vp == vq
 
 
@@ -451,7 +443,7 @@ def point_distance(g: MetricGraph, x: EdgePoint, y: EdgePoint) -> float:
 # -- routes ------------------------------------------------------------
 
 
-def validate_route(g: MetricGraph, route: PathRoute, tol: float = _TOL) -> None:
+def validate_route(g: MetricGraph, route: PathRoute) -> None:
     """Check that a route is a well-chained sequence of edge portions of g."""
     if route.is_empty:
         g.check_point(route.start)
@@ -461,7 +453,7 @@ def validate_route(g: MetricGraph, route: PathRoute, tol: float = _TOL) -> None:
         g.check_point(EdgePoint(leg.edge, leg.start))
         g.check_point(EdgePoint(leg.edge, leg.end))
         here = EdgePoint(leg.edge, leg.start)
-        if prev_end is not None and not points_coincide(g, prev_end, here, tol):
+        if prev_end is not None and not points_coincide(g, prev_end, here):
             raise ValueError(f"route legs do not chain at {prev_end} -> {here}")
         prev_end = EdgePoint(leg.edge, leg.end)
 
@@ -783,79 +775,6 @@ def _fold(kept, top):
     ii, jj, pmax = (np.concatenate(x) for x in zip(*kept))
     keep = pmax >= top - _BOUND_SLACK * top
     return ii[keep], jj[keep], pmax[keep]
-
-
-# -- subdivision --------------------------------------------------------
-
-
-class SubdivisionMap:
-    """Point correspondence between a graph and its subdivision."""
-
-    def __init__(self, base: MetricGraph, refined: MetricGraph,
-                 pieces: dict[str, tuple[str, ...]], piece_length: dict[str, float]):
-        self.base = base
-        self.refined = refined
-        self._pieces = pieces
-        self._piece_length = piece_length
-        self._parent: dict[str, tuple[str, int]] = {}
-        for eid, subs in pieces.items():
-            for k, sub in enumerate(subs):
-                self._parent[sub] = (eid, k)
-
-    def map_point(self, p: EdgePoint) -> EdgePoint:
-        """The same point, in coordinates of the refined graph."""
-        self.base.check_point(p)
-        subs = self._pieces[p.edge]
-        if len(subs) == 1:
-            return EdgePoint(subs[0], p.offset)
-        h = self._piece_length[p.edge]
-        k = min(int(p.offset / h), len(subs) - 1)
-        return EdgePoint(subs[k], min(max(p.offset - k * h, 0.0), h))
-
-    def point_to_base(self, p: EdgePoint) -> EdgePoint:
-        """The same point, in coordinates of the base graph."""
-        self.refined.check_point(p)
-        eid, k = self._parent[p.edge]
-        h = self._piece_length[eid]
-        return EdgePoint(eid, k * h + p.offset)
-
-
-def subdivide(g: MetricGraph, max_piece: float) -> tuple[MetricGraph, SubdivisionMap]:
-    """Split every edge into pieces of length at most max_piece.
-
-    Distances between corresponding points are preserved exactly.
-    """
-    if not (max_piece > 0):
-        raise ValueError("max_piece must be positive")
-    vertices = list(g.vertices)
-    used = set(vertices)
-    new_edges: list[Edge] = []
-    pieces: dict[str, tuple[str, ...]] = {}
-    piece_length: dict[str, float] = {}
-    for e in g.edges:
-        k = max(1, math.ceil(e.length / max_piece - 1e-12))
-        piece_length[e.id] = e.length / k
-        if k == 1:
-            new_edges.append(e)
-            pieces[e.id] = (e.id,)
-            continue
-        h = e.length / k
-        chain = [e.u]
-        for i in range(1, k):
-            name = f"{e.id}:v{i}"
-            while name in used:
-                name += "+"
-            used.add(name)
-            vertices.append(name)
-            chain.append(name)
-        chain.append(e.v)
-        sub_ids = []
-        for i in range(k):
-            sub_ids.append(f"{e.id}:{i}")
-            new_edges.append(Edge(sub_ids[-1], chain[i], chain[i + 1], h))
-        pieces[e.id] = tuple(sub_ids)
-    refined = MetricGraph(vertices, new_edges, require_connected=g.is_connected)
-    return refined, SubdivisionMap(g, refined, pieces, piece_length)
 
 
 # -- file format ---------------------------------------------------------

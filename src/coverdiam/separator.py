@@ -43,6 +43,7 @@ __all__ = [
     "left_multiplication",
     "left_multiplications",
     "cayley_diameter_bound",
+    "cayley_cap_holds",
     "verify_cayley_bound",
     "zoo_instances",
     "layer_sum_inequality_holds",
@@ -194,6 +195,12 @@ def cayley_diameter_bound(n: int) -> float:
     return math.sqrt(4 * n + 1) - 2
 
 
+def cayley_cap_holds(diameter, n):
+    """Whether diameter <= sqrt(4n + 1) - 2, decided in integers as
+    (diameter + 2)^2 <= 4n + 1; elementwise on integer arrays."""
+    return (diameter + 2) ** 2 <= 4 * n + 1
+
+
 @dataclass(frozen=True)
 class CayleyBoundReport:
     order: int
@@ -229,7 +236,7 @@ def verify_cayley_bound(
     diam = word_metric_diameter(c).diameter
     bound = cayley_diameter_bound(table.coset_count)
     if sc.status == "yes":
-        verdict = "holds" if diam <= bound + 1e-9 else "violated"
+        verdict = "holds" if cayley_cap_holds(diam, table.coset_count) else "violated"
     elif sc.status == "no":
         verdict = "hypothesis_failed"
     else:
@@ -294,13 +301,12 @@ def zoo_instances() -> tuple[ZooInstance, ...]:
 # ------------------------------------------------------- arithmetic check
 
 
-def layer_sum_inequality_holds(m_max: int, tol: float = 1e-9) -> bool:
-    """For every m <= m_max: m <= sqrt(4 * sum_i min(i+1, m-i+1) + 1) - 2 + tol.
+def layer_sum_inequality_holds(m_max: int) -> bool:
+    """For every m <= m_max: m <= sqrt(4 * sum_i min(i+1, m-i+1) + 1) - 2.
 
     The sum telescopes to t(t+1) for m = 2t-1 and (t+1)^2 for m = 2t.
     """
     m = np.arange(0, m_max + 1, dtype=np.int64)
     t = (m + 1) // 2
     s = np.where(m % 2 == 1, t * (t + 1), (t + 1) * (t + 1))
-    rhs = np.sqrt(4.0 * s + 1.0) - 2.0 + tol
-    return bool(np.all(m <= rhs))
+    return bool(np.all(cayley_cap_holds(m, s)))

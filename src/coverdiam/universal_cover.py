@@ -27,11 +27,11 @@ from .complexes import (
     nerve2,
     spanning_tree_presentation,
 )
-from .covering import CoveringGraph, Voltage, derive_cover
+from .covering import Voltage, derive_cover
 from .errors import CoverNotCovering, EnumerationOverflow, InvariantError
 from .groups import CosetTable, TrivialityResult, todd_coxeter
 from .metric_graph import DiameterResult, Edge, MetricGraph, continuous_diameter
-from .separator import cayley_diameter_bound, left_multiplications
+from .separator import cayley_cap_holds, cayley_diameter_bound, left_multiplications
 
 __all__ = [
     "CoveringComplex",
@@ -42,7 +42,6 @@ __all__ = [
     "pe_subdivision_graph",
     "verify_universal_bound",
     "fiber_ball_nerve",
-    "pe_projection",
     "final_inequality_holds",
     "rp2_complex",
 ]
@@ -82,19 +81,13 @@ class CoveringComplex:
 
     def pe(self, level: int) -> tuple[PEApprox, PEApprox]:
         """(base, total) PE models at `level`; only the last level is kept."""
-        pe_base, pe_total, _ = self._pe_models(level)
-        return pe_base, pe_total
-
-    def _pe_models(self, level: int) -> tuple[PEApprox, PEApprox, CoveringGraph]:
-        """The PE models and the voltage cover that the total model wraps."""
         if level not in self._pe:
             self._pe.clear()
             pe_base = pe_subdivision_graph(self.base, level)
             derived = derive_cover(pe_base.graph, self._pe_voltage(pe_base))
             ids = {(v, s): derived.lift_vertex(pe_base.vertex_id(v), s)
                    for v in self.base.vertices for s in range(self.sheets)}
-            self._pe[level] = (pe_base, PEApprox(self.total, level, derived.graph, ids),
-                               derived)
+            self._pe[level] = (pe_base, PEApprox(derived.graph, ids, {}))
         return self._pe[level]
 
     def _pe_voltage(self, pe_base: PEApprox) -> Voltage:
@@ -103,7 +96,7 @@ class CoveringComplex:
         Subdivision edges run from the smaller carrier to the larger, so the
         transport is the identity or the permutation of a sorted base edge.
         """
-        carrier = pe_base._carriers
+        carrier = pe_base.carriers
         transport = dict(self.edge_permutation)
         transport.update({(v, v): tuple(range(self.sheets)) for v in self.base.vertices})
         return Voltage(self.sheets, {
@@ -209,25 +202,23 @@ def _check_cover_complex(c: CoveringComplex) -> None:
 # ------------------------------------------------- piecewise-flat metric
 
 
+@dataclass(frozen=True, eq=False)
 class PEApprox:
     """Edgewise level-k subdivision graph of a unit-equilateral complex.
 
     Triangles split into level^2 sub-triangles of side 1/level; shared
     sub-edges are identified.  The graph metric dominates the flat metric
-    by at most 2/sqrt(3).  A model built by `pe_subdivision_graph` also
-    records, per subdivision vertex, the complex vertex that carries it.
+    by at most 2/sqrt(3).  `vertex_ids` names the graph vertex of each
+    complex vertex; `carriers`, filled by `pe_subdivision_graph` only,
+    maps each subdivision vertex to the complex vertex that carries it.
     """
 
-    def __init__(self, complex2: SimplicialComplex2, level: int, graph: MetricGraph,
-                 vertex_ids: dict):
-        self.complex = complex2
-        self.level = level
-        self.graph = graph
-        self._vertex_ids = vertex_ids
-        self._carriers: dict = {}
+    graph: MetricGraph
+    vertex_ids: dict
+    carriers: dict
 
     def vertex_id(self, v) -> str:
-        return self._vertex_ids[v]
+        return self.vertex_ids[v]
 
 
 def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
@@ -307,8 +298,7 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
             raise InvariantError(f"triangle {m} subdivided into {count} edges")
 
     graph = MetricGraph(carrier, edges_out, require_connected=k.is_connected())
-    approx = PEApprox(k, level, graph, vert_ids)
-    approx._carriers = carrier
+    approx = PEApprox(graph, vert_ids, carrier)
     nv, ne, nf = k.f_vector
     if len(graph.vertices) != nv + (L - 1) * ne + ((L - 1) * (L - 2) // 2) * nf:
         raise InvariantError("PE subdivision has the wrong vertex count")
@@ -522,7 +512,7 @@ def fiber_ball_nerve(
         nerve_simply_connected=sc,
         nerve_diameter=nerve_diam,
         nerve_diameter_bound=diam_bound,
-        nerve_diameter_ok=0 <= nerve_diam <= diam_bound + 1e-9,
+        nerve_diameter_ok=nerve_diam >= 0 and cayley_cap_holds(nerve_diam, n),
         fiber_distances=tuple(tuple(row) for row in fdist),
         fiber_pair_bound=pair_bound,
         fiber_pairs_ok=pairs_ok,
@@ -531,20 +521,6 @@ def fiber_ball_nerve(
         chain_below_sqrt_bound=chain_bound < 4 * math.sqrt(n) * d if n > 1 else True,
         mesh_ok=mesh_ok,
     )
-
-
-# ----------------------------------------------- subdivision compatibility
-
-
-def pe_projection(c: CoveringComplex, level: int) -> dict[str, str]:
-    """Vertex map from the total subdivision graph onto the base one.
-
-    The total graph is the voltage cover of the base graph, so this is the
-    cover's own projection: n-to-1, and onto the base subdivision edges
-    with their lengths (`derive_cover` checks both).
-    """
-    derived = c._pe_models(level)[2]
-    return {dv: derived.project_vertex(dv)[0] for dv in derived.graph.vertices}
 
 
 # --------------------------------------------------------- final algebra

@@ -2,6 +2,7 @@
 the code paths they check."""
 
 import heapq
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -20,14 +21,84 @@ from coverdiam.groups import (
 )
 from coverdiam.metric_graph import (
     DiameterResult,
+    Edge,
     EdgePoint,
     MetricGraph,
     PathRoute,
     RouteLeg,
     point_distance,
-    subdivide,
     tree_legs,
 )
+
+
+class SubdivisionMap:
+    """Point correspondence between a graph and its subdivision."""
+
+    def __init__(self, base: MetricGraph, refined: MetricGraph,
+                 pieces: dict[str, tuple[str, ...]], piece_length: dict[str, float]):
+        self.base = base
+        self.refined = refined
+        self._pieces = pieces
+        self._piece_length = piece_length
+        self._parent: dict[str, tuple[str, int]] = {}
+        for eid, subs in pieces.items():
+            for k, sub in enumerate(subs):
+                self._parent[sub] = (eid, k)
+
+    def map_point(self, p: EdgePoint) -> EdgePoint:
+        """The same point, in coordinates of the refined graph."""
+        self.base.check_point(p)
+        subs = self._pieces[p.edge]
+        if len(subs) == 1:
+            return EdgePoint(subs[0], p.offset)
+        h = self._piece_length[p.edge]
+        k = min(int(p.offset / h), len(subs) - 1)
+        return EdgePoint(subs[k], min(max(p.offset - k * h, 0.0), h))
+
+    def point_to_base(self, p: EdgePoint) -> EdgePoint:
+        """The same point, in coordinates of the base graph."""
+        self.refined.check_point(p)
+        eid, k = self._parent[p.edge]
+        h = self._piece_length[eid]
+        return EdgePoint(eid, k * h + p.offset)
+
+
+def subdivide(g: MetricGraph, max_piece: float) -> tuple[MetricGraph, SubdivisionMap]:
+    """Split every edge into pieces of length at most max_piece.
+
+    Distances between corresponding points are preserved exactly.
+    """
+    if not (max_piece > 0):
+        raise ValueError("max_piece must be positive")
+    vertices = list(g.vertices)
+    used = set(vertices)
+    new_edges: list[Edge] = []
+    pieces: dict[str, tuple[str, ...]] = {}
+    piece_length: dict[str, float] = {}
+    for e in g.edges:
+        k = max(1, math.ceil(e.length / max_piece - 1e-12))
+        piece_length[e.id] = e.length / k
+        if k == 1:
+            new_edges.append(e)
+            pieces[e.id] = (e.id,)
+            continue
+        h = e.length / k
+        chain = [e.u]
+        for i in range(1, k):
+            name = f"{e.id}:v{i}"
+            while name in used:
+                name += "+"
+            used.add(name)
+            vertices.append(name)
+            chain.append(name)
+        chain.append(e.v)
+        sub_ids = []
+        for i in range(k):
+            sub_ids.append(f"{e.id}:{i}")
+            new_edges.append(Edge(sub_ids[-1], chain[i], chain[i + 1], h))
+        pieces[e.id] = tuple(sub_ids)
+    refined = MetricGraph(vertices, new_edges, require_connected=g.is_connected)
+    return refined, SubdivisionMap(g, refined, pieces, piece_length)
 
 
 def _csr(g: MetricGraph):

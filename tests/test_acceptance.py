@@ -231,7 +231,7 @@ def test_separator_structure_on_certified_instances():
 
 def test_arithmetic_closures():
     with criterion("arithmetic: layer-sum and constant-composition sweeps to 1e6", 5.0):
-        assert layer_sum_inequality_holds(10**6, tol=1e-9)
+        assert layer_sum_inequality_holds(10**6)
         assert final_inequality_holds(10**6)
 
 

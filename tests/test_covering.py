@@ -28,7 +28,6 @@ from coverdiam.metric_graph import (
     point_distance,
     points_coincide,
     validate_route,
-    vertex_apsp,
 )
 
 from .conftest import random_connected_graph
@@ -225,7 +224,7 @@ def test_deck_figure_eight(fig8_cover):
 
 
 def test_deck_transformations_are_isometries(cycle18):
-    dm = vertex_apsp(cycle18.graph)
+    dm = cycle18.graph.apsp()
     for t in deck_transformations(cycle18):
         for u in cycle18.graph.vertices:
             for v in cycle18.graph.vertices:

@@ -22,9 +22,7 @@ from coverdiam.metric_graph import (
     point_distance,
     points_coincide,
     shortest_route,
-    subdivide,
     validate_route,
-    vertex_apsp,
 )
 
 from .conftest import pseudo_projective_plane, random_connected_graph
@@ -33,6 +31,7 @@ from .oracle import (
     mesh_diameter,
     mesh_point_distance,
     single_source_heapq,
+    subdivide,
 )
 
 
@@ -40,7 +39,7 @@ from .oracle import (
 
 
 def test_apsp_unit_triangle(unit_triangle):
-    dm = vertex_apsp(unit_triangle)
+    dm = unit_triangle.apsp()
     for u in unit_triangle.vertices:
         for v in unit_triangle.vertices:
             expected = 0.0 if u == v else 1.0
@@ -48,17 +47,17 @@ def test_apsp_unit_triangle(unit_triangle):
 
 
 def test_apsp_path(path_graph):
-    dm = vertex_apsp(path_graph)
+    dm = path_graph.apsp()
     assert dm.get("p0", "p2") == pytest.approx(3.0, abs=1e-12)
 
 
 def test_apsp_single_loop(loop6):
-    dm = vertex_apsp(loop6)
+    dm = loop6.apsp()
     assert dm.get("v0", "v0") == 0.0
 
 
 def test_apsp_is_metric(theta):
-    dm = vertex_apsp(theta)
+    dm = theta.apsp()
     vs = theta.vertices
     for a in vs:
         assert dm.get(a, a) == 0.0
@@ -129,8 +128,8 @@ def test_metric_axioms_sampled(theta, unit_triangle, figure_eight):
         assert abs(dxy - dyx) <= 1e-9
         assert dxz <= dxy + dyz + 1e-9
         assert point_distance(g, x, x) <= 1e-9
-        if points_coincide(g, x, y, tol=1e-12):
-            assert dxy <= 1e-9
+        if points_coincide(g, x, y):
+            assert dxy <= 1e-9 * max(e.length for e in g.edges)
         checked += 1
 
 
@@ -162,7 +161,7 @@ def test_diameter_theta_against_mesh_oracle(theta):
 
 def test_diameter_dominates_vertex_distances(theta, unit_triangle, path_graph):
     for g in (theta, unit_triangle, path_graph):
-        dm = vertex_apsp(g)
+        dm = g.apsp()
         vmax = max(
             dm.get(u, v) for u in g.vertices for v in g.vertices
         )
@@ -431,7 +430,7 @@ def test_disconnected_rejected_at_load():
         MetricGraph(["a", "b"], [("e0", "a", "a", 1.0)])
 
 
-# ----------------------------------------------------------- subdivide
+# ------------------------------------------------- subdivide (oracle)
 
 
 def test_subdivide_loop(loop6):
@@ -452,7 +451,7 @@ def test_subdivide_identity_case():
 def test_subdivide_triangle_half(unit_triangle):
     sub, _ = subdivide(unit_triangle, 0.5)
     assert len(sub.vertices) == 6
-    dm = vertex_apsp(sub)
+    dm = sub.apsp()
     vmax = max(dm.get(u, v) for u in sub.vertices for v in sub.vertices)
     assert vmax == pytest.approx(1.5, abs=1e-12)
 

@@ -5,6 +5,7 @@ import pytest
 from coverdiam.complexes import spanning_tree_presentation
 from coverdiam.groups import Presentation, cayley_graph, todd_coxeter
 from coverdiam.separator import (
+    cayley_cap_holds,
     cayley_diameter_bound,
     check_separation,
     check_size_bounds,
@@ -197,6 +198,14 @@ def test_bound_values():
     assert cayley_diameter_bound(2) == pytest.approx(1.0)
     assert cayley_diameter_bound(12) == pytest.approx(5.0)
     assert cayley_diameter_bound(5) == pytest.approx(math.sqrt(21) - 2)
+
+
+def test_cap_is_decided_in_integers():
+    # at n = k(k+1) the cap sqrt(4n + 1) - 2 is the integer 2k - 1
+    for k in range(1, 1001):
+        n = k * (k + 1)
+        assert cayley_cap_holds(2 * k - 1, n)
+        assert not cayley_cap_holds(2 * k, n)
 
 
 def test_verify_z2_holds_with_equality():

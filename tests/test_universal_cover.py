@@ -15,7 +15,6 @@ from coverdiam.universal_cover import (
     build_universal_cover,
     fiber_ball_nerve,
     final_inequality_holds,
-    pe_projection,
     pe_subdivision_graph,
     rp2_complex,
     verify_universal_bound,
@@ -131,12 +130,10 @@ def test_pe_rejects_nonunit_lengths():
 
 
 def test_pe_vertex_distances_nonincreasing_under_refinement(rp2):
-    from coverdiam.metric_graph import vertex_apsp
-
     pe2 = pe_subdivision_graph(rp2, 2)
     pe4 = pe_subdivision_graph(rp2, 4)
-    d2 = vertex_apsp(pe2.graph)
-    d4 = vertex_apsp(pe4.graph)
+    d2 = pe2.graph.apsp()
+    d4 = pe4.graph.apsp()
     for u in rp2.vertices:
         for v in rp2.vertices:
             assert d4.get(pe4.vertex_id(u), pe4.vertex_id(v)) <= d2.get(
@@ -145,8 +142,9 @@ def test_pe_vertex_distances_nonincreasing_under_refinement(rp2):
 
 
 def test_pe_projection_n_to_one(rp2_cover):
-    mapping = pe_projection(rp2_cover, 3)
     base_pe, cover_pe = rp2_cover.pe(3)
+    # a total-model vertex "v3@1" lies over base vertex "v3"
+    mapping = {dv: dv.rsplit("@", 1)[0] for dv in cover_pe.graph.vertices}
     assert set(mapping) == set(cover_pe.graph.vertices)
     assert Counter(mapping.values()) == {v: rp2_cover.sheets for v in base_pe.graph.vertices}
     # every cover edge lands on a base edge of its own length
@@ -369,7 +367,7 @@ def _subdivided_total_cover(k, level):
     """A cover whose total model at `level` subdivides `cover.total` itself."""
     cover = build_universal_cover(k, 100_000)
     cover._pe[level] = (pe_subdivision_graph(k, level),
-                        pe_subdivision_graph(cover.total, level), None)
+                        pe_subdivision_graph(cover.total, level))
     return cover
 
 
