@@ -323,17 +323,6 @@ class MetricGraph:
             self._apsp_cache = DistanceMatrix(self.vertices, self._dijkstra())
         return self._apsp_cache
 
-    def distance_rows(self, vertices: Sequence[str]) -> np.ndarray:
-        """Rows of `apsp().values` for the given vertices, in their order:
-        the cached rows, or else the same Dijkstra from those vertices only."""
-        try:
-            rows = [self._vindex[v] for v in vertices]
-        except KeyError as exc:
-            raise ValueError(f"unknown vertex {exc.args[0]!r}") from None
-        if self._apsp_cache is not None:
-            return self._apsp_cache.values[rows]
-        return self._dijkstra(indices=rows)
-
     def single_source(self, source: str) -> tuple[dict[str, float], dict[str, tuple[str, str]]]:
         """Distances and a shortest-path tree from one vertex, by the Dijkstra of `apsp()`.
 

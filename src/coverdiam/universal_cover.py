@@ -30,7 +30,14 @@ from .complexes import (
 from .covering import Voltage, derive_cover
 from .errors import CoverNotCovering, EnumerationOverflow, InvariantError
 from .groups import CosetTable, TrivialityResult, todd_coxeter
-from .metric_graph import DiameterResult, Edge, MetricGraph, continuous_diameter
+from .metric_graph import (
+    _PAIR_CHUNK,
+    DiameterResult,
+    DistanceMatrix,
+    Edge,
+    MetricGraph,
+    continuous_diameter,
+)
 from .separator import cayley_cap_holds, cayley_diameter_bound, left_multiplications
 
 __all__ = [
@@ -55,10 +62,15 @@ class CoveringComplex:
 
     Total-complex vertices are pairs (base vertex, sheet).  The deck group
     is stored as sheet permutations (left multiplications of the regular
-    representation); it acts freely and transitively on every fiber.  The
-    PE models of the last level asked for are kept, so the checks at one
-    level share their graphs and APSP.  The diameters of every level asked
-    for are kept, so a later check at such a level computes none again.
+    representation); it acts freely and transitively on every fiber and
+    commutes with every edge permutation, so it acts on the total PE model
+    by isometries.  Each level's distances therefore come from one
+    Dijkstra out of the sheet-0 lifts alone (`_sheet0_distances`), which
+    fills the all-pairs matrices of both PE models.  The PE models of the
+    last level asked for are kept, so the checks at one level share their
+    graphs and APSP.  For every level asked for, the two diameters and the
+    sheet-0 rows of the complex's own vertices are kept, so a later check
+    or nerve at such a level builds no model and computes no distance.
     """
 
     base: SimplicialComplex2
@@ -70,6 +82,7 @@ class CoveringComplex:
     simply_connected: TrivialityResult
     _pe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _diameters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sheet0: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def diameters(self, level: int) -> tuple[DiameterResult, DiameterResult]:
         """Continuous diameters of the (base, total) PE models at `level`."""
@@ -80,14 +93,25 @@ class CoveringComplex:
         return self._diameters[level]
 
     def pe(self, level: int) -> tuple[PEApprox, PEApprox]:
-        """(base, total) PE models at `level`; only the last level is kept."""
+        """(base, total) PE models at `level`, their APSP filled; only the
+        last level is kept."""
         if level not in self._pe:
+            for kept in self._pe:
+                # the dropped level's record keeps its own rows, not the matrix
+                self._sheet0[kept] = self._sheet0[kept].compact()
             self._pe.clear()
             pe_base = pe_subdivision_graph(self.base, level)
-            derived = derive_cover(pe_base.graph, self._pe_voltage(pe_base))
+            base, derived = pe_base.graph, derive_cover(pe_base.graph, self._pe_voltage(pe_base))
+            total = derived.graph
             ids = {(v, s): derived.lift_vertex(pe_base.vertex_id(v), s)
                    for v in self.base.vertices for s in range(self.sheets)}
-            self._pe[level] = (pe_base, PEApprox(derived.graph, ids, {}))
+            lift = np.array([[total.vertex_index(derived.lift_vertex(b, s))
+                              for s in range(self.sheets)] for b in base.vertices])
+            own = np.array([base.vertex_index(pe_base.vertex_id(v)) for v in self.base.vertices])
+            del derived  # its name maps go before the matrices are made
+            dist = _sheet0_distances(base, total, lift, self.deck)
+            self._sheet0[level] = _SheetRows(dist, lift[own, 0], lift, own)
+            self._pe[level] = (pe_base, PEApprox(total, ids, {}))
         return self._pe[level]
 
     def _pe_voltage(self, pe_base: PEApprox) -> Voltage:
@@ -191,6 +215,15 @@ def _check_cover_complex(c: CoveringComplex) -> None:
     for lam in c.deck:
         if sorted(lam) != list(range(n)):
             raise InvariantError("deck transformation is not a permutation of the sheets")
+    # lam(perm_e(t)) = perm_e(lam(t)): the deck then acts on every model lifted
+    # by the edge permutations, and the sheet-0 distances give all others
+    edges = list(c.edge_permutation)
+    perms = np.array([c.edge_permutation[e] for e in edges]).reshape(len(edges), n)
+    for lam in np.array(c.deck):
+        moved = (lam[perms] != perms[:, lam]).any(axis=1)
+        if moved.any():
+            e = edges[int(moved.argmax())]
+            raise InvariantError(f"a deck transformation does not commute with edge {e}")
     fixed = [lam for lam in c.deck if any(lam[s] == s for s in range(n))]
     if fixed != [tuple(range(n))]:
         raise InvariantError("deck group does not act freely")
@@ -305,6 +338,104 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
     if len(graph.edges) != L * ne + (3 * L * (L - 1) // 2) * nf:
         raise InvariantError("PE subdivision has the wrong edge count")
     return approx
+
+
+@dataclass(frozen=True, eq=False)
+class _SheetRows:
+    """One level's total-model distances from the sheet-0 lifts of the
+    complex's vertices.
+
+    `rows[index[i]]` runs from (base.vertices[i], sheet 0) to every
+    total-model vertex; `lift[b, s]` is the total-model index of
+    base-model vertex b on sheet s, and `own[i]` the base-model index of
+    base.vertices[i].  While the level's models are kept, `rows` is their
+    all-pairs matrix; `compact()` copies out the rows the record needs
+    when they are dropped, so the copy is never made at a diameter's peak.
+    """
+
+    rows: np.ndarray
+    index: np.ndarray
+    lift: np.ndarray
+    own: np.ndarray
+
+    def compact(self) -> _SheetRows:
+        return _SheetRows(self.rows[self.index], np.arange(len(self.index)), self.lift, self.own)
+
+
+def _deck_columns(lift: np.ndarray, deck) -> np.ndarray:
+    """Column maps that turn a sheet-0 row into the row of each sheet.
+
+    With lam the deck element taking sheet 0 to s, lam maps (w, t) to
+    (w, lam(t)) isometrically, so D[(b, s), j] = D[(b, 0), cols[s, j]].
+    """
+    cols = np.empty((len(deck), lift.size), dtype=np.intp)
+    for lam in deck:
+        cols[lam[0], lift[:, np.array(lam)]] = lift
+    return cols
+
+
+def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
+                      deck) -> np.ndarray:
+    """Both models' all-pairs distances from a Dijkstra out of the sheet-0
+    lifts alone; fills their `apsp()` and returns the total's matrix.
+
+    `total` covers `base`: `lift[b, s]` is the total index of base vertex b
+    on sheet s, and each deck permutation lam maps (w, t) to (w, lam(t))
+    as a graph automorphism (it commutes with the edge permutations).
+    Row (b, lam(0)) of the total matrix is then row (b, 0) with its columns
+    moved by lam (`_deck_columns`).  A base path lifts to a path from
+    (b, 0) with as many edges, and a total path projects to one, so the
+    base matrix is D_base[b, b'] = min over t of D[(b, 0), (b', t)].
+
+    Both are bit for bit what scipy's Dijkstra gives on the full graphs,
+    because every edge has the same length h: the distance it reaches
+    along a path of k edges is the float S_k = fl(S_{k-1} + h) whatever
+    the path, S_k does not decrease with k, so a vertex gets S_k of its
+    least edge count k, which the deck keeps and the projection
+    minimises.  Edges of different lengths could sum to different floats
+    along paths of equal length, so they raise ValueError.
+
+    Sources run in blocks whose Dijkstra rows and base columns hold at
+    most _PAIR_CHUNK numbers between them, and the total matrix is filled
+    a row at a time, so the blocks are the only temporaries.
+    """
+    lengths = total.edge_arrays()[2]
+    if not np.all(lengths == lengths[:1]):
+        raise ValueError("deck-reduced distances need edges of one length")
+    nb, n = lift.shape
+    N = len(total.vertices)
+    cols = _deck_columns(lift, deck)
+    by_sheet = lift.T.copy()
+    dist = np.empty((N, N))
+    dist_base = np.empty((nb, nb))
+    step = max(1, _PAIR_CHUNK // (N + nb))
+    part = np.empty((min(step, nb), nb))
+    for lo in range(0, nb, step):
+        hi = min(lo + step, nb)
+        # MetricGraph keeps scipy's Dijkstra: run it from the sheet-0 lifts only
+        rows = total._dijkstra(indices=by_sheet[0, lo:hi])
+        base_rows = dist_base[lo:hi]
+        np.take(rows, by_sheet[0], axis=1, out=base_rows)
+        for t in range(1, n):
+            np.minimum(base_rows, np.take(rows, by_sheet[t], axis=1, out=part[: hi - lo]),
+                       out=base_rows)
+        for row, targets in zip(rows, lift[lo:hi]):
+            dist[targets[0]] = row  # sheet 0's deck element is the identity
+            for s in range(1, n):
+                np.take(row, cols[s], out=dist[targets[s]])
+        del rows  # before the next block's Dijkstra makes its own
+    base._apsp_cache = DistanceMatrix(base.vertices, dist_base)
+    total._apsp_cache = DistanceMatrix(total.vertices, dist)
+    return dist
+
+
+def _fiber_rows(c: CoveringComplex, level: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Total-model distances from the lifts (p, 0), .., (p, n-1) to every
+    total-model vertex, one row per sheet, and those lifts' indices; read
+    from the level's sheet-0 rows, so no model is built."""
+    rec = c._sheet0[level]
+    i = c.base.vertices.index(p)
+    return rec.rows[rec.index[i]][_deck_columns(rec.lift, c.deck)], rec.lift[rec.own[i]]
 
 
 # ------------------------------------------------------------ bound check
@@ -453,17 +584,13 @@ def fiber_ball_nerve(
     r = (d + epsilon) if radius is None else radius
     mesh_ok = epsilon >= 1.0 / level - 1e-12
 
-    pe_total = c.pe(level)[1]
-    graph = pe_total.graph
-    fiber = [pe_total.vertex_id((p, s)) for s in range(n)]
-    sources = [graph.vertex_index(v) for v in fiber]
-    dists = graph.distance_rows(fiber)
+    dists, sources = _fiber_rows(c, level, p)
 
     nearest = dists.min(axis=0)
     worst = int(nearest.argmax())
     if not (nearest[worst] < r):
         raise CoverNotCovering(
-            f"sample {graph.vertices[worst]!r} at distance "
+            f"sample {c.pe(level)[1].graph.vertices[worst]!r} at distance "
             f"{nearest[worst]} >= radius {r}"
         )
 

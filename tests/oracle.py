@@ -369,3 +369,40 @@ def left_multiplication_bfs(t: CosetTable, a: int) -> tuple[int, ...]:
     if min(image) < 0:
         raise InvariantError("left multiplication missed an element")
     return tuple(image)
+
+
+def full_dijkstra(g: MetricGraph) -> np.ndarray:
+    """All-pairs distances of g by scipy's Dijkstra from every vertex, on a
+    fresh copy, so no matrix cached on g is read."""
+    return MetricGraph(g.vertices, g.edges, require_connected=False)._dijkstra()
+
+
+def subdivided_total_lift(cover, base: MetricGraph, total: MetricGraph) -> np.ndarray:
+    """lift[b, s]: the index in `total`, a subdivision of `cover.total`
+    itself, of base-model vertex b's point on sheet s.
+
+    A subdivision point lies on the lift of its carrier's simplex that
+    starts at the carrier on sheet s, and has the same place in it, since
+    lifted simplices keep the order of their base corners.
+    """
+    k, tot, n = cover.base, cover.total, cover.sheets
+    sheet_edge = {}
+    for j, (u, w) in enumerate(k.edges):
+        perm = cover.edge_permutation[(u, w)]
+        for s in range(n):
+            sheet_edge[j, s] = tot.edges.index(((u, s), (w, perm[s])))
+    sheet_triangle = {}
+    for m, (a, b, c) in enumerate(k.triangles):
+        p_ab, p_ac = cover.edge_permutation[(a, b)], cover.edge_permutation[(a, c)]
+        for s in range(n):
+            sheet_triangle[m, s] = tot.triangles.index(((a, s), (b, p_ab[s]), (c, p_ac[s])))
+
+    def over(name: str, s: int) -> str:
+        kind, rest = name[0], name[1:]
+        if kind == "v":
+            return f"v{tot.vertices.index((k.vertices[int(rest)], s))}"
+        index, place = rest.split(":")
+        lifted = (sheet_edge if kind == "e" else sheet_triangle)[int(index), s]
+        return f"{kind}{lifted}:{place}"
+
+    return np.array([[total.vertex_index(over(v, s)) for s in range(n)] for v in base.vertices])

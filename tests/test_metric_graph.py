@@ -113,7 +113,7 @@ def test_point_distance_matches_mesh_oracle():
 def test_metric_axioms_sampled(theta, unit_triangle, figure_eight):
     rng = random.Random(12345)
     graphs = [theta, unit_triangle, figure_eight]
-    checked = 0
+    checked = coincide = 0
     while checked < 10_000:
         g = rng.choice(graphs)
         pts = []
@@ -121,6 +121,17 @@ def test_metric_axioms_sampled(theta, unit_triangle, figure_eight):
             e = rng.choice(g.edges)
             pts.append(EdgePoint(e.id, rng.uniform(0.0, e.length)))
         x, y, z = pts
+        share = rng.random()
+        if share < 0.05:
+            # one point, given twice or a fraction of the tolerance apart
+            e = g.edge(x.edge)
+            y = EdgePoint(x.edge, min(e.length, x.offset + rng.choice((0.0, 1e-10)) * e.length))
+        elif share < 0.10:
+            # one vertex, as an end of two of its edges
+            v = rng.choice(g.vertices)
+            (e1, s1), (e2, s2) = rng.choice(g.incident(v)), rng.choice(g.incident(v))
+            x = EdgePoint(e1.id, 0.0 if s1 == "u" else e1.length)
+            y = EdgePoint(e2.id, 0.0 if s2 == "u" else e2.length)
         dxy = point_distance(g, x, y)
         dyx = point_distance(g, y, x)
         dxz = point_distance(g, x, z)
@@ -129,8 +140,10 @@ def test_metric_axioms_sampled(theta, unit_triangle, figure_eight):
         assert dxz <= dxy + dyz + 1e-9
         assert point_distance(g, x, x) <= 1e-9
         if points_coincide(g, x, y):
+            coincide += 1
             assert dxy <= 1e-9 * max(e.length for e in g.edges)
         checked += 1
+    assert coincide >= 500
 
 
 # ------------------------------------------------- continuous diameter
@@ -357,21 +370,6 @@ def test_diameter_independent_of_chunk_size(chunk, monkeypatch):
     monkeypatch.setattr(mg, "_PAIR_CHUNK", chunk)
     for (name, g), res in zip(graphs, expected):
         assert continuous_diameter(g) == res, name
-
-
-def test_distance_rows_match_apsp_rows():
-    graphs = [g for _, g in _differential_graphs("rp2")[:4]]
-    graphs += [sweep_instance(7, i)[2].graph for i in range(10)]
-    for g in graphs:
-        fresh = MetricGraph(g.vertices, g.edges)
-        picks = [fresh.vertices[k] for k in (0, len(fresh.vertices) // 2, -1, 0)]
-        rows = fresh.distance_rows(picks)
-        assert fresh._apsp_cache is None
-        want = fresh.apsp().values[[fresh.vertex_index(v) for v in picks]]
-        assert rows.tobytes() == want.tobytes()
-        assert fresh.distance_rows(picks).tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="nowhere"):
-        graphs[0].distance_rows(["nowhere"])
 
 
 def _edge_pair_corners(g):

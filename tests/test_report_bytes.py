@@ -1,0 +1,61 @@
+"""Report bytes pinned by sha256, so a faster distance path cannot move a digit.
+
+The digests were taken from the code before the deck-reduced distances
+went in; any change to them is a change of reported values.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from coverdiam import cli
+from coverdiam.universal_cover import (
+    build_universal_cover,
+    fiber_ball_nerve,
+    rp2_complex,
+    verify_universal_bound,
+)
+
+from .conftest import pseudo_projective_plane
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_ucover_verify_levels_1_to_12_bytes(monkeypatch):
+    # the report's repro lines hold the path as given, so it is given relative
+    monkeypatch.chdir(ROOT)
+    report = cli.run(cli.ExperimentConfig(
+        "ucover-verify", levels=tuple(range(1, 13)),
+        complex_path="src/coverdiam/data/rp2_complex.json"))
+    assert _sha(cli.emit(report, "json")) == (
+        "13bdccd3dcda1673eb47c89ba717b59c716c64b55d49d38a6cacc14e57ac4704")
+
+
+def test_nerve_after_checks_at_3_4_6_bytes():
+    k = rp2_complex()
+    cover = build_universal_cover(k, 100_000)
+    for level in (3, 4, 6):
+        verify_universal_bound(k, level, 100_000, cover=cover)
+    rep = fiber_ball_nerve(cover, k.vertices[0], 0.05, 4)
+    assert _sha(json.dumps(rep.to_json_dict(), sort_keys=True).encode()) == (
+        "90d31b02fa54bafb1cf566040681bb92a014e52a20d8d24f1744f35517eb9ba9")
+
+
+@pytest.mark.parametrize("order,digest", [
+    (3, "0d3a258176a109a26405389014a550fc2c8db3d2f5ae2d8d38e1d5d8926cf17f"),
+    (4, "6f2694917cc183e38c04d479ab1957e68f70de5045127505649277d55caec06f"),
+    (6, "c84231895c9af912f0ea078ea34ede6e50dfcfd9a4fa2817057ea5d46304f7f9"),
+])
+def test_lens_plane_level_1_bytes(order, digest):
+    k = pseudo_projective_plane(order)
+    cover = build_universal_cover(k, 100_000)
+    check = verify_universal_bound(k, 1, 100_000, cover=cover)
+    nerve = fiber_ball_nerve(cover, k.vertices[0], 1.0, 1)
+    payload = json.dumps([check.to_json_dict(), nerve.to_json_dict()], sort_keys=True)
+    assert _sha(payload.encode()) == digest

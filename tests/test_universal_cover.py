@@ -1,17 +1,27 @@
+import dataclasses
+import functools
 import gc
 import json
 import math
+import random
 import weakref
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coverdiam.complexes import SimplicialComplex2, is_simply_connected
+from coverdiam.complexes import SimplicialComplex2, is_simply_connected, load_complex
+from coverdiam.covering import Voltage, derive_cover
 from coverdiam.errors import CoverNotCovering, EnumerationOverflow, InvariantError
 from coverdiam.groups import TrivialityResult
-from coverdiam.metric_graph import continuous_diameter
+from coverdiam.metric_graph import MetricGraph, continuous_diameter
 from coverdiam.universal_cover import (
+    _check_cover_complex,
+    _fiber_rows,
     _nerve_bfs_diameter,
+    _sheet0_distances,
+    _SheetRows,
     build_universal_cover,
     fiber_ball_nerve,
     final_inequality_holds,
@@ -21,6 +31,7 @@ from coverdiam.universal_cover import (
 )
 
 from .conftest import pseudo_projective_plane
+from .oracle import full_dijkstra, subdivided_total_lift
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +317,6 @@ def test_nerve_after_verify_reuses_both_diameters(rp2, monkeypatch):
 
 def test_nerve_at_an_earlier_level_recomputes_no_diameter(rp2, monkeypatch):
     import coverdiam.universal_cover as uc
-    from coverdiam.metric_graph import MetricGraph
 
     calls, apsp_calls = [], []
     diameter, apsp = uc.continuous_diameter, MetricGraph.apsp
@@ -319,15 +329,35 @@ def test_nerve_at_an_earlier_level_recomputes_no_diameter(rp2, monkeypatch):
         apsp_calls.append(self)
         return apsp(self)
 
+    dijkstra, builds = MetricGraph._dijkstra, []
+
+    def counted_dijkstra(self, **kwargs):
+        builds.append(("dijkstra", len(self.vertices), len(kwargs["indices"])))
+        return dijkstra(self, **kwargs)
+
+    def counted_build(fn):
+        def build(*args):
+            builds.append((fn.__name__,))
+            return fn(*args)
+        return build
+
     monkeypatch.setattr(uc, "continuous_diameter", counted)
     monkeypatch.setattr(MetricGraph, "apsp", counted_apsp)
+    monkeypatch.setattr(MetricGraph, "_dijkstra", counted_dijkstra)
+    for fn in (uc.pe_subdivision_graph, uc.derive_cover):
+        monkeypatch.setattr(uc, fn.__name__, counted_build(fn))
     cover = build_universal_cover(rp2, 10_000)
     for level in (3, 4, 6):
         verify_universal_bound(rp2, level, 10_000, cover=cover)
-    before = len(apsp_calls)
+    # one Dijkstra per level, from the sheet-0 lifts only
+    runs = [b for b in builds if b[0] == "dijkstra"]
+    assert len(builds) == 9 and len(runs) == 3
+    assert all(sources == size // 2 for _, size, sources in runs)
+    before, built = len(apsp_calls), len(builds)
     rep = fiber_ball_nerve(cover, p=1, epsilon=0.05, level=4)
     assert len(calls) == 6
     assert len(apsp_calls) == before
+    assert len(builds) == built
     monkeypatch.undo()
     fresh = fiber_ball_nerve(build_universal_cover(rp2, 10_000), p=1, epsilon=0.05, level=4)
     assert rep.fiber_distances == fresh.fiber_distances
@@ -364,11 +394,20 @@ _DERIVED_CASES = (
 
 
 def _subdivided_total_cover(k, level):
-    """A cover whose total model at `level` subdivides `cover.total` itself."""
+    """A cover whose total model at `level` subdivides `cover.total` itself,
+    its sheet-0 rows read from a full Dijkstra on that model."""
     cover = build_universal_cover(k, 100_000)
-    cover._pe[level] = (pe_subdivision_graph(k, level),
-                        pe_subdivision_graph(cover.total, level))
+    pe_base, pe_total = pe_subdivision_graph(k, level), pe_subdivision_graph(cover.total, level)
+    cover._pe[level] = (pe_base, pe_total)
+    lift = subdivided_total_lift(cover, pe_base.graph, pe_total.graph)
+    own = np.array([pe_base.graph.vertex_index(pe_base.vertex_id(v)) for v in k.vertices])
+    cover._sheet0[level] = _SheetRows(full_dijkstra(pe_total.graph), lift[own, 0], lift, own)
     return cover
+
+
+def _edge_list(g, rename):
+    return sorted(tuple(sorted((int(rename[g.vertex_index(e.u)]), int(rename[g.vertex_index(e.v)]))))
+                  + (e.length,) for e in g.edges)
 
 
 @pytest.mark.parametrize("key,level", _DERIVED_CASES)
@@ -378,8 +417,10 @@ def test_derived_pe_cover_matches_subdivided_total(key, level, rp2, filled_trian
     reference = _subdivided_total_cover(k, level)
     derived = cover.pe(level)[1]
     old = reference.pe(level)[1]
-    assert len(derived.graph.vertices) == len(old.graph.vertices)
-    assert len(derived.graph.edges) == len(old.graph.edges)
+    # one graph: the lifts of each (base vertex, sheet) carry the same edges
+    to_old = np.empty(len(derived.graph.vertices), dtype=int)
+    to_old[cover._sheet0[level].lift] = reference._sheet0[level].lift
+    assert _edge_list(derived.graph, to_old) == _edge_list(old.graph, range(len(old.graph.vertices)))
     assert continuous_diameter(derived.graph).value == continuous_diameter(old.graph).value
     assert (_report_bytes(k, cover, ("verify", level))
             == _report_bytes(k, reference, ("verify", level)))
@@ -388,6 +429,70 @@ def test_derived_pe_cover_matches_subdivided_total(key, level, rp2, filled_trian
     want = fiber_ball_nerve(reference, k.vertices[0], eps, level)
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
     assert got.fiber_distances == want.fiber_distances
+
+
+# ---------------------------------- deck-reduced distances against Dijkstra
+
+
+def _relabelled_rp2(seed):
+    k = rp2_complex()
+    labels = list(range(1, len(k.vertices) + 1))
+    random.Random(seed).shuffle(labels)
+    name = dict(zip(k.vertices, labels))
+    return SimplicialComplex2([name[v] for v in k.vertices],
+                              [[name[v] for v in t] for t in k.triangles])
+
+
+_COMPLEXES = {
+    **{f"rp2-{seed}": functools.partial(_relabelled_rp2, seed) for seed in (1, 2, 3)},
+    **{f"plane{k}": functools.partial(pseudo_projective_plane, k) for k in range(3, 9)},
+    "plane5-relabelled": functools.partial(
+        load_complex, Path(__file__).parent / "data" / "plane5_relabelled.json"),
+}
+_DECK_CASES = (
+    [(f"rp2-{seed}", level) for seed in (1, 2, 3) for level in range(1, 9)]
+    + [(f"plane{k}", level) for k in range(3, 9) for level in (1, 2)]
+    + [("plane5-relabelled", 1)]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _cover_of(key):
+    k = _COMPLEXES[key]()
+    return k, build_universal_cover(k, 100_000)
+
+
+@pytest.mark.parametrize("key,level", _DECK_CASES)
+def test_deck_reduced_distances_match_full_dijkstra(key, level):
+    k, cover = _cover_of(key)
+    pe_base, pe_total = cover.pe(level)
+    assert np.array_equal(pe_base.graph.apsp().values, full_dijkstra(pe_base.graph))
+    full = full_dijkstra(pe_total.graph)
+    assert np.array_equal(pe_total.graph.apsp().values, full)
+    for p in k.vertices:
+        fiber = [pe_total.graph.vertex_index(pe_total.vertex_id((p, s))) for s in range(cover.sheets)]
+        rows, sources = _fiber_rows(cover, level, p)
+        assert list(sources) == fiber
+        assert np.array_equal(rows, full[fiber])
+
+
+def test_deck_reduced_distances_need_one_edge_length():
+    g = MetricGraph(["a", "b", "c"], [("x", "a", "b", 1.0), ("y", "b", "c", 1.0), ("z", "c", "a", 2.0)])
+    derived = derive_cover(g, Voltage(2, {"x": (0, 1), "y": (0, 1), "z": (1, 0)}))
+    lift = np.array([[derived.graph.vertex_index(derived.lift_vertex(v, s)) for s in range(2)]
+                     for v in g.vertices])
+    with pytest.raises(ValueError, match="one length"):
+        _sheet0_distances(g, derived.graph, lift, ((0, 1), (1, 0)))
+
+
+def test_cover_check_rejects_a_deck_map_off_the_edge_permutations():
+    cover = build_universal_cover(pseudo_projective_plane(3), 100_000)
+    _check_cover_complex(cover)
+    deck = [list(lam) for lam in cover.deck]
+    deck[1][0], deck[1][1] = deck[1][1], deck[1][0]  # still a permutation of the sheets
+    bad = dataclasses.replace(cover, deck=tuple(tuple(lam) for lam in deck))
+    with pytest.raises(InvariantError, match="commute"):
+        _check_cover_complex(bad)
 
 
 # ----------------------------------------------------------- arithmetic
