@@ -625,23 +625,22 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
        edges on, the first block pairs only the _SEED_ROWS edges of the
        largest bounds with the others, which seeds `top` with an attained
        value near the diameter before most pairs are formed; the later
-       blocks prune against it.  Only pairs whose maximum is near `top`
-       are kept, and the kept set is refolded against `top` each time it
-       doubles past _PAIR_CHUNK pairs.
+       blocks prune against it.  Each edge keeps the largest maximum of
+       the pairs it is the lower edge of.
     4. Crossing candidates.  The maximum over a pair's rectangle lies at a
        corner or at a crossing of two of the pieces' defining lines.
        Candidates within _NEAR_BEST of `top` are ties, broken by the least
        (edge id, offset); the least one's first edge is the lower edge of
-       its pair.  So the kept pairs are sorted by lower edge and evaluated
-       in that order: the least lower edge's pairs first, then chunks of
-       _PAIR_CHUNK numbers, stopping once every pair of the least lower
-       edge with a tie, or of a same-edge tie, has been evaluated.
+       its pair.  So the edges whose kept maximum is within _BOUND_SLACK
+       of `top` are taken in id order, and each one's row of pairs is
+       formed again, cut by the corner bound and evaluated in chunks of
+       _PAIR_CHUNK numbers, stopping past the least edge with a tie, or
+       with a same-edge tie.
 
     A block holds at most _PAIR_CHUNK pairs, or one row of them, and its
     rows over all vertices, in stage 1 and in the filter, at most
-    _PAIR_CHUNK numbers, or one row.  Past _PAIR_CHUNK pairs, the kept set
-    holds only pairs within _BOUND_SLACK of an attained `top`, at most
-    twice as many as its last fold left, plus one block.
+    _PAIR_CHUNK numbers, or one row.  The state kept between the stages is
+    one float per edge, and stage 4 holds one row of pairs and one chunk.
     """
     if not g.is_connected:
         raise DisconnectedGraphError("continuous diameter needs a connected graph")
@@ -677,9 +676,8 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
     bound = bound[order]
 
     # stages 2 and 3 over the pairs a < b of the live prefix, in blocks of
-    # rows a; each pair as (i, j) with i < j
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    n_kept, fold_at = 0, _PAIR_CHUNK
+    # rows a; each pair as (i, j) with i < j, its maximum folded into best[i]
+    best = np.full(m, -np.inf)
     lo = 0
     while True:
         n_live = int(np.count_nonzero(bound >= top - _BOUND_SLACK * top))
@@ -709,13 +707,7 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
             continue
         pmax = _pair_maxima(A[near], B[near], C[near], E[near], Li[near], Lj[near])
         top = max(top, float(pmax.max()))
-        keep = pmax >= top - _BOUND_SLACK * top
-        kept.append((ii[near][keep], jj[near][keep], pmax[keep]))
-        n_kept += len(kept[-1][2])
-        if n_kept > fold_at:
-            kept = [_fold(kept, top)]
-            n_kept = len(kept[0][2])
-            fold_at = max(_PAIR_CHUNK, 2 * n_kept)
+        np.maximum.at(best, ii[near], pmax)
 
     # stage 4: near-best points as (edge, offset, edge, offset), each pair
     # in (edge id, offset) order.  Edges are sorted by id, so the least
@@ -724,21 +716,22 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
     same = np.nonzero(half >= thresh)[0]
     ends = [(same, np.zeros(len(same)), same, half[same])]
     first = same[0] if len(same) else m
-    if kept:
-        ii, jj, _ = _fold(kept, top)
-        by_first = np.argsort(ii, kind="stable")
-        ii, jj = ii[by_first], jj[by_first]
-        step = max(1, _PAIR_CHUNK // len(_CROSS_A))
-        # the first chunk is the least lower edge's pairs alone
-        lo, hi = 0, min(step, int(np.searchsorted(ii, ii[0], side="right")))
-        while lo < len(ii) and ii[lo] <= first:
-            i, j = ii[lo:hi], jj[lo:hi]
-            lo, hi = hi, hi + step
-            s, t, val = _cross_candidates(*corners(i, j))
+    step = max(1, _PAIR_CHUNK // len(_CROSS_A))
+    for r in np.nonzero(best >= top - _BOUND_SLACK * top)[0]:
+        if r > first:
+            break
+        # row r's partners j > r that pass the corner bound
+        du, dv, j = dm[u[r]], dm[v[r]], np.arange(r + 1, m)
+        cb = (np.minimum(du[u[j]] + dv[v[j]], du[v[j]] + dv[u[j]]) + Lall[r] + Lall[j]) / 2.0
+        j = j[cb >= thresh]
+        for lo in range(0, len(j), step):
+            jc = j[lo : lo + step]
+            i = np.full(len(jc), r)
+            s, t, val = _cross_candidates(*corners(i, jc))
             hits = np.nonzero(val >= thresh)
             if len(hits[1]):
-                ends.append((i[hits[1]], s[hits], j[hits[1]], t[hits]))
-                first = min(first, int(i[hits[1]].min()))
+                ends.append((i[hits[1]], s[hits], jc[hits[1]], t[hits]))
+                first = r
     e1, o1, e2, o2 = (np.concatenate(x) for x in zip(*ends))
     if not len(e1):
         raise InvariantError(f"no candidate reaches the pair maximum {top!r}")
@@ -756,14 +749,6 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
             f"witness distance {value!r} differs from the candidate maximum {top!r}"
         )
     return DiameterResult(value, witness)
-
-
-def _fold(kept, top):
-    """The kept (i, j, pair maximum) blocks as one, without the pairs whose
-    maximum has fallen below `top`."""
-    ii, jj, pmax = (np.concatenate(x) for x in zip(*kept))
-    keep = pmax >= top - _BOUND_SLACK * top
-    return ii[keep], jj[keep], pmax[keep]
 
 
 # -- file format ---------------------------------------------------------

@@ -337,6 +337,24 @@ def test_continuous_diameter_on_order_twelve_plane_level_two():
     assert peak < 64 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
+def test_continuous_diameter_on_order_twelve_plane_level_three():
+    cover = build_universal_cover(pseudo_projective_plane(12), 100_000)
+    g = cover.pe(3)[1].graph
+    assert len(g.edges) == 16956
+    g.apsp()
+    tracemalloc.start()
+    try:
+        with criterion("diameter: order-12 plane cover at level 3, APSP given, peak < 32 MB", 4.0):
+            res = continuous_diameter(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    offset = 0.16666666666666652
+    assert (res.value, res.witness) == (
+        4.333333333333332, (EdgePoint("E0:0@0", offset), EdgePoint("E0:0@10", offset)))
+    assert peak < 32 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
+
 def test_fiber_ball_nerve_pipeline():
     with criterion("nerve: fiber balls over the projective plane cover", 60.0):
         cover = build_universal_cover(rp2_complex(), 100_000)

@@ -1,7 +1,8 @@
 """Report bytes pinned by sha256, so a faster distance path cannot move a digit.
 
 The digests were taken from the code before the deck-reduced distances
-went in; any change to them is a change of reported values.
+went in, and the sweep's before the pair stage kept one maximum per edge;
+any change to them is a change of reported values.
 """
 
 import hashlib
@@ -59,3 +60,13 @@ def test_lens_plane_level_1_bytes(order, digest):
     nerve = fiber_ball_nerve(cover, k.vertices[0], 1.0, 1)
     payload = json.dumps([check.to_json_dict(), nerve.to_json_dict()], sort_keys=True)
     assert _sha(payload.encode()) == digest
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("json", "341769afa59f67d40cc397f15207d2fd7fbf61555d361d8da7f0382532336b03"),
+    ("csv", "8d64c9bf25836d3b4b0507e297ea3906a141f4e3c1d787ead17a5db42c12a0ab"),
+])
+def test_sweep_cover_seed_7_bytes(fmt, digest):
+    # every sweep graph's diameter runs the witness stage
+    report = cli.run(cli.ExperimentConfig("sweep-cover", seed=7, count=200))
+    assert _sha(cli.emit(report, fmt)) == digest
