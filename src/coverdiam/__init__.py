@@ -37,31 +37,22 @@ from .covering import (
     CoveringGraph,
     ShorteningTrace,
     Voltage,
-    deck_transformations,
     derive_cover,
     is_connected_cover,
-    lift_path,
     load_voltage,
     pigeonhole_shorten,
     verify_diameter_bound,
 )
 from .complexes import (
-    LoopWitness,
     SimplicialComplex2,
     flag_triangles,
     is_simply_connected,
     load_complex,
     nerve2,
     pi1_presentation,
-    short_loop_generators,
 )
 from .separator import (
-    SphereDecomposition,
     cayley_diameter_bound,
-    check_separation,
-    check_size_bounds,
-    sphere_decomposition,
-    translated_copy,
     verify_cayley_bound,
     zoo_instances,
 )
@@ -70,7 +61,6 @@ from .universal_cover import (
     PEApprox,
     build_universal_cover,
     fiber_ball_nerve,
-    final_inequality_holds,
     pe_subdivision_graph,
     rp2_complex,
     verify_universal_bound,

@@ -421,7 +421,7 @@ def cover_derive(graph_path, voltage_path):
 @cover_grp.command("verify-bound")
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--voltage", "voltage_path", required=True, type=click.Path(exists=True))
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--tol", default=1e-9, show_default=True, type=click.FloatRange(min=0))
 def cover_verify(graph_path, voltage_path, tol):
     """Check d(cover) <= sheets * d(base)."""
     try:
@@ -465,7 +465,7 @@ def groups_grp():
 
 @groups_grp.command("enumerate")
 @click.option("--presentation", "pres_path", required=True, type=click.Path(exists=True))
-@click.option("--budget", default=100_000, show_default=True)
+@click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 def groups_enumerate(pres_path, budget):
     """Coset enumeration over the trivial subgroup; reports the group order."""
     try:
@@ -478,7 +478,7 @@ def groups_enumerate(pres_path, budget):
 @groups_grp.command("diameter")
 @click.option("--presentation", "pres_path", required=True, type=click.Path(exists=True))
 @click.option("--gens", required=True, help="comma-separated generator indices")
-@click.option("--budget", default=100_000, show_default=True)
+@click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 def groups_diameter(pres_path, gens, budget):
     """Word-metric diameter of a Cayley graph."""
     try:
@@ -506,7 +506,7 @@ def cayley_grp():
 @click.option("--presentation", "pres_path", type=click.Path(exists=True))
 @click.option("--gens", default=None, help="comma-separated generator indices")
 @click.option("--zoo", "zoo_name", default=None, help="preset instance name")
-@click.option("--budget", default=100_000, show_default=True)
+@click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 def cayley_verify(pres_path, gens, zoo_name, budget):
     """Verify the bound for one presentation (or one zoo preset)."""
     try:
@@ -528,7 +528,7 @@ def cayley_verify(pres_path, gens, zoo_name, budget):
 
 
 @cayley_grp.command("zoo")
-@click.option("--budget", default=100_000, show_default=True)
+@click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", default=None, type=click.Path())
 @click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "json"]), show_default=True)
 def cayley_zoo(budget, out, fmt):
@@ -544,7 +544,7 @@ def ucover_grp():
 
 @ucover_grp.command("build")
 @click.option("--complex", "complex_path", required=True, type=click.Path(exists=True))
-@click.option("--budget", default=100_000, show_default=True)
+@click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 def ucover_build(complex_path, budget):
     """Build the universal cover and report its combinatorics."""
     try:
@@ -565,8 +565,8 @@ def ucover_build(complex_path, budget):
 @click.option("--complex", "complex_path", required=True, type=click.Path(exists=True))
 @click.option("--level", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--levels", default=None, help="comma-separated levels for a sweep report")
-@click.option("--budget", default=100_000, show_default=True)
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
+@click.option("--tol", default=1e-9, show_default=True, type=click.FloatRange(min=0))
 @click.option("--out", default=None, type=click.Path())
 @click.option("--format", "fmt", default="json", type=click.Choice(["csv", "json"]), show_default=True)
 def ucover_verify(complex_path, level, levels, budget, tol, out, fmt):
@@ -594,7 +594,7 @@ def ucover_verify(complex_path, level, levels, budget, tol, out, fmt):
 @click.option("--basepoint", default=None, help="base vertex (default: first)")
 @click.option("--epsilon", default=0.05, show_default=True)
 @click.option("--level", default=6, show_default=True, type=click.IntRange(min=1))
-@click.option("--budget", default=100_000, show_default=True)
+@click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 def ucover_nerve(complex_path, basepoint, epsilon, level, budget):
     """Fiber-ball nerve checks for the universal cover."""
     try:
@@ -614,9 +614,9 @@ def sweep_grp():
 
 @sweep_grp.command("cover")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--count", default=100, show_default=True)
-@click.option("--start", default=0, show_default=True)
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--count", default=100, show_default=True, type=click.IntRange(min=0))
+@click.option("--start", default=0, show_default=True, type=click.IntRange(min=0))
+@click.option("--tol", default=1e-9, show_default=True, type=click.FloatRange(min=0))
 @click.option("--out", default=None, type=click.Path())
 @click.option("--format", "fmt", default="json", type=click.Choice(["csv", "json"]), show_default=True)
 def sweep_cover(seed, count, start, tol, out, fmt):

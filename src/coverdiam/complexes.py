@@ -1,8 +1,10 @@
-"""Simplicial 2-complexes: fundamental groups, nerves, and short loop generators.
+"""Simplicial 2-complexes: fundamental groups, flag fillings and nerves.
 
 Complexes are stored by their vertex/edge/triangle sets (downward closure
 enforced).  Fundamental groups come from the spanning-tree presentation:
-one generator per non-tree edge, one relator per triangle boundary.
+one generator per non-tree edge, one relator per triangle boundary.  The
+proof step that loops of length at most 2d generate the fundamental group
+(short loop generators) is run by the test suite, not shipped here.
 """
 
 from __future__ import annotations
@@ -16,20 +18,16 @@ from typing import Callable, Hashable, Iterable, Sequence
 from ._search import bfs
 from .errors import DisconnectedGraphError
 from .groups import CayleyGraph, Presentation, TrivialityResult, free_reduce, is_trivial
-from .metric_graph import MetricGraph, PathRoute, RouteLeg, tree_legs, validate_route
 
 __all__ = [
     "SimplicialComplex2",
     "SpanningTreeData",
-    "LoopWitness",
     "pi1_presentation",
     "spanning_tree_presentation",
     "is_simply_connected",
     "flag_triangles",
     "nerve2",
-    "short_loop_generators",
     "complex_from_json",
-    "complex_to_json",
     "load_complex",
 ]
 
@@ -107,18 +105,6 @@ def complex_from_json(obj: dict) -> SimplicialComplex2:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex file: {exc}") from None
     return SimplicialComplex2(vertices, triangles, extra)
-
-
-def complex_to_json(k: SimplicialComplex2) -> dict:
-    tri_edges = set()
-    for t in k.triangles:
-        tri_edges.update({(t[0], t[1]), (t[0], t[2]), (t[1], t[2])})
-    extra = [list(e) for e in k.edges if e not in tri_edges]
-    return {
-        "vertices": list(k.vertices),
-        "triangles": [list(t) for t in k.triangles],
-        "extra_edges": extra,
-    }
 
 
 def load_complex(path) -> SimplicialComplex2:
@@ -237,51 +223,3 @@ def nerve2(
         if masks[i] & masks[j] & masks[k]
     ]
     return SimplicialComplex2(range(n), triangles, edges)
-
-
-# ---------------------------------------------------------- short generators
-
-
-@dataclass(frozen=True)
-class LoopWitness:
-    """A closed route at the basepoint, one per edge off a shortest-path tree."""
-
-    route: PathRoute
-    basepoint: str
-    length: float
-
-
-def short_loop_generators(g: MetricGraph, basepoint: str) -> tuple[LoopWitness, ...]:
-    """Spanning-tree loop generators of the fundamental group, all short.
-
-    A shortest-path tree is grown from the basepoint on g itself, and each
-    edge e = (u, v) off the tree yields the loop (tree path to u) * e *
-    (tree path v back), in edge-id order.  As |d(u) - d(v)| <= L, the two
-    tree paths meet at the point of e at distance (d(u) + L + d(v)) / 2,
-    which is at most the basepoint's eccentricity, so every loop is at most
-    2 * ecc(basepoint) <= 2 * diameter long.  Raises DisconnectedGraphError
-    when some vertex is out of the basepoint's reach.
-    """
-    if not g.has_vertex(basepoint):
-        raise ValueError(f"unknown basepoint {basepoint!r}")
-    dist, parent = g.single_source(basepoint)
-    if len(dist) < len(g.vertices):
-        raise DisconnectedGraphError(
-            f"{len(g.vertices) - len(dist)} vertices are unreachable from {basepoint!r}"
-        )
-    tree_edges = {eid for eid, _ in parent.values()}
-
-    witnesses = []
-    for e in g.edges:
-        if e.id in tree_edges:
-            continue
-        legs = tree_legs(g, parent, basepoint, e.u)
-        legs.append(RouteLeg(e.id, 0.0, e.length))
-        back = tree_legs(g, parent, basepoint, e.v)
-        legs.extend(l.reversed() for l in reversed(back))
-        route = PathRoute.from_legs(legs)
-        validate_route(g, route)
-        witnesses.append(
-            LoopWitness(route, basepoint, dist[e.u] + e.length + dist[e.v])
-        )
-    return tuple(witnesses)

@@ -2,9 +2,10 @@
 
 Traversing a base edge e from u to v sends sheet s to sigma_e(s); the
 derived graph has vertices (v, s) and edges (e, s) of the same length as
-e, named "v@s" and "e@s".  Unique path lifting, deck transformations, the
-n-times-diameter bound check, and the constructive route shortening all
-live here.
+e, named "v@s" and "e@s".  Unique path lifting, the n-times-diameter
+bound check and the constructive route shortening live here.  Deck
+transformations and shortening iterated down to the bound are run by the
+test suite, not shipped here.
 """
 
 from __future__ import annotations
@@ -35,19 +36,14 @@ __all__ = [
     "Voltage",
     "CoveringGraph",
     "ConnectivityReport",
-    "DeckTransformation",
     "CoverBoundReport",
     "ShorteningTrace",
     "derive_cover",
     "is_connected_cover",
-    "lift_path",
     "lift_path_ending_at",
-    "deck_transformations",
     "verify_diameter_bound",
     "pigeonhole_shorten",
-    "shorten_until_bound",
     "voltage_from_json",
-    "voltage_to_json",
     "load_voltage",
 ]
 
@@ -89,10 +85,6 @@ def voltage_from_json(obj: dict) -> Voltage:
         raise ValueError(f"malformed voltage file: missing {exc}") from None
 
 
-def voltage_to_json(v: Voltage) -> dict:
-    return {"sheets": v.sheets, "voltages": {e: list(p) for e, p in sorted(v.assignment.items())}}
-
-
 def load_voltage(path) -> Voltage:
     with open(path, "r", encoding="utf-8") as fh:
         return voltage_from_json(json.load(fh))
@@ -130,11 +122,6 @@ class CoveringGraph:
     def project_point(self, p: EdgePoint) -> EdgePoint:
         self.graph.check_point(p)
         return EdgePoint(self._eproj[p.edge][0], p.offset)
-
-    def lift_point(self, p: EdgePoint, sheet: int) -> EdgePoint:
-        """The preimage of p on the derived copy (edge, sheet)."""
-        self.base.check_point(p)
-        return EdgePoint(self.lift_edge(p.edge, sheet), p.offset)
 
     def project_route(self, route: PathRoute) -> PathRoute:
         legs = [RouteLeg(self._eproj[l.edge][0], l.start, l.end) for l in route.legs]
@@ -290,94 +277,9 @@ def _lift_route_at(c: CoveringGraph, route: PathRoute, start: EdgePoint) -> Path
     return PathRoute.from_legs(legs, anchor_if_empty=start)
 
 
-def lift_path(c: CoveringGraph, base: PathRoute, start_sheet: int) -> PathRoute:
-    """The unique lift starting on the derived copy (first edge, start_sheet).
-
-    Projects back to the input with identical length.
-    """
-    if not (0 <= start_sheet < c.sheets):
-        raise ValueError(f"sheet {start_sheet} out of range")
-    start = c.lift_point(base.start, start_sheet)
-    return _lift_route_at(c, base, start)
-
-
 def lift_path_ending_at(c: CoveringGraph, base: PathRoute, end: EdgePoint) -> PathRoute:
     """The unique lift whose endpoint is the given derived point."""
     return _lift_route_at(c, base.reversed(), end).reversed()
-
-
-# ---------------------------------------------------- deck transformations
-
-
-@dataclass(frozen=True)
-class DeckTransformation:
-    """A cover self-isomorphism over the base, as vertex and edge relabelings."""
-
-    vertex_map: dict
-    edge_map: dict
-
-    def apply_vertex(self, dv: str) -> str:
-        return self.vertex_map[dv]
-
-
-def deck_transformations(c: CoveringGraph) -> tuple[DeckTransformation, ...]:
-    """All automorphisms of the derived graph commuting with the projection.
-
-    Determined by the image of one fiber point and propagated along edges;
-    inconsistent candidates are discarded.  For regular covers the count
-    equals the sheet number.
-    """
-    report = is_connected_cover(c)
-    if not report.connected:
-        raise DisconnectedCoverError("deck transformations need a connected cover")
-    root = c.base.vertices[0]
-    found: list[DeckTransformation] = []
-    for target in range(c.sheets):
-        image: dict[str, int] = {c.lift_vertex(root, 0): target}
-        queue = [c.lift_vertex(root, 0)]
-        ok = True
-        while queue and ok:
-            dv = queue.pop()
-            base_v, _ = c.project_vertex(dv)
-            for e, side in c.base.incident(base_v):
-                perm = c.voltage.perm(e.id)
-                inv = c.voltage.inverse_perm(e.id)
-                s_here = c.project_vertex(dv)[1]
-                if side == "u":
-                    other = c.lift_vertex(e.v, perm[s_here])
-                    other_image = perm[image[dv]]
-                else:
-                    other = c.lift_vertex(e.u, inv[s_here])
-                    other_image = inv[image[dv]]
-                if other in image:
-                    if image[other] != other_image:
-                        ok = False
-                        break
-                else:
-                    image[other] = other_image
-                    queue.append(other)
-        if not ok:
-            continue
-        vertex_map = {}
-        for dv, sheet in image.items():
-            base_v, _ = c.project_vertex(dv)
-            vertex_map[dv] = c.lift_vertex(base_v, sheet)
-        if sorted(vertex_map.values()) != sorted(c.graph.vertices):
-            continue
-        edge_map = {}
-        consistent = True
-        for de in c.graph.edges:
-            base_e, s = c.project_edge(de.id)
-            u_img = vertex_map[de.u]
-            img_sheet = c.project_vertex(u_img)[1]
-            de_img = c.lift_edge(base_e, img_sheet)
-            if vertex_map[de.v] != c.graph.edge(de_img).v:
-                consistent = False
-                break
-            edge_map[de.id] = de_img
-        if consistent:
-            found.append(DeckTransformation(vertex_map, edge_map))
-    return tuple(found)
 
 
 # ---------------------------------------------------------- bound check
@@ -535,19 +437,3 @@ def pigeonhole_shorten(c: CoveringGraph, route: PathRoute) -> ShorteningTrace:
         match=match,
         shortened=sigma,
     )
-
-
-def shorten_until_bound(
-    c: CoveringGraph, route: PathRoute, max_steps: int = 1000
-) -> tuple[PathRoute, tuple[ShorteningTrace, ...]]:
-    """Iterate pigeonhole_shorten until the route is within sheets * d(base)."""
-    traces = []
-    current = route
-    for _ in range(max_steps):
-        try:
-            trace = pigeonhole_shorten(c, current)
-        except PathNotLongEnough:
-            return current, tuple(traces)
-        traces.append(trace)
-        current = trace.shortened
-    raise RuntimeError(f"no convergence within {max_steps} shortening steps")

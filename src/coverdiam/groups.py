@@ -39,7 +39,6 @@ __all__ = [
     "word_metric_diameter",
     "is_trivial",
     "presentation_from_json",
-    "presentation_to_json",
     "load_presentation",
 ]
 
@@ -130,13 +129,6 @@ def presentation_from_json(obj: dict) -> Presentation:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed presentation file: {exc}") from None
     return Presentation(count, words)
-
-
-def presentation_to_json(p: Presentation) -> dict:
-    return {
-        "generators": p.generator_count,
-        "relators": [word_to_string(w) for w in p.relators],
-    }
 
 
 def load_presentation(path) -> Presentation:

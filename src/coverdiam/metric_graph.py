@@ -243,9 +243,6 @@ class MetricGraph:
         except KeyError:
             raise ValueError(f"unknown edge id {eid!r}") from None
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vindex
-
     def vertex_index(self, v: str) -> int:
         return self._vindex[v]
 

@@ -1,11 +1,12 @@
-"""Sphere decompositions of Cayley graphs and the square-root diameter bound.
+"""The square-root diameter cap for Cayley graphs, checked on a zoo.
 
-Along a geodesic from the identity to a farthest element h, layer i is the
-set of elements at word distance i and T_i is the connected component of
-the geodesic vertex inside that layer.  When the flag filling of the graph
-is simply connected, removing any interior T_i separates the identity from
-h, each |T_i| is at least min(i+1, m-i+1), and summing the disjoint T_i
-forces diam <= sqrt(4|G|+1) - 2.
+When the flag filling of a Cayley graph is simply connected, its word
+diameter is at most sqrt(4|G|+1) - 2.  `verify_cayley_bound` certifies
+the hypothesis by coset enumeration and decides the cap in integers; the
+left multiplications serve the deck group of universal covers.  The
+cap's proof steps (sphere decompositions with their separating layer
+components T_i, the size bounds |T_i| >= min(i+1, m-i+1) and the layer
+sum) are run by the test suite, not shipped here.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from ._search import bfs
 from .complexes import flag_triangles, is_simply_connected
 from .errors import InvariantError
 from .groups import (
@@ -25,110 +23,21 @@ from .groups import (
     CosetTable,
     Presentation,
     TrivialityResult,
-    bfs_distances,
     cayley_graph,
     todd_coxeter,
     word_metric_diameter,
 )
 
 __all__ = [
-    "SphereDecomposition",
-    "SizeBoundReport",
     "CayleyBoundReport",
     "ZooInstance",
-    "sphere_decomposition",
-    "check_separation",
-    "check_size_bounds",
-    "translated_copy",
     "left_multiplication",
     "left_multiplications",
     "cayley_diameter_bound",
     "cayley_cap_holds",
     "verify_cayley_bound",
     "zoo_instances",
-    "layer_sum_inequality_holds",
 ]
-
-
-@dataclass(frozen=True)
-class SphereDecomposition:
-    """Layers and geodesic components of a Cayley graph, from the identity."""
-
-    element_count: int
-    geodesic: tuple[int, ...]  # g_0 = identity .. g_m = farthest
-    layers: tuple[frozenset, ...]  # S_i = elements at distance i
-    components: tuple[frozenset, ...]  # T_i = component of g_i inside S_i
-
-    @property
-    def diameter(self) -> int:
-        return len(self.geodesic) - 1
-
-
-def sphere_decomposition(c: CayleyGraph) -> SphereDecomposition:
-    """Deterministic decomposition: farthest element and geodesic ties go to
-    the smallest element index."""
-    dist = bfs_distances(c, c.identity)
-    m = max(dist)
-    h = dist.index(m)
-    geodesic = [h]
-    while geodesic[-1] != c.identity:
-        g = geodesic[-1]
-        prev = min(w for w in c.neighbors[g] if dist[w] == dist[g] - 1)
-        geodesic.append(prev)
-    geodesic.reverse()
-
-    layers = tuple(frozenset(g for g, d in enumerate(dist) if d == i) for i in range(m + 1))
-    components = tuple(
-        frozenset(bfs(g_i, lambda x: (y for y in c.neighbors[x] if y in layer)))
-        for g_i, layer in zip(geodesic, layers)
-    )
-    return SphereDecomposition(c.element_count, tuple(geodesic), layers, components)
-
-
-def check_separation(c: CayleyGraph, d: SphereDecomposition, i: int) -> bool:
-    """Whether removing T_i puts the identity and the farthest element in
-    different components."""
-    m = d.diameter
-    if not (0 < i < m):
-        raise IndexError(f"index {i} must be interior to 0..{m}")
-    removed = d.components[i]
-    reached = bfs(d.geodesic[0], lambda x: (y for y in c.neighbors[x] if y not in removed))
-    return d.geodesic[m] not in reached
-
-
-@dataclass(frozen=True)
-class SizeBoundReport:
-    per_index: tuple[tuple[int, int, int, bool], ...]  # (i, |T_i|, min(i+1, m-i+1), ok)
-    disjoint: bool
-    total: int
-    group_order: int
-    sum_ok: bool
-
-    @property
-    def all_bounds_hold(self) -> bool:
-        return all(ok for *_, ok in self.per_index)
-
-
-def check_size_bounds(d: SphereDecomposition) -> SizeBoundReport:
-    m = d.diameter
-    rows = []
-    for i, t in enumerate(d.components):
-        lower = min(i + 1, m - i + 1)
-        rows.append((i, len(t), lower, len(t) >= lower))
-    seen: set[int] = set()
-    disjoint = True
-    for t in d.components:
-        if seen & t:
-            disjoint = False
-        seen |= t
-    total = sum(len(t) for t in d.components)
-    return SizeBoundReport(
-        per_index=tuple(rows),
-        disjoint=disjoint,
-        total=total,
-        group_order=d.element_count,
-        sum_ok=total <= d.element_count,
-    )
 
 
 def _identity_tree(t: CosetTable) -> list[tuple[int, int, int]]:
@@ -172,20 +81,6 @@ def left_multiplications(t: CosetTable) -> tuple[tuple[int, ...], ...]:
     from the identity serves them all."""
     tree = _identity_tree(t)
     return tuple(_along_tree(t, tree, a) for a in range(t.coset_count))
-
-
-def translated_copy(c: CayleyGraph, t: CosetTable, a: int, s: Iterable[int]) -> frozenset:
-    """The image a*s of a vertex set, verified to induce an isomorphic subgraph."""
-    lam = left_multiplication(t, a)
-    s = frozenset(s)
-    image = frozenset(lam[g] for g in s)
-    if len(image) != len(s):
-        raise InvariantError("left multiplication is not injective")
-    for g in s:
-        for h in s:
-            if h in c.neighbors[g] and lam[h] not in c.neighbors[lam[g]]:
-                raise InvariantError("left multiplication broke an edge")
-    return image
 
 
 def cayley_diameter_bound(n: int) -> float:
@@ -296,17 +191,3 @@ def zoo_instances() -> tuple[ZooInstance, ...]:
         )
     )
     return tuple(out)
-
-
-# ------------------------------------------------------- arithmetic check
-
-
-def layer_sum_inequality_holds(m_max: int) -> bool:
-    """For every m <= m_max: m <= sqrt(4 * sum_i min(i+1, m-i+1) + 1) - 2.
-
-    The sum telescopes to t(t+1) for m = 2t-1 and (t+1)^2 for m = 2t.
-    """
-    m = np.arange(0, m_max + 1, dtype=np.int64)
-    t = (m + 1) // 2
-    s = np.where(m % 2 == 1, t * (t + 1), (t + 1) * (t + 1))
-    return bool(np.all(cayley_cap_holds(m, s)))

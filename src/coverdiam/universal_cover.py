@@ -49,7 +49,6 @@ __all__ = [
     "pe_subdivision_graph",
     "verify_universal_bound",
     "fiber_ball_nerve",
-    "final_inequality_holds",
     "rp2_complex",
 ]
 
@@ -648,19 +647,6 @@ def fiber_ball_nerve(
         chain_below_sqrt_bound=chain_bound < 4 * math.sqrt(n) * d if n > 1 else True,
         mesh_ok=mesh_ok,
     )
-
-
-# --------------------------------------------------------- final algebra
-
-
-def final_inequality_holds(n_max: int) -> bool:
-    """For 1 <= n <= n_max: 2 + 2(sqrt(4n+1) - 2) < 4 sqrt(n).
-
-    Equivalent to 4n + 1 < (2 sqrt(n) + 1)^2, i.e. 0 < 4 sqrt(n).
-    """
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    lhs = 2.0 + 2.0 * (np.sqrt(4.0 * n + 1.0) - 2.0)
-    return bool(np.all(lhs < 4.0 * np.sqrt(n)))
 
 
 # --------------------------------------------------------------- bundled

@@ -1,23 +1,28 @@
 """Brute-force mesh oracles and predecessor algorithms, kept independent of
-the code paths they check."""
+the code paths they check.  The last section holds the proof steps of the
+paper's bounds that no command runs, shared by the test modules that check
+them."""
 
 import heapq
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from coverdiam.complexes import LoopWitness
-from coverdiam.errors import EnumerationOverflow, InvariantError
+from coverdiam._search import bfs
+from coverdiam.errors import DisconnectedGraphError, EnumerationOverflow, InvariantError
 from coverdiam.groups import (
+    CayleyGraph,
     CosetTable,
     Presentation,
     TrivialityResult,
     _enumerate,
     _exponent_matrix_rank,
+    bfs_distances,
 )
 from coverdiam.metric_graph import (
     DiameterResult,
@@ -28,7 +33,9 @@ from coverdiam.metric_graph import (
     RouteLeg,
     point_distance,
     tree_legs,
+    validate_route,
 )
+from coverdiam.separator import cayley_cap_holds
 
 
 class SubdivisionMap:
@@ -175,7 +182,7 @@ def single_source_heapq(g: MetricGraph, source: str):
 def short_loop_generators_subdivided(g: MetricGraph, basepoint: str, mesh: float):
     """Spanning-tree loops grown on a mesh-`mesh` subdivision and rewritten
     in base coordinates, in sub-edge id order; the predecessor of
-    complexes.short_loop_generators."""
+    `short_loop_generators`."""
     sub, smap = subdivide(g, mesh)
     dist, parent = single_source_heapq(sub, basepoint)
     tree_edges = {eid for eid, _ in parent.values()}
@@ -406,3 +413,153 @@ def subdivided_total_lift(cover, base: MetricGraph, total: MetricGraph) -> np.nd
         return f"{kind}{lifted}:{place}"
 
     return np.array([[total.vertex_index(over(v, s)) for s in range(n)] for v in base.vertices])
+
+
+# ------------------------------------------- proof steps the tests run
+
+
+@dataclass(frozen=True)
+class LoopWitness:
+    """A closed route at the basepoint, one per edge off a shortest-path tree."""
+
+    route: PathRoute
+    basepoint: str
+    length: float
+
+
+def short_loop_generators(g: MetricGraph, basepoint: str) -> tuple[LoopWitness, ...]:
+    """Spanning-tree loop generators of the fundamental group, all short.
+
+    A shortest-path tree is grown from the basepoint on g itself, and each
+    edge e = (u, v) off the tree yields the loop (tree path to u) * e *
+    (tree path v back), in edge-id order.  As |d(u) - d(v)| <= L, the two
+    tree paths meet at the point of e at distance (d(u) + L + d(v)) / 2,
+    which is at most the basepoint's eccentricity, so every loop is at most
+    2 * ecc(basepoint) <= 2 * diameter long.  Raises DisconnectedGraphError
+    when some vertex is out of the basepoint's reach.
+    """
+    if basepoint not in g.vertices:
+        raise ValueError(f"unknown basepoint {basepoint!r}")
+    dist, parent = g.single_source(basepoint)
+    if len(dist) < len(g.vertices):
+        raise DisconnectedGraphError(
+            f"{len(g.vertices) - len(dist)} vertices are unreachable from {basepoint!r}"
+        )
+    tree_edges = {eid for eid, _ in parent.values()}
+
+    witnesses = []
+    for e in g.edges:
+        if e.id in tree_edges:
+            continue
+        legs = tree_legs(g, parent, basepoint, e.u)
+        legs.append(RouteLeg(e.id, 0.0, e.length))
+        back = tree_legs(g, parent, basepoint, e.v)
+        legs.extend(l.reversed() for l in reversed(back))
+        route = PathRoute.from_legs(legs)
+        validate_route(g, route)
+        witnesses.append(
+            LoopWitness(route, basepoint, dist[e.u] + e.length + dist[e.v])
+        )
+    return tuple(witnesses)
+
+
+@dataclass(frozen=True)
+class SphereDecomposition:
+    """Layers and geodesic components of a Cayley graph, from the identity."""
+
+    element_count: int
+    geodesic: tuple[int, ...]  # g_0 = identity .. g_m = farthest
+    layers: tuple[frozenset, ...]  # S_i = elements at distance i
+    components: tuple[frozenset, ...]  # T_i = component of g_i inside S_i
+
+    @property
+    def diameter(self) -> int:
+        return len(self.geodesic) - 1
+
+
+def sphere_decomposition(c: CayleyGraph) -> SphereDecomposition:
+    """Deterministic decomposition: farthest element and geodesic ties go to
+    the smallest element index."""
+    dist = bfs_distances(c, c.identity)
+    m = max(dist)
+    h = dist.index(m)
+    geodesic = [h]
+    while geodesic[-1] != c.identity:
+        g = geodesic[-1]
+        prev = min(w for w in c.neighbors[g] if dist[w] == dist[g] - 1)
+        geodesic.append(prev)
+    geodesic.reverse()
+
+    layers = tuple(frozenset(g for g, d in enumerate(dist) if d == i) for i in range(m + 1))
+    components = tuple(
+        frozenset(bfs(g_i, lambda x: (y for y in c.neighbors[x] if y in layer)))
+        for g_i, layer in zip(geodesic, layers)
+    )
+    return SphereDecomposition(c.element_count, tuple(geodesic), layers, components)
+
+
+def check_separation(c: CayleyGraph, d: SphereDecomposition, i: int) -> bool:
+    """Whether removing T_i puts the identity and the farthest element in
+    different components."""
+    m = d.diameter
+    if not (0 < i < m):
+        raise IndexError(f"index {i} must be interior to 0..{m}")
+    removed = d.components[i]
+    reached = bfs(d.geodesic[0], lambda x: (y for y in c.neighbors[x] if y not in removed))
+    return d.geodesic[m] not in reached
+
+
+@dataclass(frozen=True)
+class SizeBoundReport:
+    per_index: tuple[tuple[int, int, int, bool], ...]  # (i, |T_i|, min(i+1, m-i+1), ok)
+    disjoint: bool
+    total: int
+    group_order: int
+    sum_ok: bool
+
+    @property
+    def all_bounds_hold(self) -> bool:
+        return all(ok for *_, ok in self.per_index)
+
+
+def check_size_bounds(d: SphereDecomposition) -> SizeBoundReport:
+    m = d.diameter
+    rows = []
+    for i, t in enumerate(d.components):
+        lower = min(i + 1, m - i + 1)
+        rows.append((i, len(t), lower, len(t) >= lower))
+    seen: set[int] = set()
+    disjoint = True
+    for t in d.components:
+        if seen & t:
+            disjoint = False
+        seen |= t
+    total = sum(len(t) for t in d.components)
+    return SizeBoundReport(
+        per_index=tuple(rows),
+        disjoint=disjoint,
+        total=total,
+        group_order=d.element_count,
+        sum_ok=total <= d.element_count,
+    )
+
+
+def layer_sum_inequality_holds(m_max: int) -> bool:
+    """For every m <= m_max: m <= sqrt(4 * sum_i min(i+1, m-i+1) + 1) - 2.
+
+    The sum telescopes to t(t+1) for m = 2t-1 and (t+1)^2 for m = 2t.
+    """
+    m = np.arange(0, m_max + 1, dtype=np.int64)
+    t = (m + 1) // 2
+    s = np.where(m % 2 == 1, t * (t + 1), (t + 1) * (t + 1))
+    return bool(np.all(cayley_cap_holds(m, s)))
+
+
+def final_inequality_holds(n_max: int) -> bool:
+    """For 1 <= n <= n_max: 2 + 2(sqrt(4n+1) - 2) < 4 sqrt(n).
+
+    Equivalent to 4n + 1 < (2 sqrt(n) + 1)^2, i.e. 0 < 4 sqrt(n).
+    """
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    lhs = 2.0 + 2.0 * (np.sqrt(4.0 * n + 1.0) - 2.0)
+    return bool(np.all(lhs < 4.0 * np.sqrt(n)))

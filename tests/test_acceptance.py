@@ -18,7 +18,6 @@ from coverdiam.complexes import (
     SimplicialComplex2,
     load_complex,
     pi1_presentation,
-    short_loop_generators,
 )
 from coverdiam.covering import (
     Voltage,
@@ -36,25 +35,24 @@ from coverdiam.metric_graph import (
     continuous_diameter,
     points_coincide,
 )
-from coverdiam.separator import (
-    cayley_diameter_bound,
-    check_separation,
-    check_size_bounds,
-    layer_sum_inequality_holds,
-    sphere_decomposition,
-    verify_cayley_bound,
-    zoo_instances,
-)
+from coverdiam.separator import verify_cayley_bound, zoo_instances
 from coverdiam.universal_cover import (
     build_universal_cover,
     fiber_ball_nerve,
-    final_inequality_holds,
     pe_subdivision_graph,
     rp2_complex,
     verify_universal_bound,
 )
 
 from .conftest import pseudo_projective_plane, random_connected_graph
+from .oracle import (
+    check_separation,
+    check_size_bounds,
+    final_inequality_holds,
+    layer_sum_inequality_holds,
+    short_loop_generators,
+    sphere_decomposition,
+)
 
 
 @contextmanager

@@ -339,6 +339,22 @@ def test_ucover_rejects_nonpositive_level(runner, data_dir, command, level):
     assert "--level" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "sweep cover --count 1 --tol -1",
+        "sweep cover --count -1",
+        "cayley zoo --budget 0",
+        "cover verify-bound --graph {data}/unit_triangle.json"
+        " --voltage {data}/triangle_shift6_voltage.json --tol -1",
+    ],
+)
+def test_out_of_range_option_is_a_usage_error(runner, data_dir, args):
+    result = runner.invoke(main, args.format(data=data_dir).split())
+    assert result.exit_code == 2
+    assert "is not in the range" in result.output
+
+
 def test_ucover_nerve_command(runner, data_dir):
     result = runner.invoke(
         main,

@@ -7,12 +7,10 @@ from coverdiam.cli import sweep_base_graph
 from coverdiam.complexes import (
     SimplicialComplex2,
     complex_from_json,
-    complex_to_json,
     flag_triangles,
     is_simply_connected,
     nerve2,
     pi1_presentation,
-    short_loop_generators,
     spanning_tree_presentation,
 )
 from coverdiam.errors import DisconnectedGraphError
@@ -27,7 +25,7 @@ from coverdiam.metric_graph import (
 )
 
 from .conftest import random_connected_graph
-from .oracle import short_loop_generators_subdivided
+from .oracle import short_loop_generators, short_loop_generators_subdivided
 
 RP2_FACES = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
@@ -49,6 +47,18 @@ def hex_cycle():
 
 
 # ----------------------------------------------------------- complexes
+
+
+def complex_to_json(k: SimplicialComplex2) -> dict:
+    tri_edges = set()
+    for t in k.triangles:
+        tri_edges.update({(t[0], t[1]), (t[0], t[2]), (t[1], t[2])})
+    extra = [list(e) for e in k.edges if e not in tri_edges]
+    return {
+        "vertices": list(k.vertices),
+        "triangles": [list(t) for t in k.triangles],
+        "extra_edges": extra,
+    }
 
 
 def test_downward_closure():

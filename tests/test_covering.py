@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -7,17 +8,16 @@ from hypothesis import strategies as st
 from coverdiam.cli import sweep_instance
 from coverdiam.errors import DisconnectedCoverError, InvariantError, PathNotLongEnough
 from coverdiam.covering import (
+    CoveringGraph,
+    ShorteningTrace,
     Voltage,
-    deck_transformations,
+    _lift_route_at,
     derive_cover,
     is_connected_cover,
-    lift_path,
     lift_path_ending_at,
     pigeonhole_shorten,
-    shorten_until_bound,
     verify_diameter_bound,
     voltage_from_json,
-    voltage_to_json,
 )
 from coverdiam.metric_graph import (
     EdgePoint,
@@ -135,6 +135,10 @@ def test_voltage_validation():
         Voltage(0, {})
 
 
+def voltage_to_json(v: Voltage) -> dict:
+    return {"sheets": v.sheets, "voltages": {e: list(p) for e, p in sorted(v.assignment.items())}}
+
+
 def test_voltage_json_roundtrip(shift6_voltage):
     obj = voltage_to_json(shift6_voltage)
     v2 = voltage_from_json(obj)
@@ -142,6 +146,18 @@ def test_voltage_json_roundtrip(shift6_voltage):
 
 
 # ------------------------------------------------------------ lifting
+
+
+def lift_path(c: CoveringGraph, base: PathRoute, start_sheet: int) -> PathRoute:
+    """The unique lift starting on the derived copy (first edge, start_sheet).
+
+    Projects back to the input with identical length.
+    """
+    if not (0 <= start_sheet < c.sheets):
+        raise ValueError(f"sheet {start_sheet} out of range")
+    c.base.check_point(base.start)
+    start = EdgePoint(c.lift_edge(base.start.edge, start_sheet), base.start.offset)
+    return _lift_route_at(c, base, start)
 
 
 def test_lift_loop_a_crosses_sheets(fig8_cover):
@@ -188,6 +204,77 @@ def test_lift_ending_at(cycle18):
 
 
 # ------------------------------------------------- deck transformations
+
+
+@dataclass(frozen=True)
+class DeckTransformation:
+    """A cover self-isomorphism over the base, as vertex and edge relabelings."""
+
+    vertex_map: dict
+    edge_map: dict
+
+    def apply_vertex(self, dv: str) -> str:
+        return self.vertex_map[dv]
+
+
+def deck_transformations(c: CoveringGraph) -> tuple[DeckTransformation, ...]:
+    """All automorphisms of the derived graph commuting with the projection.
+
+    Determined by the image of one fiber point and propagated along edges;
+    inconsistent candidates are discarded.  For regular covers the count
+    equals the sheet number.
+    """
+    report = is_connected_cover(c)
+    if not report.connected:
+        raise DisconnectedCoverError("deck transformations need a connected cover")
+    root = c.base.vertices[0]
+    found: list[DeckTransformation] = []
+    for target in range(c.sheets):
+        image: dict[str, int] = {c.lift_vertex(root, 0): target}
+        queue = [c.lift_vertex(root, 0)]
+        ok = True
+        while queue and ok:
+            dv = queue.pop()
+            base_v, _ = c.project_vertex(dv)
+            for e, side in c.base.incident(base_v):
+                perm = c.voltage.perm(e.id)
+                inv = c.voltage.inverse_perm(e.id)
+                s_here = c.project_vertex(dv)[1]
+                if side == "u":
+                    other = c.lift_vertex(e.v, perm[s_here])
+                    other_image = perm[image[dv]]
+                else:
+                    other = c.lift_vertex(e.u, inv[s_here])
+                    other_image = inv[image[dv]]
+                if other in image:
+                    if image[other] != other_image:
+                        ok = False
+                        break
+                else:
+                    image[other] = other_image
+                    queue.append(other)
+        if not ok:
+            continue
+        vertex_map = {}
+        for dv, sheet in image.items():
+            base_v, _ = c.project_vertex(dv)
+            vertex_map[dv] = c.lift_vertex(base_v, sheet)
+        if sorted(vertex_map.values()) != sorted(c.graph.vertices):
+            continue
+        edge_map = {}
+        consistent = True
+        for de in c.graph.edges:
+            base_e, s = c.project_edge(de.id)
+            u_img = vertex_map[de.u]
+            img_sheet = c.project_vertex(u_img)[1]
+            de_img = c.lift_edge(base_e, img_sheet)
+            if vertex_map[de.v] != c.graph.edge(de_img).v:
+                consistent = False
+                break
+            edge_map[de.id] = de_img
+        if consistent:
+            found.append(DeckTransformation(vertex_map, edge_map))
+    return tuple(found)
 
 
 def test_deck_cycle18_is_cyclic_of_order_six(cycle18):
@@ -307,6 +394,22 @@ def test_bound_invariant_under_sheet_relabelling(seed, instance):
 
 
 # --------------------------------------------------------- shortening
+
+
+def shorten_until_bound(
+    c: CoveringGraph, route: PathRoute, max_steps: int = 1000
+) -> tuple[PathRoute, tuple[ShorteningTrace, ...]]:
+    """Iterate pigeonhole_shorten until the route is within sheets * d(base)."""
+    traces = []
+    current = route
+    for _ in range(max_steps):
+        try:
+            trace = pigeonhole_shorten(c, current)
+        except PathNotLongEnough:
+            return current, tuple(traces)
+        traces.append(trace)
+        current = trace.shortened
+    raise RuntimeError(f"no convergence within {max_steps} shortening steps")
 
 
 def cycle_walk(cover, steps):

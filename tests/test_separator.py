@@ -1,25 +1,28 @@
 import math
+from typing import Iterable
 
 import pytest
 
 from coverdiam.complexes import spanning_tree_presentation
-from coverdiam.groups import Presentation, cayley_graph, todd_coxeter
+from coverdiam.errors import InvariantError
+from coverdiam.groups import CayleyGraph, CosetTable, Presentation, cayley_graph, todd_coxeter
 from coverdiam.separator import (
     cayley_cap_holds,
     cayley_diameter_bound,
-    check_separation,
-    check_size_bounds,
-    layer_sum_inequality_holds,
     left_multiplication,
     left_multiplications,
-    sphere_decomposition,
-    translated_copy,
     verify_cayley_bound,
     zoo_instances,
 )
 
 from .conftest import cyclic_powers, pseudo_projective_plane
-from .oracle import left_multiplication_bfs
+from .oracle import (
+    check_separation,
+    check_size_bounds,
+    layer_sum_inequality_holds,
+    left_multiplication_bfs,
+    sphere_decomposition,
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +140,20 @@ def test_size_bounds_k5(k5):
 
 
 # ---------------------------------------------------------- translation
+
+
+def translated_copy(c: CayleyGraph, t: CosetTable, a: int, s: Iterable[int]) -> frozenset:
+    """The image a*s of a vertex set, verified to induce an isomorphic subgraph."""
+    lam = left_multiplication(t, a)
+    s = frozenset(s)
+    image = frozenset(lam[g] for g in s)
+    if len(image) != len(s):
+        raise InvariantError("left multiplication is not injective")
+    for g in s:
+        for h in s:
+            if h in c.neighbors[g] and lam[h] not in c.neighbors[lam[g]]:
+                raise InvariantError("left multiplication broke an edge")
+    return image
 
 
 def test_translation_identity(k5):

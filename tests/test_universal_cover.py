@@ -24,14 +24,13 @@ from coverdiam.universal_cover import (
     _SheetRows,
     build_universal_cover,
     fiber_ball_nerve,
-    final_inequality_holds,
     pe_subdivision_graph,
     rp2_complex,
     verify_universal_bound,
 )
 
 from .conftest import pseudo_projective_plane
-from .oracle import full_dijkstra, subdivided_total_lift
+from .oracle import final_inequality_holds, full_dijkstra, subdivided_total_lift
 
 
 @pytest.fixture(scope="module")
