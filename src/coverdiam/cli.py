@@ -365,14 +365,20 @@ _USER_ERRORS = (
 )
 
 
-def _fail(exc: Exception) -> None:
-    raise click.ClickException(f"{type(exc).__name__}: {exc}")
-
-
 # -------------------------------------------------------------------- cli
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a user error as ``Error: <type>: <message>`` with exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _USER_ERRORS as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Diameter bounds for covering spaces, checked on computable models."""
 
@@ -381,11 +387,8 @@ def main():
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 def diam_cmd(graph_path):
     """Continuous diameter of a metric graph file."""
-    try:
-        g = load_metric_graph(graph_path)
-        res = continuous_diameter(g)
-    except _USER_ERRORS as exc:
-        _fail(exc)
+    g = load_metric_graph(graph_path)
+    res = continuous_diameter(g)
     witness = None if res.witness is None else [
         {"edge": p.edge, "offset": p.offset} for p in res.witness
     ]
@@ -402,11 +405,8 @@ def cover_grp():
 @click.option("--voltage", "voltage_path", required=True, type=click.Path(exists=True))
 def cover_derive(graph_path, voltage_path):
     """Derive a cover and report its connectivity and orbit structure."""
-    try:
-        cover = derive_cover(load_metric_graph(graph_path), load_voltage(voltage_path))
-        rep = is_connected_cover(cover)
-    except _USER_ERRORS as exc:
-        _fail(exc)
+    cover = derive_cover(load_metric_graph(graph_path), load_voltage(voltage_path))
+    rep = is_connected_cover(cover)
     _print_json(
         {
             "sheets": cover.sheets,
@@ -424,12 +424,9 @@ def cover_derive(graph_path, voltage_path):
 @click.option("--tol", default=1e-9, show_default=True, type=click.FloatRange(min=0))
 def cover_verify(graph_path, voltage_path, tol):
     """Check d(cover) <= sheets * d(base)."""
-    try:
-        rep = verify_diameter_bound(
-            load_metric_graph(graph_path), load_voltage(voltage_path), tol
-        )
-    except _USER_ERRORS as exc:
-        _fail(exc)
+    rep = verify_diameter_bound(
+        load_metric_graph(graph_path), load_voltage(voltage_path), tol
+    )
     _print_json(rep.to_json_dict())
     if not rep.holds:
         sys.exit(1)
@@ -441,12 +438,9 @@ def cover_verify(graph_path, voltage_path, tol):
 @click.option("--route", "route_path", required=True, type=click.Path(exists=True))
 def cover_shorten(graph_path, voltage_path, route_path):
     """Shorten an over-long route in the derived cover."""
-    try:
-        cover = derive_cover(load_metric_graph(graph_path), load_voltage(voltage_path))
-        route = _load_route(route_path)
-        trace = pigeonhole_shorten(cover, route)
-    except _USER_ERRORS as exc:
-        _fail(exc)
+    cover = derive_cover(load_metric_graph(graph_path), load_voltage(voltage_path))
+    route = _load_route(route_path)
+    trace = pigeonhole_shorten(cover, route)
     _print_json(
         {
             "input_length": route.length,
@@ -468,10 +462,7 @@ def groups_grp():
 @click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 def groups_enumerate(pres_path, budget):
     """Coset enumeration over the trivial subgroup; reports the group order."""
-    try:
-        table = todd_coxeter(load_presentation(pres_path), budget)
-    except _USER_ERRORS as exc:
-        _fail(exc)
+    table = todd_coxeter(load_presentation(pres_path), budget)
     _print_json({"order": table.coset_count})
 
 
@@ -481,12 +472,9 @@ def groups_enumerate(pres_path, budget):
 @click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 def groups_diameter(pres_path, gens, budget):
     """Word-metric diameter of a Cayley graph."""
-    try:
-        table = todd_coxeter(load_presentation(pres_path), budget)
-        c = cayley_graph(table, _parse_ints(gens, "--gens"))
-        res = word_metric_diameter(c)
-    except _USER_ERRORS as exc:
-        _fail(exc)
+    table = todd_coxeter(load_presentation(pres_path), budget)
+    c = cayley_graph(table, _parse_ints(gens, "--gens"))
+    res = word_metric_diameter(c)
     _print_json(
         {
             "order": table.coset_count,
@@ -509,19 +497,16 @@ def cayley_grp():
 @click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 def cayley_verify(pres_path, gens, zoo_name, budget):
     """Verify the bound for one presentation (or one zoo preset)."""
-    try:
-        if zoo_name is not None:
-            match = [z for z in zoo_instances() if z.name == zoo_name]
-            if not match:
-                raise ValueError(f"unknown zoo instance {zoo_name!r}")
-            pres, gen_tuple = match[0].presentation, match[0].gens
-        else:
-            if pres_path is None or gens is None:
-                raise click.UsageError("need --presentation and --gens, or --zoo")
-            pres, gen_tuple = load_presentation(pres_path), _parse_ints(gens, "--gens")
-        rep = verify_cayley_bound(pres, gen_tuple, budget)
-    except _USER_ERRORS as exc:
-        _fail(exc)
+    if zoo_name is not None:
+        match = [z for z in zoo_instances() if z.name == zoo_name]
+        if not match:
+            raise ValueError(f"unknown zoo instance {zoo_name!r}")
+        pres, gen_tuple = match[0].presentation, match[0].gens
+    else:
+        if pres_path is None or gens is None:
+            raise click.UsageError("need --presentation and --gens, or --zoo")
+        pres, gen_tuple = load_presentation(pres_path), _parse_ints(gens, "--gens")
+    rep = verify_cayley_bound(pres, gen_tuple, budget)
     _print_json(rep.to_row())
     if rep.verdict == "violated":
         sys.exit(1)
@@ -547,10 +532,7 @@ def ucover_grp():
 @click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 def ucover_build(complex_path, budget):
     """Build the universal cover and report its combinatorics."""
-    try:
-        cover = build_universal_cover(load_complex(complex_path), budget)
-    except _USER_ERRORS as exc:
-        _fail(exc)
+    cover = build_universal_cover(load_complex(complex_path), budget)
     _print_json(
         {
             "sheets": cover.sheets,
@@ -574,36 +556,31 @@ def ucover_verify(complex_path, level, levels, budget, tol, out, fmt):
     level_tuple = _parse_ints(levels, "--levels") if levels else (level,)
     if not level_tuple or min(level_tuple) < 1:
         raise click.UsageError(f"--levels expects positive levels, got {levels!r}")
-    try:
-        report = run(
-            ExperimentConfig(
-                command="ucover-verify",
-                budget=budget,
-                tol=tol,
-                levels=level_tuple,
-                complex_path=complex_path,
-            )
+    report = run(
+        ExperimentConfig(
+            command="ucover-verify",
+            budget=budget,
+            tol=tol,
+            levels=level_tuple,
+            complex_path=complex_path,
         )
-    except _USER_ERRORS as exc:
-        _fail(exc)
+    )
     _echo_report(report, fmt, out)
 
 
 @ucover_grp.command("nerve")
 @click.option("--complex", "complex_path", required=True, type=click.Path(exists=True))
 @click.option("--basepoint", default=None, help="base vertex (default: first)")
-@click.option("--epsilon", default=0.05, show_default=True)
+@click.option("--epsilon", default=0.05, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
 @click.option("--level", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 def ucover_nerve(complex_path, basepoint, epsilon, level, budget):
     """Fiber-ball nerve checks for the universal cover."""
-    try:
-        k = load_complex(complex_path)
-        cover = build_universal_cover(k, budget)
-        p = k.vertices[0] if basepoint is None else type(k.vertices[0])(basepoint)
-        rep = fiber_ball_nerve(cover, p, epsilon, level, budget)
-    except _USER_ERRORS as exc:
-        _fail(exc)
+    k = load_complex(complex_path)
+    cover = build_universal_cover(k, budget)
+    p = k.vertices[0] if basepoint is None else type(k.vertices[0])(basepoint)
+    rep = fiber_ball_nerve(cover, p, epsilon, level, budget)
     _print_json(rep.to_json_dict())
 
 

@@ -40,7 +40,6 @@ class SimplicialComplex2:
         vertices: Iterable[Hashable],
         triangles: Iterable[Sequence[Hashable]] = (),
         edges: Iterable[Sequence[Hashable]] = (),
-        edge_lengths: dict | None = None,
     ):
         self.vertices = tuple(sorted(set(vertices)))
         vset = set(self.vertices)
@@ -64,15 +63,6 @@ class SimplicialComplex2:
                 raise ValueError(f"edge {e!r} references unknown vertices")
             edge_set.add(e)
         self.edges = tuple(sorted(edge_set))
-        if edge_lengths is not None:
-            normalized = {tuple(sorted(k)): float(v) for k, v in edge_lengths.items()}
-            if set(normalized) - set(self.edges):
-                raise ValueError("edge_lengths mentions unknown edges")
-            if any(v <= 0 for v in normalized.values()):
-                raise ValueError("edge lengths must be positive")
-            self.edge_lengths = normalized
-        else:
-            self.edge_lengths = None
 
         adj: dict[Hashable, set] = {v: set() for v in self.vertices}
         for u, w in self.edges:
@@ -120,22 +110,18 @@ class SpanningTreeData:
     """Spanning-tree presentation of the fundamental group, with edge bookkeeping."""
 
     presentation: Presentation
-    basepoint: Hashable
     tree_edges: frozenset
     generator_edges: tuple  # generator k+1 <-> generator_edges[k], oriented (min, max)
 
 
-def spanning_tree_presentation(k: SimplicialComplex2, basepoint=None) -> SpanningTreeData:
+def spanning_tree_presentation(k: SimplicialComplex2) -> SpanningTreeData:
+    """The tree is grown breadth-first from k.vertices[0]."""
     if not k.is_connected():
         raise DisconnectedGraphError("complex is not connected")
-    if basepoint is None:
-        basepoint = k.vertices[0]
-    if basepoint not in set(k.vertices):
-        raise ValueError(f"unknown basepoint {basepoint!r}")
 
     tree: set[tuple] = set()
-    seen = {basepoint}
-    queue = deque([basepoint])
+    seen = {k.vertices[0]}
+    queue = deque([k.vertices[0]])
     while queue:
         v = queue.popleft()
         for w in k.neighbors(v):
@@ -158,12 +144,12 @@ def spanning_tree_presentation(k: SimplicialComplex2, basepoint=None) -> Spannin
     for a, b, c in k.triangles:
         relators.append(free_reduce(letter(a, b) + letter(b, c) + letter(c, a)))
     presentation = Presentation(len(gen_edges), relators)
-    return SpanningTreeData(presentation, basepoint, frozenset(tree), gen_edges)
+    return SpanningTreeData(presentation, frozenset(tree), gen_edges)
 
 
-def pi1_presentation(k: SimplicialComplex2, basepoint=None) -> Presentation:
+def pi1_presentation(k: SimplicialComplex2) -> Presentation:
     """Spanning-tree presentation: one generator per non-tree edge, one relator per triangle."""
-    return spanning_tree_presentation(k, basepoint).presentation
+    return spanning_tree_presentation(k).presentation
 
 
 def is_simply_connected(k: SimplicialComplex2, budget: int) -> TrivialityResult:

@@ -509,19 +509,14 @@ def todd_coxeter(p: Presentation, max_cosets: int) -> CosetTable:
 class CayleyGraph:
     """Cayley graph on the cosets of a completed table.
 
-    ``generator_elements`` is the symmetric set of group elements (as coset
-    indices, identity excluded) induced by the chosen presentation
-    generators; vertices g and h are adjacent iff h = g*s for one of them.
+    Vertices g and h are adjacent iff h = g*s for s in the symmetric set of
+    group elements (identity excluded) of the chosen presentation
+    generators.
     """
 
     element_count: int
-    generator_elements: tuple[int, ...]
     neighbors: tuple[tuple[int, ...], ...]
-    labeled_edges: tuple[tuple[int, int, int], ...]  # (g, signed generator, g*s)
     identity: int = 0
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
 
 
 def cayley_graph(t: CosetTable, generating_subset: Iterable[int]) -> CayleyGraph:
@@ -543,14 +538,7 @@ def cayley_graph(t: CosetTable, generating_subset: Iterable[int]) -> CayleyGraph
             if t.act(0, letter) != 0:  # identity-acting generators are excluded
                 signed.append(letter)
 
-    elements = sorted({t.act(0, letter) for letter in signed})
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    labeled: list[tuple[int, int, int]] = []
-    for g in range(n):
-        for letter in signed:
-            h = t.act(g, letter)
-            neighbor_sets[g].add(h)
-            labeled.append((g, letter, h))
+    neighbor_sets = [{t.act(g, letter) for letter in signed} for g in range(n)]
 
     # orbit of the identity must be everything
     seen = bfs(0, neighbor_sets.__getitem__)
@@ -561,9 +549,7 @@ def cayley_graph(t: CosetTable, generating_subset: Iterable[int]) -> CayleyGraph
 
     return CayleyGraph(
         element_count=n,
-        generator_elements=tuple(elements),
         neighbors=tuple(tuple(sorted(s)) for s in neighbor_sets),
-        labeled_edges=tuple(labeled),
     )
 
 
@@ -602,10 +588,6 @@ def word_metric_diameter(c: CayleyGraph) -> WordDiameter:
 class TrivialityResult:
     status: Literal["yes", "no", "unknown"]
     certificate: str | None = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.status == "yes"
 
 
 def _exponent_matrix_rank(p: Presentation) -> int:

@@ -131,18 +131,6 @@ class PathRoute:
     def reversed(self) -> "PathRoute":
         return PathRoute(tuple(l.reversed() for l in reversed(self.legs)), self.anchor)
 
-    def point_at(self, arclength: float) -> EdgePoint:
-        """Point at the given arclength from the start (clamped to the route)."""
-        if not self.legs:
-            return self._anchor()
-        remaining = max(0.0, arclength)
-        for leg in self.legs:
-            if remaining <= leg.length:
-                frac = remaining / leg.length if leg.length > 0 else 0.0
-                return EdgePoint(leg.edge, leg.start + (leg.end - leg.start) * frac)
-            remaining -= leg.length
-        return self.end
-
     def split_at(self, arclengths: Sequence[float]) -> tuple["PathRoute", ...]:
         """Split into consecutive sub-routes at strictly increasing interior arclengths."""
         cuts = list(arclengths)
@@ -188,7 +176,7 @@ class MetricGraph:
     def __init__(
         self,
         vertices: Iterable[str],
-        edges: Iterable[Edge | tuple | dict],
+        edges: Iterable[Edge | tuple],
         *,
         require_connected: bool = True,
     ):
@@ -202,11 +190,7 @@ class MetricGraph:
 
         norm: list[Edge] = []
         for e in edges:
-            if isinstance(e, Edge):
-                pass
-            elif isinstance(e, dict):
-                e = Edge(str(e["id"]), str(e["u"]), str(e["v"]), float(e["length"]))
-            else:
+            if not isinstance(e, Edge):
                 eid, u, v, length = e
                 e = Edge(str(eid), str(u), str(v), float(length))
             if e.u not in self._vindex or e.v not in self._vindex:
@@ -220,13 +204,12 @@ class MetricGraph:
         self.edges: tuple[Edge, ...] = tuple(sorted(norm, key=lambda e: e.id))
         self._eindex = {e.id: e for e in self.edges}
 
+        # edge-id order, a loop's u end before its v end: (id, side) order
         incident: dict[str, list[tuple[Edge, str]]] = {v: [] for v in self.vertices}
         for e in self.edges:
             incident[e.u].append((e, "u"))
             incident[e.v].append((e, "v"))
-        self._incident = {
-            v: tuple(sorted(ends, key=lambda t: (t[0].id, t[1]))) for v, ends in incident.items()
-        }
+        self._incident = {v: tuple(ends) for v, ends in incident.items()}
 
         self.is_connected = self._check_connected()
         if require_connected and not self.is_connected:
@@ -342,16 +325,6 @@ class MetricGraph:
                 e = min((e for e, w in self.neighbors(v) if w == p), key=lambda e: e.length)
                 parent[v] = (e.id, p)
         return dist, parent
-
-    # -- serialization ------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [
-                {"id": e.id, "u": e.u, "v": e.v, "length": e.length} for e in self.edges
-            ],
-        }
 
 
 @dataclass(frozen=True)

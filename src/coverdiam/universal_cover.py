@@ -16,7 +16,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 import numpy as np
 
@@ -65,11 +65,11 @@ class CoveringComplex:
     commutes with every edge permutation, so it acts on the total PE model
     by isometries.  Each level's distances therefore come from one
     Dijkstra out of the sheet-0 lifts alone (`_sheet0_distances`), which
-    fills the all-pairs matrices of both PE models.  The PE models of the
-    last level asked for are kept, so the checks at one level share their
-    graphs and APSP.  For every level asked for, the two diameters and the
-    sheet-0 rows of the complex's own vertices are kept, so a later check
-    or nerve at such a level builds no model and computes no distance.
+    fills the all-pairs matrices of both PE models.  The cover keeps no
+    model: for every level asked for it keeps one `_Level` record, the two
+    diameters and the sheet-0 rows of the complex's own vertices, so a
+    later check or nerve at such a level builds no model and computes no
+    distance.
     """
 
     base: SimplicialComplex2
@@ -79,39 +79,34 @@ class CoveringComplex:
     edge_permutation: dict  # base edge (u, v) sorted -> sheet permutation for u->v
     deck: tuple[tuple[int, ...], ...]
     simply_connected: TrivialityResult
-    _pe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _diameters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _sheet0: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def diameters(self, level: int) -> tuple[DiameterResult, DiameterResult]:
         """Continuous diameters of the (base, total) PE models at `level`."""
-        if level not in self._diameters:
-            pe_base, pe_total = self.pe(level)
-            self._diameters[level] = (continuous_diameter(pe_base.graph),
-                                      continuous_diameter(pe_total.graph))
-        return self._diameters[level]
-
-    def pe(self, level: int) -> tuple[PEApprox, PEApprox]:
-        """(base, total) PE models at `level`, their APSP filled; only the
-        last level is kept."""
-        if level not in self._pe:
-            for kept in self._pe:
-                # the dropped level's record keeps its own rows, not the matrix
-                self._sheet0[kept] = self._sheet0[kept].compact()
-            self._pe.clear()
-            pe_base = pe_subdivision_graph(self.base, level)
-            base, derived = pe_base.graph, derive_cover(pe_base.graph, self._pe_voltage(pe_base))
-            total = derived.graph
-            ids = {(v, s): derived.lift_vertex(pe_base.vertex_id(v), s)
-                   for v in self.base.vertices for s in range(self.sheets)}
-            lift = np.array([[total.vertex_index(derived.lift_vertex(b, s))
-                              for s in range(self.sheets)] for b in base.vertices])
+        if level not in self._levels:
+            pe_base, pe_total, lift = self.pe(level)
+            base, total = pe_base.graph, pe_total.graph
             own = np.array([base.vertex_index(pe_base.vertex_id(v)) for v in self.base.vertices])
-            del derived  # its name maps go before the matrices are made
-            dist = _sheet0_distances(base, total, lift, self.deck)
-            self._sheet0[level] = _SheetRows(dist, lift[own, 0], lift, own)
-            self._pe[level] = (pe_base, PEApprox(total, ids, {}))
-        return self._pe[level]
+            diameters = (continuous_diameter(base), continuous_diameter(total))
+            # copied past both diameters' peaks; the models go when this returns
+            rows = total.apsp().values[lift[own, 0]]
+            self._levels[level] = _Level(diameters, rows, lift, own)
+        return self._levels[level].diameters
+
+    def pe(self, level: int) -> tuple[PEApprox, PEApprox, np.ndarray]:
+        """(base, total) PE models at `level`, both APSP filled, and `lift`,
+        where `lift[b, s]` is the total index of base-model vertex b on
+        sheet s; the cover keeps none of them."""
+        pe_base = pe_subdivision_graph(self.base, level)
+        base, derived = pe_base.graph, derive_cover(pe_base.graph, self._pe_voltage(pe_base))
+        total = derived.graph
+        ids = {(v, s): derived.lift_vertex(pe_base.vertex_id(v), s)
+               for v in self.base.vertices for s in range(self.sheets)}
+        lift = np.array([[total.vertex_index(derived.lift_vertex(b, s))
+                          for s in range(self.sheets)] for b in base.vertices])
+        del derived  # its name maps go before the matrices are made
+        _sheet0_distances(base, total, lift, self.deck)
+        return pe_base, PEApprox(total, ids, {}), lift
 
     def _pe_voltage(self, pe_base: PEApprox) -> Voltage:
         """Per PE edge P->Q, the transport from carrier(P) to carrier(Q).
@@ -125,9 +120,6 @@ class CoveringComplex:
         return Voltage(self.sheets, {
             e.id: transport[(carrier[e.u], carrier[e.v])] for e in pe_base.graph.edges
         })
-
-    def fiber(self, v) -> tuple:
-        return tuple((v, s) for s in range(self.sheets))
 
 
 def _edge_perms(data, table: CosetTable, sheets: int) -> dict:
@@ -254,15 +246,13 @@ class PEApprox:
 
 
 def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
-    """Subdivision graph of the unit-equilateral model; rejects other lengths.
+    """Subdivision graph of the unit-equilateral model.
 
     A vertex carries itself, an edge point is carried by its edge's smaller
     endpoint and a triangle's interior point by its smallest corner.
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
-    if k.edge_lengths is not None and any(v != 1.0 for v in k.edge_lengths.values()):
-        raise ValueError("piecewise-equilateral model needs unit edge lengths")
     L = level
     h = 1.0 / L
 
@@ -339,26 +329,19 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
     return approx
 
 
-@dataclass(frozen=True, eq=False)
-class _SheetRows:
-    """One level's total-model distances from the sheet-0 lifts of the
-    complex's vertices.
+class _Level(NamedTuple):
+    """What a cover keeps of one level.
 
-    `rows[index[i]]` runs from (base.vertices[i], sheet 0) to every
-    total-model vertex; `lift[b, s]` is the total-model index of
-    base-model vertex b on sheet s, and `own[i]` the base-model index of
-    base.vertices[i].  While the level's models are kept, `rows` is their
-    all-pairs matrix; `compact()` copies out the rows the record needs
-    when they are dropped, so the copy is never made at a diameter's peak.
+    `rows[i]` holds the total-model distances from (base.vertices[i],
+    sheet 0) to every total-model vertex; `lift[b, s]` is the total-model
+    index of base-model vertex b on sheet s, and `own[i]` the base-model
+    index of base.vertices[i].
     """
 
+    diameters: tuple[DiameterResult, DiameterResult]
     rows: np.ndarray
-    index: np.ndarray
     lift: np.ndarray
     own: np.ndarray
-
-    def compact(self) -> _SheetRows:
-        return _SheetRows(self.rows[self.index], np.arange(len(self.index)), self.lift, self.own)
 
 
 def _deck_columns(lift: np.ndarray, deck) -> np.ndarray:
@@ -374,9 +357,9 @@ def _deck_columns(lift: np.ndarray, deck) -> np.ndarray:
 
 
 def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
-                      deck) -> np.ndarray:
+                      deck) -> None:
     """Both models' all-pairs distances from a Dijkstra out of the sheet-0
-    lifts alone; fills their `apsp()` and returns the total's matrix.
+    lifts alone; fills their `apsp()`.
 
     `total` covers `base`: `lift[b, s]` is the total index of base vertex b
     on sheet s, and each deck permutation lam maps (w, t) to (w, lam(t))
@@ -425,16 +408,15 @@ def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
         del rows  # before the next block's Dijkstra makes its own
     base._apsp_cache = DistanceMatrix(base.vertices, dist_base)
     total._apsp_cache = DistanceMatrix(total.vertices, dist)
-    return dist
 
 
 def _fiber_rows(c: CoveringComplex, level: int, p) -> tuple[np.ndarray, np.ndarray]:
     """Total-model distances from the lifts (p, 0), .., (p, n-1) to every
     total-model vertex, one row per sheet, and those lifts' indices; read
     from the level's sheet-0 rows, so no model is built."""
-    rec = c._sheet0[level]
+    rec = c._levels[level]
     i = c.base.vertices.index(p)
-    return rec.rows[rec.index[i]][_deck_columns(rec.lift, c.deck)], rec.lift[rec.own[i]]
+    return rec.rows[i][_deck_columns(rec.lift, c.deck)], rec.lift[rec.own[i]]
 
 
 # ------------------------------------------------------------ bound check
@@ -565,14 +547,13 @@ def fiber_ball_nerve(
     epsilon: float,
     level: int,
     budget: int = 100_000,
-    radius: float | None = None,
 ) -> NerveReport:
     """Nerve of the fiber-centred ball cover of the total space.
 
-    Centres are the lifts of the base vertex p; the radius defaults to
-    d(base) + epsilon; samples are the subdivision vertices of the total
-    space.  Raises CoverNotCovering when some sample is out of reach of
-    every centre.
+    Centres are the lifts of the base vertex p, the radius is d(base) +
+    epsilon, and samples are the subdivision vertices of the total space.
+    Raises CoverNotCovering when some sample is out of reach of every
+    centre.
     """
     if p not in set(c.base.vertices):
         raise ValueError(f"unknown base vertex {p!r}")
@@ -580,7 +561,7 @@ def fiber_ball_nerve(
         raise ValueError("epsilon must be positive")
     n = c.sheets
     d, d_cover = (res.value for res in c.diameters(level))
-    r = (d + epsilon) if radius is None else radius
+    r = d + epsilon
     mesh_ok = epsilon >= 1.0 / level - 1e-12
 
     dists, sources = _fiber_rows(c, level, p)
@@ -589,7 +570,7 @@ def fiber_ball_nerve(
     worst = int(nearest.argmax())
     if not (nearest[worst] < r):
         raise CoverNotCovering(
-            f"sample {c.pe(level)[1].graph.vertices[worst]!r} at distance "
+            f"sample {worst} of the level-{level} total model at distance "
             f"{nearest[worst]} >= radius {r}"
         )
 
@@ -603,11 +584,10 @@ def fiber_ball_nerve(
 
     nerve_diam = _nerve_bfs_diameter(nerve)
     nerve_connected = nerve_diam >= 0
-    # deck elements moving the basepoint lift by less than 2(d + eps)
+    # deck elements moving the basepoint lift by less than 2r = 2(d + eps)
     fdist = [[float(dists[i, sources[j]]) for j in range(n)] for i in range(n)]
-    threshold = 2 * (d + epsilon) if radius is None else 2 * r
     gen_set = tuple(
-        a for a in range(1, n) if fdist[0][c.deck[a][0]] < threshold
+        a for a in range(1, n) if fdist[0][c.deck[a][0]] < 2 * r
     )
     # the deck group acts freely, so a generator moves every sheet: no loops
     cayley_edges = {tuple(sorted((i, c.deck[a][i]))) for a in gen_set for i in range(n)}

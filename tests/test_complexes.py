@@ -121,7 +121,7 @@ def test_pi1_disconnected_rejected():
 
 
 def test_spanning_tree_data(rp2):
-    data = spanning_tree_presentation(rp2, basepoint=1)
+    data = spanning_tree_presentation(rp2)
     assert len(data.tree_edges) == len(rp2.vertices) - 1
     assert len(data.generator_edges) == data.presentation.generator_count
     assert all(e not in data.tree_edges for e in data.generator_edges)

@@ -20,8 +20,8 @@ from coverdiam.universal_cover import (
     _check_cover_complex,
     _fiber_rows,
     _nerve_bfs_diameter,
+    _Level,
     _sheet0_distances,
-    _SheetRows,
     build_universal_cover,
     fiber_ball_nerve,
     pe_subdivision_graph,
@@ -86,10 +86,7 @@ def test_rp2_cover_is_certified_directly(rp2_cover):
 def test_deck_group_free_transitive(rp2_cover):
     n = rp2_cover.sheets
     assert len(rp2_cover.deck) == n
-    for v in rp2_cover.base.vertices:
-        fiber = rp2_cover.fiber(v)
-        images = {rp2_cover.deck[a][0] for a in range(n)}
-        assert images == set(range(n))
+    assert {rp2_cover.deck[a][0] for a in range(n)} == set(range(n))
     for a, lam in enumerate(rp2_cover.deck):
         if a != 0:
             assert all(lam[s] != s for s in range(n))
@@ -133,12 +130,6 @@ def test_pe_count_formulas(rp2):
         assert len(pe.graph.edges) == level * ne + 3 * level * (level - 1) // 2 * nf
 
 
-def test_pe_rejects_nonunit_lengths():
-    k = SimplicialComplex2([0, 1], [], [(0, 1)], edge_lengths={(0, 1): 2.0})
-    with pytest.raises(ValueError, match="unit"):
-        pe_subdivision_graph(k, 2)
-
-
 def test_pe_vertex_distances_nonincreasing_under_refinement(rp2):
     pe2 = pe_subdivision_graph(rp2, 2)
     pe4 = pe_subdivision_graph(rp2, 4)
@@ -152,7 +143,7 @@ def test_pe_vertex_distances_nonincreasing_under_refinement(rp2):
 
 
 def test_pe_projection_n_to_one(rp2_cover):
-    base_pe, cover_pe = rp2_cover.pe(3)
+    base_pe, cover_pe, _ = rp2_cover.pe(3)
     # a total-model vertex "v3@1" lies over base vertex "v3"
     mapping = {dv: dv.rsplit("@", 1)[0] for dv in cover_pe.graph.vertices}
     assert set(mapping) == set(cover_pe.graph.vertices)
@@ -239,24 +230,32 @@ def test_nerve_hop_diameter():
     assert _nerve_bfs_diameter(SimplicialComplex2(range(3), [], [(0, 1)])) == -1
 
 
-def test_nerve_radius_too_tight_raises(rp2_cover):
+def _nerve_with_a_sample_at(cover, distance, monkeypatch):
+    """The level-3 nerve at vertex 1 with the last sample moved to
+    `distance` from every centre; the radius is d(base) + 0.05."""
+    import coverdiam.universal_cover as uc
+
+    def moved(c, level, p):
+        rows, sources = _fiber_rows(c, level, p)
+        rows = rows.copy()
+        rows[:, -1] = distance(c.diameters(level)[0].value)
+        return rows, sources
+
+    monkeypatch.setattr(uc, "_fiber_rows", moved)
+    return fiber_ball_nerve(cover, p=1, epsilon=0.05, level=3)
+
+
+def test_nerve_radius_too_tight_raises(rp2_cover, monkeypatch):
+    with pytest.raises(CoverNotCovering, match="level-3 total model"):
+        _nerve_with_a_sample_at(rp2_cover, lambda d: 2 * d, monkeypatch)
+
+
+def test_nerve_boundary_radius_check(rp2_cover, monkeypatch):
+    # a sample exactly at the radius is out of reach: strictness must trip
     with pytest.raises(CoverNotCovering):
-        fiber_ball_nerve(rp2_cover, p=1, epsilon=0.05, level=3, radius=0.1)
-
-
-def test_nerve_boundary_radius_check(rp2_cover):
-    # radius exactly at the farthest-sample distance: strictness must trip
-    pe_total = pe_subdivision_graph(rp2_cover.total, 3)
-    from scipy.sparse.csgraph import dijkstra
-
-    from .oracle import _csr
-
-    mat, idx = _csr(pe_total.graph)
-    sources = [idx[pe_total.vertex_id((1, s))] for s in range(2)]
-    nearest = dijkstra(mat, directed=False, indices=sources).min(axis=0)
-    tight = float(nearest.max())
-    with pytest.raises(CoverNotCovering):
-        fiber_ball_nerve(rp2_cover, p=1, epsilon=0.05, level=3, radius=tight)
+        _nerve_with_a_sample_at(rp2_cover, lambda d: d + 0.05, monkeypatch)
+    rep = _nerve_with_a_sample_at(rp2_cover, lambda d: np.nextafter(d + 0.05, 0), monkeypatch)
+    assert rep.radius == rep.d_base + 0.05
 
 
 def test_nerve_epsilon_validation(rp2_cover):
@@ -363,24 +362,26 @@ def test_nerve_at_an_earlier_level_recomputes_no_diameter(rp2, monkeypatch):
     assert (rep.d_base, rep.d_cover) == (fresh.d_base, fresh.d_cover)
 
 
-def test_cover_keeps_pe_models_of_one_level(rp2, monkeypatch):
+def test_cover_keeps_no_pe_model(rp2, monkeypatch):
     import coverdiam.universal_cover as uc
 
     made = []
     pe = uc.CoveringComplex.pe
 
     def recorded(self, level):
-        models = pe(self, level)
-        made.extend(weakref.ref(m) for m in models)
-        return models
+        pe_base, pe_total, lift = pe(self, level)
+        made.extend(weakref.ref(x) for m in (pe_base, pe_total) for x in (m, m.graph))
+        return pe_base, pe_total, lift
 
     monkeypatch.setattr(uc.CoveringComplex, "pe", recorded)
     cover = build_universal_cover(rp2, 10_000)
     for level in range(1, 7):
         verify_universal_bound(rp2, level, 10_000, cover=cover)
+    fiber_ball_nerve(cover, p=1, epsilon=0.05, level=4)
     gc.collect()
-    assert len(made) == 12
-    assert sum(ref() is not None for ref in made) <= 2
+    assert len(made) == 24
+    assert all(ref() is None for ref in made)
+    assert sorted(cover._levels) == list(range(1, 7))
 
 
 # ------------------------------- derived PE cover against the subdivided total
@@ -393,15 +394,17 @@ _DERIVED_CASES = (
 
 
 def _subdivided_total_cover(k, level):
-    """A cover whose total model at `level` subdivides `cover.total` itself,
-    its sheet-0 rows read from a full Dijkstra on that model."""
+    """A cover whose level record comes from subdividing `cover.total`
+    itself, its sheet-0 rows read from a full Dijkstra on that model; and
+    that model."""
     cover = build_universal_cover(k, 100_000)
     pe_base, pe_total = pe_subdivision_graph(k, level), pe_subdivision_graph(cover.total, level)
-    cover._pe[level] = (pe_base, pe_total)
     lift = subdivided_total_lift(cover, pe_base.graph, pe_total.graph)
     own = np.array([pe_base.graph.vertex_index(pe_base.vertex_id(v)) for v in k.vertices])
-    cover._sheet0[level] = _SheetRows(full_dijkstra(pe_total.graph), lift[own, 0], lift, own)
-    return cover
+    diameters = (continuous_diameter(pe_base.graph), continuous_diameter(pe_total.graph))
+    rows = full_dijkstra(pe_total.graph)[lift[own, 0]]
+    cover._levels[level] = _Level(diameters, rows, lift, own)
+    return cover, pe_total
 
 
 def _edge_list(g, rename):
@@ -413,14 +416,13 @@ def _edge_list(g, rename):
 def test_derived_pe_cover_matches_subdivided_total(key, level, rp2, filled_triangle):
     k = {"rp2": rp2, "triangle": filled_triangle}.get(key) or pseudo_projective_plane(key)
     cover = build_universal_cover(k, 100_000)
-    reference = _subdivided_total_cover(k, level)
-    derived = cover.pe(level)[1]
-    old = reference.pe(level)[1]
+    reference, old = _subdivided_total_cover(k, level)
+    _, derived, lift = cover.pe(level)
     # one graph: the lifts of each (base vertex, sheet) carry the same edges
     to_old = np.empty(len(derived.graph.vertices), dtype=int)
-    to_old[cover._sheet0[level].lift] = reference._sheet0[level].lift
+    to_old[lift] = reference._levels[level].lift
     assert _edge_list(derived.graph, to_old) == _edge_list(old.graph, range(len(old.graph.vertices)))
-    assert continuous_diameter(derived.graph).value == continuous_diameter(old.graph).value
+    assert continuous_diameter(derived.graph).value == reference.diameters(level)[1].value
     assert (_report_bytes(k, cover, ("verify", level))
             == _report_bytes(k, reference, ("verify", level)))
     eps = 1.0 / level
@@ -464,7 +466,8 @@ def _cover_of(key):
 @pytest.mark.parametrize("key,level", _DECK_CASES)
 def test_deck_reduced_distances_match_full_dijkstra(key, level):
     k, cover = _cover_of(key)
-    pe_base, pe_total = cover.pe(level)
+    pe_base, pe_total, _ = cover.pe(level)
+    cover.diameters(level)  # fills the level record that _fiber_rows reads
     assert np.array_equal(pe_base.graph.apsp().values, full_dijkstra(pe_base.graph))
     full = full_dijkstra(pe_total.graph)
     assert np.array_equal(pe_total.graph.apsp().values, full)
