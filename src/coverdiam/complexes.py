@@ -116,6 +116,8 @@ class SpanningTreeData:
 
 def spanning_tree_presentation(k: SimplicialComplex2) -> SpanningTreeData:
     """The tree is grown breadth-first from k.vertices[0]."""
+    if not k.vertices:
+        raise ValueError("complex has no vertices")
     if not k.is_connected():
         raise DisconnectedGraphError("complex is not connected")
 

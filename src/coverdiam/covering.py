@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ._search import bfs
 from .errors import DisconnectedCoverError, InvariantError, PathNotLongEnough
 from .metric_graph import (
@@ -159,49 +161,39 @@ def derive_cover(g: MetricGraph, v: Voltage) -> CoveringGraph:
             raise ValueError(f"base id {name!r} must not contain '@'")
 
     n = v.sheets
-    vlift = {}
-    vproj = {}
-    vertices = []
-    for base_v in g.vertices:
-        for s in range(n):
-            name = f"{base_v}@{s}"
-            vlift[(base_v, s)] = name
-            vproj[name] = (base_v, s)
-            vertices.append(name)
-    elift = {}
-    eproj = {}
+    derived, _ = _lift(g, [v.perm(e.id) for e in g.edges], n)
+    vlift = {(b, s): f"{b}@{s}" for b in g.vertices for s in range(n)}
+    elift = {(e.id, s): f"{e.id}@{s}" for e in g.edges for s in range(n)}
+    return CoveringGraph(g, v, derived, vlift, elift,
+                         {name: key for key, name in vlift.items()},
+                         {name: key for key, name in elift.items()})
+
+
+def _lift(g: MetricGraph, perms: Sequence[Sequence[int]],
+          sheets: int) -> tuple[MetricGraph, np.ndarray]:
+    """The derived graph of one sheet permutation per edge of `g` (rows in
+    `g.edges` order), and `lift`, where `lift[b, s]` is its index of vertex
+    b of `g` on sheet s, named "b@s".
+
+    Lifted edge j on sheet s, named "e@s" after e = g.edges[j], runs from
+    (e.u, s) to (e.v, perms[j][s]) and has the length of e.
+    """
+    names = [f"{b}@{s}" for b in g.vertices for s in range(sheets)]
+    fiber = list(range(sheets))
     edges = []
-    for e in g.edges:
-        perm = v.perm(e.id)
-        for s in range(n):
-            name = f"{e.id}@{s}"
-            elift[(e.id, s)] = name
-            eproj[name] = (e.id, s)
-            edges.append(Edge(name, vlift[(e.u, s)], vlift[(e.v, perm[s])], e.length))
-    derived = MetricGraph(vertices, edges, require_connected=False)
-    cover = CoveringGraph(g, v, derived, vlift, elift, vproj, eproj)
-    _check_cover_invariants(cover)
-    return cover
-
-
-def _check_cover_invariants(c: CoveringGraph) -> None:
-    n = c.sheets
-    if len(c.graph.vertices) != n * len(c.base.vertices):
-        raise InvariantError("derived graph does not have n vertices per base vertex")
-    if len(c.graph.edges) != n * len(c.base.edges):
-        raise InvariantError("derived graph does not have n edges per base edge")
-    for e in c.graph.edges:
-        if e.length != c.base.edge(c.project_edge(e.id)[0]).length:
-            raise InvariantError(f"lifted edge {e.id} changes length")
-    # the star of each derived vertex maps bijectively onto the base star
-    for dv in c.graph.vertices:
-        base_v, _ = c.project_vertex(dv)
-        derived_star = sorted(
-            (c.project_edge(e.id)[0], side) for e, side in c.graph.incident(dv)
-        )
-        base_star = sorted((e.id, side) for e, side in c.base.incident(base_v))
-        if derived_star != base_star:
-            raise InvariantError(f"star at {dv} does not project bijectively")
+    for e, perm in zip(g.edges, perms, strict=True):
+        # each derived star maps bijectively onto its base star: the lifts of e
+        # leave every sheet over e.u once by construction, and must reach
+        # every sheet over e.v once
+        if sorted(perm) != fiber:
+            raise InvariantError(f"star at a lift of {e.v} does not project "
+                                 f"bijectively onto edge {e.id}")
+        u, v = g.vertex_index(e.u) * sheets, g.vertex_index(e.v) * sheets
+        edges += [Edge(f"{e.id}@{s}", names[u + s], names[v + t], e.length)
+                  for s, t in zip(fiber, perm)]
+    derived = MetricGraph(names, edges, require_connected=False)
+    lift = np.fromiter(map(derived.vertex_index, names), dtype=np.intp, count=len(names))
+    return derived, lift.reshape(len(g.vertices), sheets)
 
 
 @dataclass(frozen=True)

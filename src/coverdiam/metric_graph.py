@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,8 +44,9 @@ _EPS = 1e-12
 _TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """An edge record; as a named tuple it equals the plain (id, u, v, length)."""
+
     id: str
     u: str
     v: str
@@ -216,6 +217,7 @@ class MetricGraph:
             raise DisconnectedGraphError("metric graph is not connected")
 
         self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._csr = None
         self._apsp_cache: DistanceMatrix | None = None
 
     # -- basic access -------------------------------------------------
@@ -274,29 +276,31 @@ class MetricGraph:
 
     def _dijkstra(self, **kwargs):
         """scipy's Dijkstra on the vertex adjacency in CSR form, weighted by
-        the shortest edge of each pair.
+        the shortest edge of each pair; the CSR is built at the first call.
 
         scipy is imported here, at the first shortest path, so commands
         that need none (``cayley``, ``groups``) never load it.
         """
-        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import dijkstra
 
-        n = len(self.vertices)
-        u, v, length = self.edge_arrays()
-        link = u != v
-        rows = np.concatenate((u[link], v[link]))
-        cols = np.concatenate((v[link], u[link]))
-        w = np.concatenate((length[link], length[link]))
-        # one entry per ordered vertex pair, the shortest parallel edge
-        order = np.lexsort((w, cols, rows))
-        rows, cols, w = rows[order], cols[order], w[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
-        csr = csr_matrix((w[first], cols[first], indptr), shape=(n, n))
-        return dijkstra(csr, directed=True, **kwargs)
+        if self._csr is None:
+            from scipy.sparse import csr_matrix
+
+            n = len(self.vertices)
+            u, v, length = self.edge_arrays()
+            link = u != v
+            rows = np.concatenate((u[link], v[link]))
+            cols = np.concatenate((v[link], u[link]))
+            w = np.concatenate((length[link], length[link]))
+            # one entry per ordered vertex pair, the shortest parallel edge
+            order = np.lexsort((w, cols, rows))
+            rows, cols, w = rows[order], cols[order], w[order]
+            first = np.ones(len(rows), dtype=bool)
+            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
+            self._csr = csr_matrix((w[first], cols[first], indptr), shape=(n, n))
+        return dijkstra(self._csr, directed=True, **kwargs)
 
     def apsp(self) -> "DistanceMatrix":
         if self._apsp_cache is None:

@@ -7,7 +7,8 @@ accordingly.  Metric questions are asked of the piecewise-equilateral
 model via edgewise subdivision graphs.  The cover's subdivision graph is
 the permutation-voltage cover of the base's: each subdivision edge carries
 the transport between the base vertices that carry its endpoints, so the
-total model comes from `derive_cover` and projects by its own lifts.
+total model is lifted from the base model by those sheet permutations
+(`covering._lift`), with the lift's index array as its projection.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .complexes import (
     nerve2,
     spanning_tree_presentation,
 )
-from .covering import Voltage, derive_cover
+from .covering import _lift
 from .errors import CoverNotCovering, EnumerationOverflow, InvariantError
 from .groups import CosetTable, TrivialityResult, todd_coxeter
 from .metric_graph import (
@@ -62,8 +63,9 @@ class CoveringComplex:
     Total-complex vertices are pairs (base vertex, sheet).  The deck group
     is stored as sheet permutations (left multiplications of the regular
     representation); it acts freely and transitively on every fiber and
-    commutes with every edge permutation, so it acts on the total PE model
-    by isometries.  Each level's distances therefore come from one
+    commutes with every edge permutation, so it acts by isometries on the
+    total PE model, which `pe` lifts from the base model by those
+    permutations.  Each level's distances therefore come from one
     Dijkstra out of the sheet-0 lifts alone (`_sheet0_distances`), which
     fills the all-pairs matrices of both PE models.  The cover keeps no
     model: for every level asked for it keeps one `_Level` record, the two
@@ -96,30 +98,23 @@ class CoveringComplex:
     def pe(self, level: int) -> tuple[PEApprox, PEApprox, np.ndarray]:
         """(base, total) PE models at `level`, both APSP filled, and `lift`,
         where `lift[b, s]` is the total index of base-model vertex b on
-        sheet s; the cover keeps none of them."""
+        sheet s; the cover keeps none of them.
+
+        The total model is lifted from the base model: a subdivision edge
+        P->Q carries the transport from carrier(P) to carrier(Q), which is
+        the identity or the permutation of a sorted base edge, because
+        subdivision edges run from the smaller carrier to the larger.
+        """
         pe_base = pe_subdivision_graph(self.base, level)
-        base, derived = pe_base.graph, derive_cover(pe_base.graph, self._pe_voltage(pe_base))
-        total = derived.graph
-        ids = {(v, s): derived.lift_vertex(pe_base.vertex_id(v), s)
+        base, carrier = pe_base.graph, pe_base.carriers
+        transport = dict(self.edge_permutation)
+        transport.update({(v, v): range(self.sheets) for v in self.base.vertices})
+        total, lift = _lift(base, [transport[carrier[e.u], carrier[e.v]] for e in base.edges],
+                            self.sheets)
+        ids = {(v, s): f"{pe_base.vertex_id(v)}@{s}"
                for v in self.base.vertices for s in range(self.sheets)}
-        lift = np.array([[total.vertex_index(derived.lift_vertex(b, s))
-                          for s in range(self.sheets)] for b in base.vertices])
-        del derived  # its name maps go before the matrices are made
         _sheet0_distances(base, total, lift, self.deck)
         return pe_base, PEApprox(total, ids, {}), lift
-
-    def _pe_voltage(self, pe_base: PEApprox) -> Voltage:
-        """Per PE edge P->Q, the transport from carrier(P) to carrier(Q).
-
-        Subdivision edges run from the smaller carrier to the larger, so the
-        transport is the identity or the permutation of a sorted base edge.
-        """
-        carrier = pe_base.carriers
-        transport = dict(self.edge_permutation)
-        transport.update({(v, v): tuple(range(self.sheets)) for v in self.base.vertices})
-        return Voltage(self.sheets, {
-            e.id: transport[(carrier[e.u], carrier[e.v])] for e in pe_base.graph.edges
-        })
 
 
 def _edge_perms(data, table: CosetTable, sheets: int) -> dict:
@@ -299,13 +294,11 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
         for x in range(L + 1):
             for y in range(L + 1 - x):
                 z = L - x - y
-                here = (x, y, z)
-                for dx, dy, dz in ((-1, 1, 0), (-1, 0, 1), (0, -1, 1)):
+                # each step keeps one coordinate, and lies on a boundary chain,
+                # whose edges already exist, exactly when that coordinate is 0
+                for dx, dy, dz, kept in ((-1, 1, 0, z), (-1, 0, 1, y), (0, -1, 1, x)):
                     nx, ny, nz = x + dx, y + dy, z + dz
-                    if nx < 0 or ny < 0 or nz < 0:
-                        continue
-                    # lattice edges lying on a boundary chain already exist
-                    if any(p == 0 and q == 0 for p, q in zip(here, (nx, ny, nz))):
+                    if kept == 0 or nx < 0 or ny < 0:
                         continue
                     edges_out.append(
                         Edge(

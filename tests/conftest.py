@@ -3,6 +3,7 @@ import random
 import pytest
 
 from coverdiam.complexes import SimplicialComplex2
+from coverdiam.covering import CoveringGraph
 from coverdiam.groups import Presentation
 from coverdiam.metric_graph import MetricGraph
 
@@ -72,3 +73,14 @@ def pseudo_projective_plane(k: int) -> SimplicialComplex2:
 def cyclic_powers(n: int, k: int) -> Presentation:
     """Z_n on generators a, a^2, .., a^k: relators a^n and b_j a^-j."""
     return Presentation(k, [(1,) * n] + [(j,) + (-1,) * j for j in range(2, k + 1)])
+
+
+def assert_same_lift(total: MetricGraph, lift, reference: CoveringGraph) -> None:
+    """`total` and `lift[b, s]` name, order and place every vertex and edge
+    as the string-keyed reference cover does."""
+    base, sheets = reference.base, reference.sheets
+    assert total.vertices == reference.graph.vertices
+    assert total.edges == reference.graph.edges
+    want = [[reference.graph.vertex_index(reference.lift_vertex(b, s)) for s in range(sheets)]
+            for b in base.vertices]
+    assert lift.tolist() == want

@@ -14,6 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from coverdiam._search import bfs
+from coverdiam.covering import CoveringGraph, Voltage
 from coverdiam.errors import DisconnectedGraphError, EnumerationOverflow, InvariantError
 from coverdiam.groups import (
     CayleyGraph,
@@ -382,6 +383,54 @@ def full_dijkstra(g: MetricGraph) -> np.ndarray:
     """All-pairs distances of g by scipy's Dijkstra from every vertex, on a
     fresh copy, so no matrix cached on g is read."""
     return MetricGraph(g.vertices, g.edges, require_connected=False)._dijkstra()
+
+
+def derive_cover_string_keyed(g: MetricGraph, v: Voltage) -> CoveringGraph:
+    """The derived graph of (g, v) built through string name maps, with the
+    star of every derived vertex checked by sorting its projected ends."""
+    n = v.sheets
+    vlift, vproj, vertices = {}, {}, []
+    for base_v in g.vertices:
+        for s in range(n):
+            name = f"{base_v}@{s}"
+            vlift[(base_v, s)] = name
+            vproj[name] = (base_v, s)
+            vertices.append(name)
+    elift, eproj, edges = {}, {}, []
+    for e in g.edges:
+        perm = v.perm(e.id)
+        for s in range(n):
+            name = f"{e.id}@{s}"
+            elift[(e.id, s)] = name
+            eproj[name] = (e.id, s)
+            edges.append(Edge(name, vlift[(e.u, s)], vlift[(e.v, perm[s])], e.length))
+    derived = MetricGraph(vertices, edges, require_connected=False)
+    c = CoveringGraph(g, v, derived, vlift, elift, vproj, eproj)
+    if len(c.graph.vertices) != n * len(g.vertices):
+        raise InvariantError("derived graph does not have n vertices per base vertex")
+    if len(c.graph.edges) != n * len(g.edges):
+        raise InvariantError("derived graph does not have n edges per base edge")
+    for e in c.graph.edges:
+        if e.length != g.edge(c.project_edge(e.id)[0]).length:
+            raise InvariantError(f"lifted edge {e.id} changes length")
+    for dv in c.graph.vertices:
+        base_v, _ = c.project_vertex(dv)
+        derived_star = sorted((c.project_edge(e.id)[0], side) for e, side in c.graph.incident(dv))
+        base_star = sorted((e.id, side) for e, side in g.incident(base_v))
+        if derived_star != base_star:
+            raise InvariantError(f"star at {dv} does not project bijectively")
+    return c
+
+
+def pe_voltage(cover, pe_base) -> Voltage:
+    """Per PE edge P->Q of a universal cover's base model, the transport
+    from carrier(P) to carrier(Q) as a voltage."""
+    carrier = pe_base.carriers
+    transport = dict(cover.edge_permutation)
+    transport.update({(v, v): tuple(range(cover.sheets)) for v in cover.base.vertices})
+    return Voltage(cover.sheets, {
+        e.id: transport[(carrier[e.u], carrier[e.v])] for e in pe_base.graph.edges
+    })
 
 
 def subdivided_total_lift(cover, base: MetricGraph, total: MetricGraph) -> np.ndarray:

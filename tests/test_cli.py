@@ -292,6 +292,14 @@ def test_cayley_check_never_imports_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_ucover_build_rejects_an_empty_complex(runner, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "triangles": []}))
+    result = runner.invoke(main, ["ucover", "build", "--complex", str(path)])
+    assert result.exit_code == 1
+    assert "Error: ValueError: complex has no vertices" in result.output
+
+
 def test_ucover_commands(runner, data_dir, tmp_path):
     result = runner.invoke(
         main, ["ucover", "build", "--complex", str(data_dir / "rp2_complex.json")]

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverdiam.cli import sweep_instance
+from coverdiam.cli import sweep_instance, sweep_voltage
 from coverdiam.errors import DisconnectedCoverError, InvariantError, PathNotLongEnough
 from coverdiam.covering import (
     CoveringGraph,
     ShorteningTrace,
     Voltage,
+    _lift,
     _lift_route_at,
     derive_cover,
     is_connected_cover,
@@ -30,7 +31,8 @@ from coverdiam.metric_graph import (
     validate_route,
 )
 
-from .conftest import random_connected_graph
+from .conftest import assert_same_lift, random_connected_graph
+from .oracle import derive_cover_string_keyed
 
 
 @pytest.fixture(scope="module")
@@ -435,11 +437,27 @@ def test_shorten_cycle_route(cycle18):
 
 
 def test_cover_check_raises_invariant_error(unit_triangle, shift6_voltage, monkeypatch):
-    import coverdiam.covering as cov
-
-    monkeypatch.setattr(cov.CoveringGraph, "project_edge", lambda self, eid: ("e0", 0))
-    with pytest.raises(InvariantError, match="does not project bijectively"):
+    # past the voltage's own check: the lift of e2 on sheet 5 ends on sheet 5,
+    # so one sheet's star over e2's far end gets two ends of it and another none
+    monkeypatch.setitem(shift6_voltage.assignment, "e2", (1, 2, 3, 4, 5, 5))
+    with pytest.raises(InvariantError, match="does not project bijectively onto edge e2"):
         derive_cover(unit_triangle, shift6_voltage)
+
+
+def test_lift_matches_string_keyed_oracle_on_every_sweep_attempt():
+    attempts = 0
+    for instance in range(200):
+        g, volt, _, resamples = sweep_instance(7, instance)
+        for attempt in range(resamples + 1):
+            v = sweep_voltage(7, instance, g, volt.sheets, attempt)
+            reference = derive_cover_string_keyed(g, v)
+            assert_same_lift(*_lift(g, [v.perm(e.id) for e in g.edges], v.sheets), reference)
+            cover = derive_cover(g, v)
+            assert cover.graph.edges == reference.graph.edges
+            for name in ("_vlift", "_elift", "_vproj", "_eproj"):
+                assert getattr(cover, name) == getattr(reference, name)
+            attempts += 1
+    assert attempts > 200  # some rows resample
 
 
 def test_shorten_boundary_length_rejected(cycle18):

@@ -28,6 +28,7 @@ from coverdiam.metric_graph import (
 from .conftest import pseudo_projective_plane, random_connected_graph
 from .oracle import (
     continuous_diameter_allpairs,
+    full_dijkstra,
     mesh_diameter,
     mesh_point_distance,
     single_source_heapq,
@@ -87,6 +88,24 @@ def test_apsp_is_metric(theta):
             assert dm.get(a, b) == dm.get(b, a)
             for c in vs:
                 assert dm.get(a, c) <= dm.get(a, b) + dm.get(b, c) + 1e-9
+
+
+def test_dijkstra_builds_the_csr_once(monkeypatch):
+    import scipy.sparse
+
+    built, csr_matrix = [], scipy.sparse.csr_matrix
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return csr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", counted)
+    g = sweep_instance(7, 5)[2].graph
+    first = g._dijkstra(indices=[0, 3])
+    again = g._dijkstra(indices=[0, 3])
+    assert len(built) == 1
+    assert np.array_equal(first, again)
+    assert np.array_equal(first, full_dijkstra(g)[[0, 3]])
 
 
 # ------------------------------------------------------ point distance

@@ -29,8 +29,14 @@ from coverdiam.universal_cover import (
     verify_universal_bound,
 )
 
-from .conftest import pseudo_projective_plane
-from .oracle import final_inequality_holds, full_dijkstra, subdivided_total_lift
+from .conftest import assert_same_lift, pseudo_projective_plane
+from .oracle import (
+    derive_cover_string_keyed,
+    final_inequality_holds,
+    full_dijkstra,
+    pe_voltage,
+    subdivided_total_lift,
+)
 
 
 @pytest.fixture(scope="module")
@@ -342,7 +348,7 @@ def test_nerve_at_an_earlier_level_recomputes_no_diameter(rp2, monkeypatch):
     monkeypatch.setattr(uc, "continuous_diameter", counted)
     monkeypatch.setattr(MetricGraph, "apsp", counted_apsp)
     monkeypatch.setattr(MetricGraph, "_dijkstra", counted_dijkstra)
-    for fn in (uc.pe_subdivision_graph, uc.derive_cover):
+    for fn in (uc.pe_subdivision_graph, uc._lift):
         monkeypatch.setattr(uc, fn.__name__, counted_build(fn))
     cover = build_universal_cover(rp2, 10_000)
     for level in (3, 4, 6):
@@ -350,6 +356,7 @@ def test_nerve_at_an_earlier_level_recomputes_no_diameter(rp2, monkeypatch):
     # one Dijkstra per level, from the sheet-0 lifts only
     runs = [b for b in builds if b[0] == "dijkstra"]
     assert len(builds) == 9 and len(runs) == 3
+    assert [b[0] for b in builds].count("_lift") == 3
     assert all(sources == size // 2 for _, size, sources in runs)
     before, built = len(apsp_calls), len(builds)
     rep = fiber_ball_nerve(cover, p=1, epsilon=0.05, level=4)
@@ -476,6 +483,14 @@ def test_deck_reduced_distances_match_full_dijkstra(key, level):
         rows, sources = _fiber_rows(cover, level, p)
         assert list(sources) == fiber
         assert np.array_equal(rows, full[fiber])
+
+
+@pytest.mark.parametrize("key,level", _DECK_CASES)
+def test_pe_lift_matches_string_keyed_oracle(key, level):
+    _, cover = _cover_of(key)
+    pe_base, pe_total, lift = cover.pe(level)
+    reference = derive_cover_string_keyed(pe_base.graph, pe_voltage(cover, pe_base))
+    assert_same_lift(pe_total.graph, lift, reference)
 
 
 def test_deck_reduced_distances_need_one_edge_length():
