@@ -218,6 +218,7 @@ class MetricGraph:
 
         self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._csr = None
+        self._neighbours = None
         self._apsp_cache: DistanceMatrix | None = None
 
     # -- basic access -------------------------------------------------
@@ -278,8 +279,8 @@ class MetricGraph:
         """scipy's Dijkstra on the vertex adjacency in CSR form, weighted by
         the shortest edge of each pair; the CSR is built at the first call.
 
-        scipy is imported here, at the first shortest path, so commands
-        that need none (``cayley``, ``groups``) never load it.
+        scipy is imported here, at the first Dijkstra, so commands that run
+        none (``cayley``, ``groups``, ``ucover``) never load it.
         """
         from scipy.sparse.csgraph import dijkstra
 
@@ -301,6 +302,46 @@ class MetricGraph:
             np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
             self._csr = csr_matrix((w[first], cols[first], indptr), shape=(n, n))
         return dijkstra(self._csr, directed=True, **kwargs)
+
+    def _hop_counts(self, indices) -> np.ndarray:
+        """Fewest edges on a path from each vertex of `indices` to every
+        vertex, as C-ordered uint16 rows; 65535 marks a vertex out of reach.
+
+        A breadth-first search for 64 sources per machine word: bit s of a
+        vertex's words marks source s.  Each level ORs the words of each
+        vertex's neighbours (listed at the first call), keeps the bits not
+        yet seen, and adds the bits still unseen to the edge counts.
+        """
+        n = len(self.vertices)
+        if n > 65535:
+            raise ValueError("hop counts need at most 65535 vertices")
+        if self._neighbours is None:
+            u, v, _ = self.edge_arrays()
+            link = u != v  # a loop reaches nothing new
+            pairs = np.concatenate((u[link] * n + v[link], v[link] * n + u[link]))
+            ends, others = np.divmod(np.unique(pairs), n)
+            # every list also holds row n, all zeros, so that none is empty
+            first = np.searchsorted(ends, np.arange(n))
+            self._neighbours = (np.insert(others, first, n), first + np.arange(n))
+        neighbours, starts = self._neighbours
+        src = np.asarray(indices, dtype=np.intp)
+        bit = np.arange(len(src), dtype=np.uint64)
+        # little-endian words, so that byte b of a word holds sources 8b..8b+7
+        seen = np.zeros((n + 1, -(-len(src) // 64)), dtype="<u8")
+        np.bitwise_or.at(seen, (src, bit // 64), np.uint64(1) << bit % 64)
+        frontier, counts = seen.copy(), np.zeros((n, 64 * seen.shape[1]), dtype=np.uint16)
+        while True:
+            unseen = ~seen[:n]
+            bits = np.unpackbits(unseen.view(np.uint8), axis=1, bitorder="little")
+            counts += bits
+            gathered = np.take(frontier, neighbours, axis=0)
+            reached = np.bitwise_or.reduceat(gathered, starts, axis=0) & unseen
+            if not reached.any():
+                break
+            seen[:n] |= reached
+            frontier[:n] = reached
+        counts[bits.view(bool)] = 65535
+        return np.ascontiguousarray(counts[:, : len(src)].T)
 
     def apsp(self) -> "DistanceMatrix":
         if self._apsp_cache is None:

@@ -66,8 +66,8 @@ class CoveringComplex:
     commutes with every edge permutation, so it acts by isometries on the
     total PE model, which `pe` lifts from the base model by those
     permutations.  Each level's distances therefore come from one
-    Dijkstra out of the sheet-0 lifts alone (`_sheet0_distances`), which
-    fills the all-pairs matrices of both PE models.  The cover keeps no
+    breadth-first search out of the sheet-0 lifts alone (`_sheet0_distances`),
+    which fills the all-pairs matrices of both PE models.  The cover keeps no
     model: for every level asked for it keeps one `_Level` record, the two
     diameters and the sheet-0 rows of the complex's own vertices, so a
     later check or nerve at such a level builds no model and computes no
@@ -86,8 +86,8 @@ class CoveringComplex:
     def diameters(self, level: int) -> tuple[DiameterResult, DiameterResult]:
         """Continuous diameters of the (base, total) PE models at `level`."""
         if level not in self._levels:
-            pe_base, pe_total, lift = self.pe(level)
-            base, total = pe_base.graph, pe_total.graph
+            pe_base, total, lift = self.pe(level)
+            base = pe_base.graph
             own = np.array([base.vertex_index(pe_base.vertex_id(v)) for v in self.base.vertices])
             diameters = (continuous_diameter(base), continuous_diameter(total))
             # copied past both diameters' peaks; the models go when this returns
@@ -95,10 +95,10 @@ class CoveringComplex:
             self._levels[level] = _Level(diameters, rows, lift, own)
         return self._levels[level].diameters
 
-    def pe(self, level: int) -> tuple[PEApprox, PEApprox, np.ndarray]:
-        """(base, total) PE models at `level`, both APSP filled, and `lift`,
-        where `lift[b, s]` is the total index of base-model vertex b on
-        sheet s; the cover keeps none of them.
+    def pe(self, level: int) -> tuple[PEApprox, MetricGraph, np.ndarray]:
+        """The base PE model at `level`, the total model's graph, both APSP
+        filled, and `lift`, where `lift[b, s]` is the total index of
+        base-model vertex b on sheet s; the cover keeps none of them.
 
         The total model is lifted from the base model: a subdivision edge
         P->Q carries the transport from carrier(P) to carrier(Q), which is
@@ -111,10 +111,8 @@ class CoveringComplex:
         transport.update({(v, v): range(self.sheets) for v in self.base.vertices})
         total, lift = _lift(base, [transport[carrier[e.u], carrier[e.v]] for e in base.edges],
                             self.sheets)
-        ids = {(v, s): f"{pe_base.vertex_id(v)}@{s}"
-               for v in self.base.vertices for s in range(self.sheets)}
         _sheet0_distances(base, total, lift, self.deck)
-        return pe_base, PEApprox(total, ids, {}), lift
+        return pe_base, total, lift
 
 
 def _edge_perms(data, table: CosetTable, sheets: int) -> dict:
@@ -228,8 +226,8 @@ class PEApprox:
     Triangles split into level^2 sub-triangles of side 1/level; shared
     sub-edges are identified.  The graph metric dominates the flat metric
     by at most 2/sqrt(3).  `vertex_ids` names the graph vertex of each
-    complex vertex; `carriers`, filled by `pe_subdivision_graph` only,
-    maps each subdivision vertex to the complex vertex that carries it.
+    complex vertex, and `carriers` maps each subdivision vertex to the
+    complex vertex that carries it.
     """
 
     graph: MetricGraph
@@ -351,8 +349,8 @@ def _deck_columns(lift: np.ndarray, deck) -> np.ndarray:
 
 def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
                       deck) -> None:
-    """Both models' all-pairs distances from a Dijkstra out of the sheet-0
-    lifts alone; fills their `apsp()`.
+    """Both models' all-pairs distances from a breadth-first search out of
+    the sheet-0 lifts alone; fills their `apsp()`.
 
     `total` covers `base`: `lift[b, s]` is the total index of base vertex b
     on sheet s, and each deck permutation lam maps (w, t) to (w, lam(t))
@@ -362,33 +360,34 @@ def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
     (b, 0) with as many edges, and a total path projects to one, so the
     base matrix is D_base[b, b'] = min over t of D[(b, 0), (b', t)].
 
-    Both are bit for bit what scipy's Dijkstra gives on the full graphs,
-    because every edge has the same length h: the distance it reaches
-    along a path of k edges is the float S_k = fl(S_{k-1} + h) whatever
-    the path, S_k does not decrease with k, so a vertex gets S_k of its
-    least edge count k, which the deck keeps and the projection
-    minimises.  Edges of different lengths could sum to different floats
-    along paths of equal length, so they raise ValueError.
+    Every edge has the same length h, so the search counts edges
+    (`MetricGraph._hop_counts`), and count k reads as S_k = fl(S_{k-1} + h),
+    the float scipy's Dijkstra reaches along any path of k edges.  S_k does
+    not decrease with k, so a vertex gets S_k of its least edge count k,
+    which the deck keeps and the projection minimises: both matrices are
+    bit for bit a full Dijkstra's.  Edges of different lengths could sum to
+    different floats along paths of equal length, so they raise ValueError.
 
-    Sources run in blocks whose Dijkstra rows and base columns hold at
-    most _PAIR_CHUNK numbers between them, and the total matrix is filled
-    a row at a time, so the blocks are the only temporaries.
+    Sources run in blocks of whole 64-source words, whose rows and base
+    columns hold at most _PAIR_CHUNK numbers, or one word's, and the total
+    matrix is filled a row at a time: the blocks are the only temporaries.
     """
     lengths = total.edge_arrays()[2]
     if not np.all(lengths == lengths[:1]):
         raise ValueError("deck-reduced distances need edges of one length")
     nb, n = lift.shape
     N = len(total.vertices)
+    # hops[k] = fl(hops[k-1] + h), summed in order; 65535, out of reach, clips to inf
+    hops = np.cumsum(np.concatenate(([0.0], np.full(N - 1, lengths.max(initial=0.0)), [np.inf])))
     cols = _deck_columns(lift, deck)
     by_sheet = lift.T.copy()
     dist = np.empty((N, N))
     dist_base = np.empty((nb, nb))
-    step = max(1, _PAIR_CHUNK // (N + nb))
+    step = 64 * max(1, _PAIR_CHUNK // (N + nb) // 64)  # whole words of sources
     part = np.empty((min(step, nb), nb))
     for lo in range(0, nb, step):
         hi = min(lo + step, nb)
-        # MetricGraph keeps scipy's Dijkstra: run it from the sheet-0 lifts only
-        rows = total._dijkstra(indices=by_sheet[0, lo:hi])
+        rows = np.take(hops, total._hop_counts(by_sheet[0, lo:hi]), mode="clip")
         base_rows = dist_base[lo:hi]
         np.take(rows, by_sheet[0], axis=1, out=base_rows)
         for t in range(1, n):
@@ -398,7 +397,7 @@ def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
             dist[targets[0]] = row  # sheet 0's deck element is the identity
             for s in range(1, n):
                 np.take(row, cols[s], out=dist[targets[s]])
-        del rows  # before the next block's Dijkstra makes its own
+        del rows  # before the next block's search makes its own
     base._apsp_cache = DistanceMatrix(base.vertices, dist_base)
     total._apsp_cache = DistanceMatrix(total.vertices, dist)
 

@@ -321,7 +321,7 @@ def test_continuous_diameter_on_rp2_base_level_twelve():
 
 def test_continuous_diameter_on_order_twelve_plane_level_two():
     cover = build_universal_cover(pseudo_projective_plane(12), 100_000)
-    g = cover.pe(2)[1].graph
+    g = cover.pe(2)[1]
     assert len(g.edges) == 7416  # 27,494,820 edge pairs, 612,612 tied at the diameter
     g.apsp()
     tracemalloc.start()
@@ -337,7 +337,7 @@ def test_continuous_diameter_on_order_twelve_plane_level_two():
 
 def test_continuous_diameter_on_order_twelve_plane_level_three():
     cover = build_universal_cover(pseudo_projective_plane(12), 100_000)
-    g = cover.pe(3)[1].graph
+    g = cover.pe(3)[1]
     assert len(g.edges) == 16956
     g.apsp()
     tracemalloc.start()

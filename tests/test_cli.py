@@ -277,19 +277,36 @@ def test_cayley_zoo_error_rows_exit_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
-def test_cayley_check_never_imports_scipy():
-    # scipy is loaded at the first shortest path; Cayley checks take none
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once `code` has run in a fresh interpreter."""
     src = str(Path(coverdiam.__file__).resolve().parents[1])
-    code = (
+    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_cayley_check_never_imports_scipy():
+    # scipy is loaded at the first Dijkstra; Cayley checks run none
+    assert _scipy_modules_after(
         "import sys, coverdiam.cli\n"
         "from coverdiam.separator import verify_cayley_bound, zoo_instances\n"
         "z = zoo_instances()[-1]\n"
         "assert verify_cayley_bound(z.presentation, z.gens, 100000).verdict\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    ) == "[]"
+
+
+def test_universal_cover_checks_never_import_scipy():
+    # PE-model distances are hop counts of a breadth-first search
+    assert _scipy_modules_after(
+        "import sys, coverdiam.cli\n"
+        "from coverdiam.universal_cover import (\n"
+        "    build_universal_cover, fiber_ball_nerve, rp2_complex, verify_universal_bound)\n"
+        "k = rp2_complex()\n"
+        "cover = build_universal_cover(k, 100000)\n"
+        "assert all(verify_universal_bound(k, level, 100000, cover=cover).holds for level in (3, 4, 6))\n"
+        "assert fiber_ball_nerve(cover, k.vertices[0], 0.25, 4).chain_ok\n"
+    ) == "[]"
 
 
 def test_ucover_build_rejects_an_empty_complex(runner, tmp_path):

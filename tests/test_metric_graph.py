@@ -108,6 +108,29 @@ def test_dijkstra_builds_the_csr_once(monkeypatch):
     assert np.array_equal(first, full_dijkstra(g)[[0, 3]])
 
 
+def test_hop_counts_match_unweighted_dijkstra():
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    rng = random.Random(2020)
+    for _ in range(200):
+        nv = rng.randint(1, 40)
+        # loops, parallel edges, and often vertices that no edge reaches
+        ends = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 2 * nv))]
+        g = MetricGraph([f"v{i}" for i in range(nv)],
+                        [(f"e{j}", f"v{a}", f"v{b}", 1.0) for j, (a, b) in enumerate(ends)],
+                        require_connected=False)
+        u, v, _ = g.edge_arrays()
+        adjacency = coo_matrix((np.ones(len(u)), (u, v)), shape=(nv, nv)).tocsr()
+        for k in (1, 63, 64, 65, 130):
+            sources = [rng.randrange(nv) for _ in range(k)]
+            sources[-1] = sources[0]  # one source twice
+            counts = g._hop_counts(sources)
+            assert counts.dtype == np.uint16 and counts.flags.c_contiguous
+            want = dijkstra(adjacency, directed=False, unweighted=True, indices=sources)
+            assert np.array_equal(np.where(counts == 65535, np.inf, counts), want)
+
+
 # ------------------------------------------------------ point distance
 
 
@@ -596,7 +619,8 @@ def _single_source_graphs():
             yield cover.graph
     rp2_cover = universal_cover.build_universal_cover(universal_cover.rp2_complex(), 100_000)
     for level in (1, 2, 3):
-        yield from (pe.graph for pe in rp2_cover.pe(level)[:2])
+        pe_base, total, _ = rp2_cover.pe(level)
+        yield from (pe_base.graph, total)
     rng = random.Random(4242)
     for _ in range(200):
         yield random_connected_graph(rng)

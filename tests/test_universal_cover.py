@@ -149,14 +149,14 @@ def test_pe_vertex_distances_nonincreasing_under_refinement(rp2):
 
 
 def test_pe_projection_n_to_one(rp2_cover):
-    base_pe, cover_pe, _ = rp2_cover.pe(3)
+    base_pe, total, _ = rp2_cover.pe(3)
     # a total-model vertex "v3@1" lies over base vertex "v3"
-    mapping = {dv: dv.rsplit("@", 1)[0] for dv in cover_pe.graph.vertices}
-    assert set(mapping) == set(cover_pe.graph.vertices)
+    mapping = {dv: dv.rsplit("@", 1)[0] for dv in total.vertices}
+    assert set(mapping) == set(total.vertices)
     assert Counter(mapping.values()) == {v: rp2_cover.sheets for v in base_pe.graph.vertices}
     # every cover edge lands on a base edge of its own length
     base_edges = {frozenset((e.u, e.v)): e.length for e in base_pe.graph.edges}
-    for e in cover_pe.graph.edges:
+    for e in total.edges:
         assert base_edges[frozenset((mapping[e.u], mapping[e.v]))] == e.length
 
 
@@ -333,11 +333,14 @@ def test_nerve_at_an_earlier_level_recomputes_no_diameter(rp2, monkeypatch):
         apsp_calls.append(self)
         return apsp(self)
 
-    dijkstra, builds = MetricGraph._dijkstra, []
+    hop_counts, builds = MetricGraph._hop_counts, []
 
-    def counted_dijkstra(self, **kwargs):
-        builds.append(("dijkstra", len(self.vertices), len(kwargs["indices"])))
-        return dijkstra(self, **kwargs)
+    def counted_hop_counts(self, indices):
+        builds.append(("search", len(self.vertices), len(indices)))
+        return hop_counts(self, indices)
+
+    def no_dijkstra(self, **kwargs):
+        raise AssertionError("the universal-cover path ran a Dijkstra")
 
     def counted_build(fn):
         def build(*args):
@@ -347,14 +350,15 @@ def test_nerve_at_an_earlier_level_recomputes_no_diameter(rp2, monkeypatch):
 
     monkeypatch.setattr(uc, "continuous_diameter", counted)
     monkeypatch.setattr(MetricGraph, "apsp", counted_apsp)
-    monkeypatch.setattr(MetricGraph, "_dijkstra", counted_dijkstra)
+    monkeypatch.setattr(MetricGraph, "_hop_counts", counted_hop_counts)
+    monkeypatch.setattr(MetricGraph, "_dijkstra", no_dijkstra)
     for fn in (uc.pe_subdivision_graph, uc._lift):
         monkeypatch.setattr(uc, fn.__name__, counted_build(fn))
     cover = build_universal_cover(rp2, 10_000)
     for level in (3, 4, 6):
         verify_universal_bound(rp2, level, 10_000, cover=cover)
-    # one Dijkstra per level, from the sheet-0 lifts only
-    runs = [b for b in builds if b[0] == "dijkstra"]
+    # one hop-count search per level, from the sheet-0 lifts only
+    runs = [b for b in builds if b[0] == "search"]
     assert len(builds) == 9 and len(runs) == 3
     assert [b[0] for b in builds].count("_lift") == 3
     assert all(sources == size // 2 for _, size, sources in runs)
@@ -376,9 +380,9 @@ def test_cover_keeps_no_pe_model(rp2, monkeypatch):
     pe = uc.CoveringComplex.pe
 
     def recorded(self, level):
-        pe_base, pe_total, lift = pe(self, level)
-        made.extend(weakref.ref(x) for m in (pe_base, pe_total) for x in (m, m.graph))
-        return pe_base, pe_total, lift
+        pe_base, total, lift = pe(self, level)
+        made.extend(weakref.ref(x) for x in (pe_base, pe_base.graph, total))
+        return pe_base, total, lift
 
     monkeypatch.setattr(uc.CoveringComplex, "pe", recorded)
     cover = build_universal_cover(rp2, 10_000)
@@ -386,7 +390,7 @@ def test_cover_keeps_no_pe_model(rp2, monkeypatch):
         verify_universal_bound(rp2, level, 10_000, cover=cover)
     fiber_ball_nerve(cover, p=1, epsilon=0.05, level=4)
     gc.collect()
-    assert len(made) == 24
+    assert len(made) == 18
     assert all(ref() is None for ref in made)
     assert sorted(cover._levels) == list(range(1, 7))
 
@@ -426,10 +430,10 @@ def test_derived_pe_cover_matches_subdivided_total(key, level, rp2, filled_trian
     reference, old = _subdivided_total_cover(k, level)
     _, derived, lift = cover.pe(level)
     # one graph: the lifts of each (base vertex, sheet) carry the same edges
-    to_old = np.empty(len(derived.graph.vertices), dtype=int)
+    to_old = np.empty(len(derived.vertices), dtype=int)
     to_old[lift] = reference._levels[level].lift
-    assert _edge_list(derived.graph, to_old) == _edge_list(old.graph, range(len(old.graph.vertices)))
-    assert continuous_diameter(derived.graph).value == reference.diameters(level)[1].value
+    assert _edge_list(derived, to_old) == _edge_list(old.graph, range(len(old.graph.vertices)))
+    assert continuous_diameter(derived).value == reference.diameters(level)[1].value
     assert (_report_bytes(k, cover, ("verify", level))
             == _report_bytes(k, reference, ("verify", level)))
     eps = 1.0 / level
@@ -473,13 +477,13 @@ def _cover_of(key):
 @pytest.mark.parametrize("key,level", _DECK_CASES)
 def test_deck_reduced_distances_match_full_dijkstra(key, level):
     k, cover = _cover_of(key)
-    pe_base, pe_total, _ = cover.pe(level)
+    pe_base, total, lift = cover.pe(level)
     cover.diameters(level)  # fills the level record that _fiber_rows reads
     assert np.array_equal(pe_base.graph.apsp().values, full_dijkstra(pe_base.graph))
-    full = full_dijkstra(pe_total.graph)
-    assert np.array_equal(pe_total.graph.apsp().values, full)
+    full = full_dijkstra(total)
+    assert np.array_equal(total.apsp().values, full)
     for p in k.vertices:
-        fiber = [pe_total.graph.vertex_index(pe_total.vertex_id((p, s))) for s in range(cover.sheets)]
+        fiber = list(lift[pe_base.graph.vertex_index(pe_base.vertex_id(p))])
         rows, sources = _fiber_rows(cover, level, p)
         assert list(sources) == fiber
         assert np.array_equal(rows, full[fiber])
@@ -488,9 +492,9 @@ def test_deck_reduced_distances_match_full_dijkstra(key, level):
 @pytest.mark.parametrize("key,level", _DECK_CASES)
 def test_pe_lift_matches_string_keyed_oracle(key, level):
     _, cover = _cover_of(key)
-    pe_base, pe_total, lift = cover.pe(level)
+    pe_base, total, lift = cover.pe(level)
     reference = derive_cover_string_keyed(pe_base.graph, pe_voltage(cover, pe_base))
-    assert_same_lift(pe_total.graph, lift, reference)
+    assert_same_lift(total, lift, reference)
 
 
 def test_deck_reduced_distances_need_one_edge_length():
