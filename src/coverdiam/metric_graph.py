@@ -217,7 +217,6 @@ class MetricGraph:
             raise DisconnectedGraphError("metric graph is not connected")
 
         self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._csr = None
         self._neighbours = None
         self._apsp_cache: DistanceMatrix | None = None
 
@@ -275,34 +274,6 @@ class MetricGraph:
             )
         return self._edge_arrays
 
-    def _dijkstra(self, **kwargs):
-        """scipy's Dijkstra on the vertex adjacency in CSR form, weighted by
-        the shortest edge of each pair; the CSR is built at the first call.
-
-        scipy is imported here, at the first Dijkstra, so commands that run
-        none (``cayley``, ``groups``, ``ucover``) never load it.
-        """
-        from scipy.sparse.csgraph import dijkstra
-
-        if self._csr is None:
-            from scipy.sparse import csr_matrix
-
-            n = len(self.vertices)
-            u, v, length = self.edge_arrays()
-            link = u != v
-            rows = np.concatenate((u[link], v[link]))
-            cols = np.concatenate((v[link], u[link]))
-            w = np.concatenate((length[link], length[link]))
-            # one entry per ordered vertex pair, the shortest parallel edge
-            order = np.lexsort((w, cols, rows))
-            rows, cols, w = rows[order], cols[order], w[order]
-            first = np.ones(len(rows), dtype=bool)
-            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
-            self._csr = csr_matrix((w[first], cols[first], indptr), shape=(n, n))
-        return dijkstra(self._csr, directed=True, **kwargs)
-
     def _hop_counts(self, indices) -> np.ndarray:
         """Fewest edges on a path from each vertex of `indices` to every
         vertex, as C-ordered uint16 rows; 65535 marks a vertex out of reach.
@@ -343,32 +314,67 @@ class MetricGraph:
         counts[bits.view(bool)] = 65535
         return np.ascontiguousarray(counts[:, : len(src)].T)
 
+    def _hop_distances(self, indices) -> np.ndarray:
+        """Rows of `apsp()` from the vertices `indices` when all links (edges
+        that are not loops) have one length h: the least edge count k reads
+        as S_k = fl(S_{k-1} + h), summed one step at a time, the least float
+        sum over walks as S_k grows with k; 65535, out of reach, reads inf."""
+        u, v, length = self.edge_arrays()
+        h = length[u != v].max(initial=0.0)
+        sums = np.cumsum(np.concatenate(([0.0], np.full(len(self.vertices) - 1, h), [np.inf])))
+        return np.take(sums, self._hop_counts(indices), mode="clip")
+
     def apsp(self) -> "DistanceMatrix":
+        """All-pairs distances, cached.  A float Dijkstra returns the least
+        left-to-right float sum over all walks (rounding is monotone and
+        fl(x + w) >= x): the one fixed point of relaxing every arc, which
+        any relaxation reaches bit for bit.  Graphs whose links have one
+        length read hop counts; others relax all arcs at once, both ways
+        along each link, in blocks of sources whose D[s, p] + w over the
+        arcs p -> v hold at most _PAIR_CHUNK numbers, or one source's.  A
+        round costs sources x arcs; the rounds number one more than the
+        most edges on a shortest path."""
         if self._apsp_cache is None:
-            self._apsp_cache = DistanceMatrix(self.vertices, self._dijkstra())
+            u, v, length = self.edge_arrays()
+            n, link = len(self.vertices), u != v
+            own, lengths = np.arange(n), length[link]
+            if (lengths == lengths[:1]).all():
+                values = self._hop_distances(own)
+            else:
+                src, dst = np.concatenate((u[link], v[link])), np.concatenate((v[link], u[link]))
+                w = np.concatenate((lengths, lengths))[:, None]
+                values, step = np.empty((n, n)), max(1, _PAIR_CHUNK // len(src))
+                for lo in range(0, n, step):
+                    # a column per source and a row per vertex; heads index it flat
+                    block = np.where(own[:, None] == own[lo : lo + step], 0.0, np.inf)
+                    heads = (dst[:, None] * block.shape[1] + np.arange(block.shape[1])).ravel()
+                    while True:
+                        before = block.copy()
+                        np.minimum.at(block.reshape(-1), heads, (before.take(src, axis=0) + w).ravel())
+                        if np.array_equal(block, before):
+                            break
+                    values[lo : lo + step] = block.T
+            self._apsp_cache = DistanceMatrix(self.vertices, values)
         return self._apsp_cache
 
     def single_source(self, source: str) -> tuple[dict[str, float], dict[str, tuple[str, str]]]:
-        """Distances and a shortest-path tree from one vertex, by the Dijkstra of `apsp()`.
-
-        dist holds the reachable vertices.  parent[v] = (edge id, previous
-        vertex): the previous vertex p is the Dijkstra predecessor, and the
-        edge is the shortest between p and v, the least id among equal
-        lengths, so dist[v] = dist[p] + its length.
-        """
+        """Distances and a shortest-path tree from one vertex, from its row of
+        `apsp()`: dist holds the reachable vertices; parent[v] = (edge id, p)
+        is the first tight end (dist[p] + length == dist[v]) to a new vertex
+        in a breadth-first search over ends in edge-id order.  A Dijkstra on
+        these floats settles each vertex through a tight end, so the tree
+        spans dist, acyclic even where a sub-ulp edge is tight both ways."""
         if source not in self._vindex:
             raise ValueError(f"unknown vertex {source!r}")
-        d, pred = self._dijkstra(indices=self._vindex[source], return_predecessors=True)
-        dist: dict[str, float] = {}
-        parent: dict[str, tuple[str, str]] = {}
-        for j in np.flatnonzero(np.isfinite(d)):
-            v = self.vertices[j]
-            dist[v] = float(d[j])
-            if v != source:
-                p = self.vertices[pred[j]]
-                # neighbors() runs in edge-id order and min() keeps the first least
-                e = min((e for e, w in self.neighbors(v) if w == p), key=lambda e: e.length)
-                parent[v] = (e.id, p)
+        row = self.apsp().values[self._vindex[source]].tolist()
+        dist = {v: d for v, d in zip(self.vertices, row) if d < math.inf}
+        parent, queue = {}, [source]
+        for p in queue:
+            for e, side in self._incident[p]:
+                w = e.v if side == "u" else e.u
+                if w not in parent and w != source and dist[p] + e.length == dist[w]:
+                    parent[w] = (e.id, p)
+                    queue.append(w)
         return dist, parent
 
 
@@ -479,8 +485,8 @@ def concat_routes(g: MetricGraph, *routes: PathRoute) -> PathRoute:
 def tree_legs(g: MetricGraph, parent: dict[str, tuple[str, str]], root: str, v: str) -> list[RouteLeg]:
     """Full-edge legs from root to v along the parent tree of `single_source(root)`.
 
-    A parent edge is never a loop (its length is positive), so the edge
-    runs forward exactly when its u end is the parent vertex.
+    A parent edge is never a loop (the tree adds only new vertices), so
+    the edge runs forward exactly when its u end is the parent vertex.
     """
     legs: list[RouteLeg] = []
     while v != root:

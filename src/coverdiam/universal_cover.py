@@ -360,25 +360,19 @@ def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
     (b, 0) with as many edges, and a total path projects to one, so the
     base matrix is D_base[b, b'] = min over t of D[(b, 0), (b', t)].
 
-    Every edge has the same length h, so the search counts edges
-    (`MetricGraph._hop_counts`), and count k reads as S_k = fl(S_{k-1} + h),
-    the float scipy's Dijkstra reaches along any path of k edges.  S_k does
-    not decrease with k, so a vertex gets S_k of its least edge count k,
-    which the deck keeps and the projection minimises: both matrices are
-    bit for bit a full Dijkstra's.  Edges of different lengths could sum to
-    different floats along paths of equal length, so they raise ValueError.
+    Every edge has one length h, so the least edge count k reads as
+    S_k = fl(S_{k-1} + h) (`_hop_distances`), which the deck keeps and the
+    projection minimises: both matrices are `apsp()`'s, bit for bit.  Edges
+    of different lengths raise ValueError.
 
     Sources run in blocks of whole 64-source words, whose rows and base
     columns hold at most _PAIR_CHUNK numbers, or one word's, and the total
     matrix is filled a row at a time: the blocks are the only temporaries.
     """
-    lengths = total.edge_arrays()[2]
-    if not np.all(lengths == lengths[:1]):
+    if len(np.unique(total.edge_arrays()[2])) > 1:
         raise ValueError("deck-reduced distances need edges of one length")
     nb, n = lift.shape
     N = len(total.vertices)
-    # hops[k] = fl(hops[k-1] + h), summed in order; 65535, out of reach, clips to inf
-    hops = np.cumsum(np.concatenate(([0.0], np.full(N - 1, lengths.max(initial=0.0)), [np.inf])))
     cols = _deck_columns(lift, deck)
     by_sheet = lift.T.copy()
     dist = np.empty((N, N))
@@ -387,7 +381,7 @@ def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
     part = np.empty((min(step, nb), nb))
     for lo in range(0, nb, step):
         hi = min(lo + step, nb)
-        rows = np.take(hops, total._hop_counts(by_sheet[0, lo:hi]), mode="clip")
+        rows = total._hop_distances(by_sheet[0, lo:hi])
         base_rows = dist_base[lo:hi]
         np.take(rows, by_sheet[0], axis=1, out=base_rows)
         for t in range(1, n):

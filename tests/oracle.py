@@ -110,20 +110,23 @@ def subdivide(g: MetricGraph, max_piece: float) -> tuple[MetricGraph, Subdivisio
 
 
 def _csr(g: MetricGraph):
+    """The vertex adjacency of g in CSR form, both directions of each link,
+    weighted by the shortest edge of each vertex pair, and the vertex index."""
     n = len(g.vertices)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    best = {}
-    for e in g.edges:
-        i, j = idx[e.u], idx[e.v]
-        if i == j:
-            continue
-        key = (min(i, j), max(i, j))
-        if key not in best or e.length < best[key]:
-            best[key] = e.length
-    if not best:
-        return csr_matrix((n, n)), idx
-    rows, cols, data = zip(*((i, j, l) for (i, j), l in best.items()))
-    return csr_matrix((data, (rows, cols)), shape=(n, n)), idx
+    u, v, length = g.edge_arrays()
+    link = u != v
+    rows = np.concatenate((u[link], v[link]))
+    cols = np.concatenate((v[link], u[link]))
+    w = np.concatenate((length[link], length[link]))
+    # one entry per ordered vertex pair, the shortest parallel edge
+    order = np.lexsort((w, cols, rows))
+    rows, cols, w = rows[order], cols[order], w[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[first], minlength=n), out=indptr[1:])
+    mat = csr_matrix((w[first], cols[first], indptr), shape=(n, n))
+    return mat, {x: i for i, x in enumerate(g.vertices)}
 
 
 def mesh_diameter(g: MetricGraph, mesh: float, chunk: int = 512) -> float:
@@ -136,7 +139,7 @@ def mesh_diameter(g: MetricGraph, mesh: float, chunk: int = 512) -> float:
     n = mat.shape[0]
     best = 0.0
     for lo in range(0, n, chunk):
-        d = dijkstra(mat, directed=False, indices=list(range(lo, min(lo + chunk, n))))
+        d = dijkstra(mat, indices=list(range(lo, min(lo + chunk, n))))
         best = max(best, float(d.max()))
     return best
 
@@ -155,7 +158,7 @@ def mesh_point_distance(g: MetricGraph, x: EdgePoint, y: EdgePoint, mesh: float)
         return e.u if q.offset <= e.length / 2 else e.v
 
     mat, idx = _csr(sub)
-    d = dijkstra(mat, directed=False, indices=[idx[snap(x)]])
+    d = dijkstra(mat, indices=[idx[snap(x)]])
     return float(d[0, idx[snap(y)]])
 
 
@@ -380,9 +383,9 @@ def left_multiplication_bfs(t: CosetTable, a: int) -> tuple[int, ...]:
 
 
 def full_dijkstra(g: MetricGraph) -> np.ndarray:
-    """All-pairs distances of g by scipy's Dijkstra from every vertex, on a
-    fresh copy, so no matrix cached on g is read."""
-    return MetricGraph(g.vertices, g.edges, require_connected=False)._dijkstra()
+    """All-pairs distances of g by scipy's Dijkstra from every vertex; the
+    reference for `MetricGraph.apsp()`, which reads no scipy."""
+    return dijkstra(_csr(g)[0])
 
 
 def derive_cover_string_keyed(g: MetricGraph, v: Voltage) -> CoveringGraph:

@@ -287,12 +287,34 @@ def _scipy_modules_after(code: str) -> str:
 
 
 def test_cayley_check_never_imports_scipy():
-    # scipy is loaded at the first Dijkstra; Cayley checks run none
+    # the package imports no scipy; the check runs in a fresh interpreter,
+    # where no test module has loaded it
     assert _scipy_modules_after(
         "import sys, coverdiam.cli\n"
         "from coverdiam.separator import verify_cayley_bound, zoo_instances\n"
         "z = zoo_instances()[-1]\n"
         "assert verify_cayley_bound(z.presentation, z.gens, 100000).verdict\n"
+    ) == "[]"
+
+
+def test_graph_commands_never_import_scipy():
+    # weighted distances come from an edge relaxation, routes from its rows
+    assert _scipy_modules_after(
+        "import sys, importlib.resources\n"
+        "from coverdiam.cli import ExperimentConfig, run\n"
+        "from coverdiam.covering import (\n"
+        "    cover_bound_report, derive_cover, load_voltage, pigeonhole_shorten)\n"
+        "from coverdiam.metric_graph import (\n"
+        "    PathRoute, RouteLeg, continuous_diameter, load_metric_graph)\n"
+        "data = importlib.resources.files('coverdiam').joinpath('data')\n"
+        "assert run(ExperimentConfig(command='sweep-cover', count=20)).summary['fail'] == 0\n"
+        "assert continuous_diameter(load_metric_graph(data / 'unit_triangle.json')).value == 1.5\n"
+        "cover = derive_cover(load_metric_graph(data / 'figure_eight.json'),\n"
+        "                     load_voltage(data / 'figure_eight_voltage.json'))\n"
+        "assert cover_bound_report(cover, 1e-9).holds\n"
+        "# the route of the CI step for cover shorten\n"
+        "route = PathRoute.from_legs(RouteLeg(e, 0.0, 1.0) for e in ('a@0', 'a@1', 'b@0', 'b@0'))\n"
+        "assert pigeonhole_shorten(cover, route).shortened.length < route.length\n"
     ) == "[]"
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import random
@@ -23,6 +24,7 @@ from coverdiam.metric_graph import (
     points_coincide,
     shortest_route,
     validate_route,
+    vertex_route,
 )
 
 from .conftest import pseudo_projective_plane, random_connected_graph
@@ -90,22 +92,56 @@ def test_apsp_is_metric(theta):
                 assert dm.get(a, c) <= dm.get(a, b) + dm.get(b, c) + 1e-9
 
 
-def test_dijkstra_builds_the_csr_once(monkeypatch):
-    import scipy.sparse
+def _sweep_graphs(seed: int, i: int):
+    g, _, cover, _ = sweep_instance(seed, i)
+    return g, cover.graph
 
-    built, csr_matrix = [], scipy.sparse.csr_matrix
 
-    def counted(*args, **kwargs):
-        built.append(args)
-        return csr_matrix(*args, **kwargs)
+def _adversarial_graph(rng: random.Random) -> MetricGraph:
+    """A random multigraph of up to 40 vertices and 120 edges, loops and
+    parallel edges allowed, connected or not, whose lengths stress the
+    float sums: spread over 1e9, mixed with 1e-17 edges, or u**8 + 1e-300."""
+    nv = rng.randint(1, 40)
+    connected = rng.random() < 0.7
+    ends = [(rng.randrange(i), i) for i in range(1, nv)] if connected else []
+    ends += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 120 - len(ends)))]
+    kind = rng.randrange(3)
+    lengths = []
+    for _ in ends:
+        x = rng.random()
+        if kind == 0:
+            lengths.append(x * 1e9 + 1e-3)
+        elif kind == 1:
+            lengths.append(1e-17 if x < 0.3 else x + 0.1)
+        else:
+            lengths.append(x**8 + 1e-300)
+    return MetricGraph([f"v{i}" for i in range(nv)],
+                       [(f"e{j}", f"v{a}", f"v{b}", w) for j, ((a, b), w) in enumerate(zip(ends, lengths))],
+                       require_connected=connected)
 
-    monkeypatch.setattr(scipy.sparse, "csr_matrix", counted)
-    g = sweep_instance(7, 5)[2].graph
-    first = g._dijkstra(indices=[0, 3])
-    again = g._dijkstra(indices=[0, 3])
-    assert len(built) == 1
-    assert np.array_equal(first, again)
-    assert np.array_equal(first, full_dijkstra(g)[[0, 3]])
+
+def _equal_length_graphs():
+    rp2_cover = universal_cover.build_universal_cover(universal_cover.rp2_complex(), 100_000)
+    for level in range(1, 7):
+        pe_base, total, _ = rp2_cover.pe(level)
+        # fresh copies: pe() fills both matrices by the deck-reduced search
+        yield from (MetricGraph(g.vertices, g.edges) for g in (pe_base.graph, total))
+    for n, h in ((1, 1.0), (2, 0.1), (7, 1.0), (64, 0.1), (65, 1 / 3)):
+        yield MetricGraph([f"c{i}" for i in range(n)],
+                          [(f"e{i}", f"c{i}", f"c{(i + 1) % n}", h) for i in range(n)])
+    yield MetricGraph(["x"], [("loop", "x", "x", 0.7)])
+
+
+def test_apsp_matches_scipy_dijkstra_bit_for_bit():
+    sweep = (g for seed in (1, 7, 9002) for i in range(200) for g in _sweep_graphs(seed, i))
+    rng = random.Random(2021)
+    adversarial = (_adversarial_graph(rng) for _ in range(3000))
+    unreached = 0
+    for g in itertools.chain(sweep, adversarial, _equal_length_graphs()):
+        got = g.apsp().values
+        assert np.array_equal(got, full_dijkstra(g))
+        unreached += int(np.isinf(got).any())
+    assert unreached > 100
 
 
 def test_hop_counts_match_unweighted_dijkstra():
@@ -614,9 +650,7 @@ def test_shortest_route_matches_point_distance():
 def _single_source_graphs():
     for seed in (1, 7):
         for i in range(60):
-            g, _, cover, _ = sweep_instance(seed, i)
-            yield g
-            yield cover.graph
+            yield from _sweep_graphs(seed, i)
     rp2_cover = universal_cover.build_universal_cover(universal_cover.rp2_complex(), 100_000)
     for level in (1, 2, 3):
         pe_base, total, _ = rp2_cover.pe(level)
@@ -632,13 +666,19 @@ def test_single_source_matches_heapq_oracle():
             dist, parent = g.single_source(source)
             want, _ = single_source_heapq(g, source)
             assert dist.keys() == want.keys()
-            for v, d in dist.items():
-                assert d == pytest.approx(want[v], rel=1e-12)
+            assert dist == want
             assert parent.keys() == dist.keys() - {source}
             for v, (eid, p) in parent.items():
                 e = g.edge(eid)
                 assert {e.u, e.v} == {p, v}
                 assert abs(dist[p] + e.length - dist[v]) <= 1e-12 * dist[v]
+
+
+def test_single_source_crosses_an_edge_under_half_an_ulp():
+    # 1 + 1e-17 rounds to 1, so b-c is tight both ways
+    g = MetricGraph(["a", "b", "c"], [("e1", "a", "b", 1.0), ("e2", "b", "c", 1e-17)])
+    assert g.single_source("a") == ({"a": 0.0, "b": 1.0, "c": 1.0}, {"b": ("e1", "a"), "c": ("e2", "b")})
+    assert [leg.edge for leg in vertex_route(g, "a", "c").legs] == ["e1", "e2"]
 
 
 def test_single_source_parallel_tie_takes_least_id():

