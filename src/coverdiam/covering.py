@@ -16,11 +16,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._search import bfs
 from .errors import DisconnectedCoverError, InvariantError, PathNotLongEnough
 from .metric_graph import (
+    _position,
+    _sorted,
     DiameterResult,
-    Edge,
     EdgePoint,
     MetricGraph,
     PathRoute,
@@ -93,40 +93,44 @@ def load_voltage(path) -> Voltage:
 
 
 class CoveringGraph:
-    """Derived graph of a voltage assignment, with projection and lifts."""
+    """Derived graph of a voltage assignment, with projection and lifts.
 
-    def __init__(self, base: MetricGraph, voltage: Voltage, graph: MetricGraph,
-                 vlift: dict, elift: dict, vproj: dict, eproj: dict):
+    Base ids hold no "@", so "b@s" names b on sheet s and `rpartition("@")`
+    inverts it; the maps raise KeyError on a name or sheet outside the cover.
+    """
+
+    def __init__(self, base: MetricGraph, voltage: Voltage, graph: MetricGraph):
         self.base = base
         self.voltage = voltage
         self.sheets = voltage.sheets
         self.graph = graph
-        self._vlift = vlift
-        self._elift = elift
-        self._vproj = vproj
-        self._eproj = eproj
         self._base_diameter: DiameterResult | None = None
 
     # -- naming and projection ---------------------------------------
 
     def lift_vertex(self, v: str, sheet: int) -> str:
-        return self._vlift[(v, sheet)]
+        return self._lifted(self.base.vertices, v, sheet)
 
     def lift_edge(self, e: str, sheet: int) -> str:
-        return self._elift[(e, sheet)]
+        return self._lifted(self.base._edge_ids, e, sheet)
 
     def project_vertex(self, dv: str) -> tuple[str, int]:
-        return self._vproj[dv]
+        return _projected(self.graph.vertices, dv)
 
     def project_edge(self, de: str) -> tuple[str, int]:
-        return self._eproj[de]
+        return _projected(self.graph._edge_ids, de)
+
+    def _lifted(self, names: tuple[str, ...], b: str, sheet: int) -> str:
+        if _position(names, b) < 0 or sheet not in range(self.sheets):
+            raise KeyError((b, sheet))
+        return f"{b}@{int(sheet)}"
 
     def project_point(self, p: EdgePoint) -> EdgePoint:
         self.graph.check_point(p)
-        return EdgePoint(self._eproj[p.edge][0], p.offset)
+        return EdgePoint(self.project_edge(p.edge)[0], p.offset)
 
     def project_route(self, route: PathRoute) -> PathRoute:
-        legs = [RouteLeg(self._eproj[l.edge][0], l.start, l.end) for l in route.legs]
+        legs = [RouteLeg(self.project_edge(l.edge)[0], l.start, l.end) for l in route.legs]
         anchor = self.project_point(route.anchor) if route.anchor is not None else None
         return PathRoute(tuple(legs), anchor)
 
@@ -139,8 +143,8 @@ class CoveringGraph:
         """
         v = point_vertex(self.graph, p)
         if v is not None:
-            return self._vproj[v][1]
-        return self._eproj[p.edge][1]
+            return self.project_vertex(v)[1]
+        return self.project_edge(p.edge)[1]
 
     def base_diameter(self) -> DiameterResult:
         if self._base_diameter is None:
@@ -148,52 +152,55 @@ class CoveringGraph:
         return self._base_diameter
 
 
+def _projected(names: tuple[str, ...], name: str) -> tuple[str, int]:
+    if _position(names, name) < 0:
+        raise KeyError(name)
+    b, _, s = name.rpartition("@")
+    return b, int(s)
+
+
 def derive_cover(g: MetricGraph, v: Voltage) -> CoveringGraph:
     """Build the derived graph; connectivity is reported separately."""
-    missing = [e.id for e in g.edges if e.id not in v.assignment]
+    ids = g._edge_ids
+    missing = [e for e in ids if e not in v.assignment]
     if missing:
         raise ValueError(f"voltage missing assignment for edges {missing}")
-    unknown = sorted(v.assignment.keys() - {e.id for e in g.edges})
+    unknown = sorted(v.assignment.keys() - set(ids))
     if unknown:
         raise ValueError(f"voltage assigns unknown edges {unknown}")
-    for name in list(g.vertices) + [e.id for e in g.edges]:
+    for name in g.vertices + ids:
         if "@" in name:
             raise ValueError(f"base id {name!r} must not contain '@'")
 
-    n = v.sheets
-    derived, _ = _lift(g, [v.perm(e.id) for e in g.edges], n)
-    vlift = {(b, s): f"{b}@{s}" for b in g.vertices for s in range(n)}
-    elift = {(e.id, s): f"{e.id}@{s}" for e in g.edges for s in range(n)}
-    return CoveringGraph(g, v, derived, vlift, elift,
-                         {name: key for key, name in vlift.items()},
-                         {name: key for key, name in elift.items()})
+    derived, _ = _lift(g, [v.perm(e) for e in ids], v.sheets)
+    return CoveringGraph(g, v, derived)
 
 
-def _lift(g: MetricGraph, perms: Sequence[Sequence[int]],
-          sheets: int) -> tuple[MetricGraph, np.ndarray]:
+def _lift(g: MetricGraph, perms, sheets: int) -> tuple[MetricGraph, np.ndarray]:
     """The derived graph of one sheet permutation per edge of `g` (rows in
-    `g.edges` order), and `lift`, where `lift[b, s]` is its index of vertex
-    b of `g` on sheet s, named "b@s".
-
-    Lifted edge j on sheet s, named "e@s" after e = g.edges[j], runs from
-    (e.u, s) to (e.v, perms[j][s]) and has the length of e.
+    edge-id order), and `lift`, where `lift[b, s]` is its index of vertex b
+    of `g` on sheet s, named "b@s".  Lifted edge j on sheet s, "e@s" after
+    e = g.edges[j], runs from (e.u, s) to (e.v, perms[j][s]) with the length
+    of e.  Both are made from `g`'s index arrays, each name formatted and
+    sorted once, and the derived graph builds no `Edge` record until asked.
     """
-    names = [f"{b}@{s}" for b in g.vertices for s in range(sheets)]
-    fiber = list(range(sheets))
-    edges = []
-    for e, perm in zip(g.edges, perms, strict=True):
-        # each derived star maps bijectively onto its base star: the lifts of e
-        # leave every sheet over e.u once by construction, and must reach
-        # every sheet over e.v once
-        if sorted(perm) != fiber:
-            raise InvariantError(f"star at a lift of {e.v} does not project "
-                                 f"bijectively onto edge {e.id}")
-        u, v = g.vertex_index(e.u) * sheets, g.vertex_index(e.v) * sheets
-        edges += [Edge(f"{e.id}@{s}", names[u + s], names[v + t], e.length)
-                  for s, t in zip(fiber, perm)]
-    derived = MetricGraph(names, edges, require_connected=False)
-    lift = np.fromiter(map(derived.vertex_index, names), dtype=np.intp, count=len(names))
-    return derived, lift.reshape(len(g.vertices), sheets)
+    gu, gv, length = g.edge_arrays()
+    perms = np.asarray(perms, dtype=np.intp).reshape(len(gu), sheets)
+    # each derived star maps bijectively onto its base star: the lifts of an
+    # edge leave every sheet over its u end once by construction, and must
+    # reach every sheet over its v end once
+    bad = (np.sort(perms, axis=1) != np.arange(sheets)).any(axis=1)
+    if bad.any():
+        j = int(bad.argmax())
+        raise InvariantError(f"star at a lift of {g.vertices[gv[j]]} does not project "
+                             f"bijectively onto edge {g._edge_ids[j]}")
+    vertices, order = _sorted([f"{b}@{s}" for b in g.vertices for s in range(sheets)])
+    lift = np.argsort(order).reshape(len(g.vertices), sheets)
+    ids, by_id = _sorted([f"{e}@{s}" for e in g._edge_ids for s in range(sheets)])
+    derived = MetricGraph._from_arrays(
+        vertices, ids, lift[gu].ravel()[by_id], lift[gv[:, None], perms].ravel()[by_id],
+        np.repeat(length, sheets)[by_id], require_connected=False)
+    return derived, lift
 
 
 @dataclass(frozen=True)
@@ -209,21 +216,12 @@ def is_connected_cover(c: CoveringGraph) -> ConnectivityReport:
     lie in one component; the cover is connected iff there is one orbit
     (the monodromy action is transitive).
     """
-    if c.graph.is_connected:  # searched once already, when the graph was built
-        return ConnectivityReport(True, (tuple(range(c.sheets)),))
-    comp: dict[str, int] = {}
-    next_id = 0
-    for start in c.graph.vertices:
-        if start not in comp:
-            reached = bfs(start, lambda x: (y for _, y in c.graph.neighbors(x)))
-            comp.update(dict.fromkeys(reached, next_id))
-            next_id += 1
-    root = c.base.vertices[0]
-    orbit_members: dict[int, list[int]] = {}
-    for s in range(c.sheets):
-        orbit_members.setdefault(comp[c.lift_vertex(root, s)], []).append(s)
-    orbits = tuple(tuple(sorted(v)) for _, v in sorted(orbit_members.items()))
-    return ConnectivityReport(next_id == 1, orbits)
+    roots = c.graph._components  # the least vertex index of each component
+    fiber = [roots[c.graph.vertex_index(c.lift_vertex(c.base.vertices[0], s))] for s in range(c.sheets)]
+    orbits: dict[int, list[int]] = {}
+    for s in sorted(range(c.sheets), key=fiber.__getitem__):
+        orbits.setdefault(fiber[s], []).append(s)
+    return ConnectivityReport(c.graph.is_connected, tuple(map(tuple, orbits.values())))
 
 
 # ------------------------------------------------------------- lifting

@@ -10,14 +10,14 @@ candidate set, so no mesh appears outside of test oracles.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._search import bfs
 from .errors import DisconnectedGraphError, InvariantError
 
 __all__ = [
@@ -172,7 +172,13 @@ class PathRoute:
 
 
 class MetricGraph:
-    """Immutable weighted multigraph with positive edge lengths."""
+    """Immutable weighted multigraph with positive edge lengths.
+
+    The core is the sorted vertex names, the sorted edge ids and the arrays
+    of `edge_arrays()`; `is_connected` comes from a union-find over them.
+    The `Edge` records (`edges`) and the incidence lists are built at their
+    first use; `edge`, `vertex_index` and `continuous_diameter` need neither.
+    """
 
     def __init__(
         self,
@@ -186,15 +192,15 @@ class MetricGraph:
             raise ValueError("duplicate vertex ids")
         if not vs:
             raise ValueError("a metric graph needs at least one vertex")
-        self.vertices: tuple[str, ...] = tuple(sorted(vs))
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
+        names = tuple(sorted(vs))
+        index = {v: i for i, v in enumerate(names)}
 
         norm: list[Edge] = []
         for e in edges:
             if not isinstance(e, Edge):
                 eid, u, v, length = e
                 e = Edge(str(eid), str(u), str(v), float(length))
-            if e.u not in self._vindex or e.v not in self._vindex:
+            if e.u not in index or e.v not in index:
                 raise ValueError(f"edge {e.id!r} references an unknown vertex")
             if not (e.length > 0) or not math.isfinite(e.length):
                 raise ValueError(f"edge {e.id!r} has nonpositive length {e.length}")
@@ -202,43 +208,81 @@ class MetricGraph:
         ids = [e.id for e in norm]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
-        self.edges: tuple[Edge, ...] = tuple(sorted(norm, key=lambda e: e.id))
-        self._eindex = {e.id: e for e in self.edges}
+        records = tuple(sorted(norm, key=lambda e: e.id))
+        self._core(names, tuple(e.id for e in records),
+                   np.array([index[e.u] for e in records], dtype=np.int64),
+                   np.array([index[e.v] for e in records], dtype=np.int64),
+                   np.array([e.length for e in records], dtype=float), require_connected)
+        self._edges = records
 
-        # edge-id order, a loop's u end before its v end: (id, side) order
-        incident: dict[str, list[tuple[Edge, str]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            incident[e.u].append((e, "u"))
-            incident[e.v].append((e, "v"))
-        self._incident = {v: tuple(ends) for v, ends in incident.items()}
+    @classmethod
+    def _from_arrays(cls, vertices: tuple[str, ...], edge_ids: tuple[str, ...], u, v, length,
+                     *, require_connected: bool = True) -> "MetricGraph":
+        """The graph whose edge edge_ids[j] runs from vertices[u[j]] to
+        vertices[v[j]] with length length[j], names and ids sorted and
+        distinct; the constructor's checks, made on the arrays."""
+        if not vertices:
+            raise ValueError("a metric graph needs at least one vertex")
+        for names, kind in ((vertices, "vertex"), (edge_ids, "edge")):
+            if not all(map(str.__lt__, names, names[1:])):
+                raise ValueError(f"{kind} ids must be sorted and distinct")
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        length = np.asarray(length, dtype=float)
+        if not len(edge_ids) == len(u) == len(v) == len(length):
+            raise ValueError("edge ids, ends and lengths differ in number")
+        if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= len(vertices)):
+            raise ValueError("an edge references an unknown vertex")
+        if not (length > 0).all() or not np.isfinite(length).all():
+            raise ValueError("edge lengths must be positive and finite")
+        g = cls.__new__(cls)
+        g._core(vertices, edge_ids, u, v, length, require_connected)
+        return g
 
-        self.is_connected = self._check_connected()
+    def _core(self, vertices, edge_ids, u, v, length, require_connected) -> None:
+        self.vertices: tuple[str, ...] = vertices
+        self._edge_ids: tuple[str, ...] = edge_ids
+        self._edge_arrays = (u, v, length)
+        # built at first use: records, incidence lists, BFS lists, distances
+        self._edges = self._incident = self._neighbours = self._apsp_cache = None
+        self._components = _component_roots(len(vertices), u, v)
+        self.is_connected = not self._components.any()
         if require_connected and not self.is_connected:
             raise DisconnectedGraphError("metric graph is not connected")
 
-        self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._neighbours = None
-        self._apsp_cache: DistanceMatrix | None = None
-
     # -- basic access -------------------------------------------------
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edge records, in id order; built at the first call."""
+        if self._edges is None:
+            u, v, length = (x.tolist() for x in self._edge_arrays)
+            at = self.vertices.__getitem__
+            self._edges = tuple(map(Edge, self._edge_ids, map(at, u), map(at, v), length))
+        return self._edges
+
     def edge(self, eid: str) -> Edge:
-        try:
-            return self._eindex[eid]
-        except KeyError:
-            raise ValueError(f"unknown edge id {eid!r}") from None
+        if (j := _position(self._edge_ids, eid)) < 0:
+            raise ValueError(f"unknown edge id {eid!r}")
+        if self._edges is None:  # one record, from the arrays
+            u, v, length = self._edge_arrays
+            return Edge(eid, self.vertices[u[j]], self.vertices[v[j]], float(length[j]))
+        return self._edges[j]
 
     def vertex_index(self, v: str) -> int:
-        return self._vindex[v]
+        if (i := _position(self.vertices, v)) < 0:
+            raise KeyError(v)
+        return i
 
     def incident(self, v: str) -> tuple[tuple[Edge, str], ...]:
-        """Edge-ends at v; a loop contributes both of its ends."""
+        """Edge-ends at v in (edge id, side) order; a loop contributes both
+        of its ends.  All lists are built at the first call."""
+        if self._incident is None:
+            ends: dict[str, list[tuple[Edge, str]]] = {w: [] for w in self.vertices}
+            for e in self.edges:
+                ends[e.u].append((e, "u"))
+                ends[e.v].append((e, "v"))
+            self._incident = {w: tuple(x) for w, x in ends.items()}
         return self._incident[v]
-
-    def neighbors(self, v: str) -> Iterator[tuple[Edge, str]]:
-        """(edge, opposite endpoint) for every edge-end at v, in sorted order."""
-        for e, side in self._incident[v]:
-            yield e, (e.v if side == "u" else e.u)
 
     def check_point(self, p: EdgePoint) -> Edge:
         e = self.edge(p.edge)
@@ -250,28 +294,16 @@ class MetricGraph:
 
     def vertex_point(self, v: str) -> EdgePoint:
         """A canonical EdgePoint representation of a vertex."""
-        ends = self._incident[v]
+        ends = self.incident(v)
         if not ends:
             raise ValueError(f"vertex {v!r} has no incident edge")
         e, side = ends[0]
         return EdgePoint(e.id, 0.0 if side == "u" else e.length)
 
-    def _check_connected(self) -> bool:
-        # ends are read directly: going through the neighbors() generator would dominate the search
-        ends = self._incident
-        reached = bfs(self.vertices[0], lambda v: [e.v if s == "u" else e.u for e, s in ends[v]])
-        return len(reached) == len(self.vertices)
-
     # -- shortest paths -----------------------------------------------
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Endpoint vertex indices u, v and lengths of the edges, in edge order."""
-        if self._edge_arrays is None:
-            self._edge_arrays = (
-                np.array([self._vindex[e.u] for e in self.edges], dtype=np.int64),
-                np.array([self._vindex[e.v] for e in self.edges], dtype=np.int64),
-                np.array([e.length for e in self.edges], dtype=float),
-            )
         return self._edge_arrays
 
     def _hop_counts(self, indices) -> np.ndarray:
@@ -364,18 +396,45 @@ class MetricGraph:
         in a breadth-first search over ends in edge-id order.  A Dijkstra on
         these floats settles each vertex through a tight end, so the tree
         spans dist, acyclic even where a sub-ulp edge is tight both ways."""
-        if source not in self._vindex:
+        if (i := _position(self.vertices, source)) < 0:
             raise ValueError(f"unknown vertex {source!r}")
-        row = self.apsp().values[self._vindex[source]].tolist()
+        row = self.apsp().values[i].tolist()
         dist = {v: d for v, d in zip(self.vertices, row) if d < math.inf}
         parent, queue = {}, [source]
         for p in queue:
-            for e, side in self._incident[p]:
+            for e, side in self.incident(p):
                 w = e.v if side == "u" else e.u
                 if w not in parent and w != source and dist[p] + e.length == dist[w]:
                     parent[w] = (e.id, p)
                     queue.append(w)
         return dist, parent
+
+
+def _position(names: tuple[str, ...], name) -> int:
+    """The index of `name` in the sorted, distinct `names`, or -1."""
+    i = bisect.bisect_left(names, name) if isinstance(name, str) else len(names)
+    return i if i < len(names) and names[i] == name else -1
+
+
+def _sorted(names: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """`names` in sorted order, and that order as positions in `names`."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return tuple(map(names.__getitem__, order)), np.array(order, dtype=np.intp)
+
+
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The least vertex index of each vertex's component, by a union-find on
+    integers whose roots are their trees' least members: each round hooks
+    the larger root of each edge's ends onto the smaller, then jumps
+    pointers until each vertex points at a root."""
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            return root
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(up := root[root], root):
+            root = up
 
 
 @dataclass(frozen=True)
@@ -665,12 +724,12 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
     """
     if not g.is_connected:
         raise DisconnectedGraphError("continuous diameter needs a connected graph")
-    m = len(g.edges)
+    ids = g._edge_ids
+    m = len(ids)
     if m == 0:
         return DiameterResult(0.0, None)
 
     dm = g.apsp().values
-    edges = g.edges
     u, v, Lall = g.edge_arrays()
 
     half = (Lall + dm[u, v]) / 2.0
@@ -761,8 +820,8 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
         least &= key == key[least].min()
     w = int(np.argmax(least))
     witness = (
-        EdgePoint(edges[e1[w]].id, float(o1[w]) + 0.0),
-        EdgePoint(edges[e2[w]].id, float(o2[w]) + 0.0),
+        EdgePoint(ids[e1[w]], float(o1[w]) + 0.0),
+        EdgePoint(ids[e2[w]], float(o2[w]) + 0.0),
     )
     value = point_distance(g, witness[0], witness[1])
     if abs(value - top) > 1e-9 * top:

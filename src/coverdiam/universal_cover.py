@@ -35,8 +35,8 @@ from .metric_graph import (
     _PAIR_CHUNK,
     DiameterResult,
     DistanceMatrix,
-    Edge,
     MetricGraph,
+    _sorted,
     continuous_diameter,
 )
 from .separator import cayley_cap_holds, cayley_diameter_bound, left_multiplications
@@ -106,11 +106,20 @@ class CoveringComplex:
         subdivision edges run from the smaller carrier to the larger.
         """
         pe_base = pe_subdivision_graph(self.base, level)
-        base, carrier = pe_base.graph, pe_base.carriers
-        transport = dict(self.edge_permutation)
-        transport.update({(v, v): range(self.sheets) for v in self.base.vertices})
-        total, lift = _lift(base, [transport[carrier[e.u], carrier[e.v]] for e in base.edges],
-                            self.sheets)
+        base = pe_base.graph
+        pos = {v: i for i, v in enumerate(self.base.vertices)}
+        carrier = np.array([pos[pe_base.carriers[p]] for p in base.vertices])
+        # row code[a, b] of moves carries the sheets from carrier a to carrier b
+        moves = np.array([range(self.sheets), *self.edge_permutation.values()])
+        code = np.full((len(pos), len(pos)), -1)
+        np.fill_diagonal(code, 0)
+        for j, (a, b) in enumerate(self.edge_permutation, start=1):
+            code[pos[a], pos[b]] = j
+        u, v, _ = base.edge_arrays()
+        rows = code[carrier[u], carrier[v]]
+        if (rows < 0).any():
+            raise InvariantError("a subdivision edge joins carriers that share no edge")
+        total, lift = _lift(base, moves[rows], self.sheets)
         _sheet0_distances(base, total, lift, self.deck)
         return pe_base, total, lift
 
@@ -242,82 +251,65 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
     """Subdivision graph of the unit-equilateral model.
 
     A vertex carries itself, an edge point is carried by its edge's smaller
-    endpoint and a triangle's interior point by its smallest corner.
+    endpoint and a triangle's interior point by its smallest corner.  Points
+    are numbered by kind, each name is formatted once, and the graph is made
+    from index arrays, so it builds no `Edge` record until one is asked for.
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
     L = level
-    h = 1.0 / L
-
-    vert_ids = {v: f"v{i}" for i, v in enumerate(k.vertices)}
-    edge_index = {e: j for j, e in enumerate(k.edges)}
-    carrier = {name: v for v, name in vert_ids.items()}  # vertex name -> its carrier
-    edges_out: list[Edge] = []
-
-    def edge_point(e: tuple, t: int) -> str:
-        # t steps from the smaller endpoint along edge e
-        if t == 0:
-            return vert_ids[e[0]]
-        if t == L:
-            return vert_ids[e[1]]
-        return f"e{edge_index[e]}:{t}"
-
-    for e, j in edge_index.items():
-        carrier.update((f"e{j}:{t}", e[0]) for t in range(1, L))
-        for t in range(L):
-            edges_out.append(
-                Edge(f"E{j}:{t}", edge_point(e, t), edge_point(e, t + 1), h)
-            )
-
-    for m, (a, b, c) in enumerate(k.triangles):
-        e_ab = (a, b)
-        e_ac = (a, c)
-        e_bc = (b, c)
-
-        def corner_name(x: int, y: int, z: int) -> str:
-            # barycentric steps (x, y, z) summing to L; a = (L,0,0) etc.
-            if z == 0:
-                return edge_point(e_ab, y)
-            if y == 0:
-                return edge_point(e_ac, z)
-            if x == 0:
-                return edge_point(e_bc, z)
-            return f"t{m}:{x},{y}"
-
-        for x in range(L - 2, 0, -1):
-            for y in range(1, L - x):
-                carrier[f"t{m}:{x},{y}"] = a
-
-        count = 0
-        for x in range(L + 1):
-            for y in range(L + 1 - x):
-                z = L - x - y
-                # each step keeps one coordinate, and lies on a boundary chain,
-                # whose edges already exist, exactly when that coordinate is 0
-                for dx, dy, dz, kept in ((-1, 1, 0, z), (-1, 0, 1, y), (0, -1, 1, x)):
-                    nx, ny, nz = x + dx, y + dy, z + dz
-                    if kept == 0 or nx < 0 or ny < 0:
-                        continue
-                    edges_out.append(
-                        Edge(
-                            f"T{m}:{x},{y},{z}-{nx},{ny},{nz}",
-                            corner_name(x, y, z),
-                            corner_name(nx, ny, nz),
-                            h,
-                        )
-                    )
-                    count += 1
-        if count != 3 * L * (L - 1) // 2:
-            raise InvariantError(f"triangle {m} subdivided into {count} edges")
-
-    graph = MetricGraph(carrier, edges_out, require_connected=k.is_connected())
-    approx = PEApprox(graph, vert_ids, carrier)
     nv, ne, nf = k.f_vector
+    vpos = {v: i for i, v in enumerate(k.vertices)}
+    epos = {e: j for j, e in enumerate(k.edges)}
+    # point numbers: vertex i is i, point t (0 < t < L steps from the smaller
+    # end) of edge j is nv + j (L - 1) + t - 1, and interior point p of
+    # triangle m is nv + ne (L - 1) + m len(inner) + p
+    inner = [(x, y) for x in range(1, L) for y in range(1, L - x)]
+    names = ([f"v{i}" for i in range(nv)]
+             + [f"e{j}:{t}" for j in range(ne) for t in range(1, L)]
+             + [f"t{m}:{x},{y}" for m in range(nf) for x, y in inner])
+    carriers = (list(k.vertices) + [a for a, _ in k.edges for _ in range(1, L)]
+                + [t[0] for t in k.triangles for _ in inner])
+    chain = nv + np.arange(ne)[:, None] * (L - 1) + np.arange(-1, L)
+    chain[:, [0, L]] = np.array([(vpos[a], vpos[b]) for a, b in k.edges], dtype=np.intp).reshape(ne, 2)
+
+    def spot(x, y, z):
+        # a triangle's lattice point (x, y, z), a = (L, 0, 0) etc., is point
+        # `at` of column `kind` of `cols`: corners a, b, c, edge ab at y
+        # steps, edges ac and bc at z steps, and the interior points
+        if z == 0:
+            return (0, 0) if y == 0 else (1, 0) if y == L else (3, y)
+        if y == 0:
+            return (2, 0) if z == L else (4, z)
+        return (5, z) if x == 0 else (6, inner.index((x, y)))
+
+    # each step keeps one coordinate, and lies on a boundary chain, whose
+    # edges already exist, exactly when that coordinate is 0
+    steps = [((x, y, z), (x + dx, y + dy, z + dz))
+             for x in range(L + 1) for y in range(L + 1 - x) for z in [L - x - y]
+             for dx, dy, dz, kept in ((-1, 1, 0, z), (-1, 0, 1, y), (0, -1, 1, x))
+             if kept and x + dx >= 0 and y + dy >= 0]
+    kind, at, kind2, at2 = np.array([spot(*p) + spot(*q) for p, q in steps],
+                                    dtype=np.intp).reshape(-1, 4).T
+    tri = np.array([(vpos[a], vpos[b], vpos[c], epos[a, b], epos[a, c], epos[b, c])
+                    for a, b, c in k.triangles], dtype=np.intp).reshape(nf, 6)
+    cols = np.column_stack((tri[:, :3], nv + tri[:, 3:] * (L - 1) - 1,  # edge point t: + t
+                            nv + ne * (L - 1) + np.arange(nf) * len(inner)))
+    u = np.concatenate((chain[:, :-1].ravel(), (cols[:, kind] + at).ravel()))
+    v = np.concatenate((chain[:, 1:].ravel(), (cols[:, kind2] + at2).ravel()))
+    ids = ([f"E{j}:{t}" for j in range(ne) for t in range(L)]
+           + [f"T{m}:{x},{y},{z}-{nx},{ny},{nz}" for m in range(nf) for (x, y, z), (nx, ny, nz) in steps])
+
+    vertices, order = _sorted(names)
+    rank = np.argsort(order)
+    ids, by_id = _sorted(ids)
+    graph = MetricGraph._from_arrays(vertices, ids, rank[u[by_id]], rank[v[by_id]],
+                                     np.full(len(ids), 1.0 / L), require_connected=k.is_connected())
     if len(graph.vertices) != nv + (L - 1) * ne + ((L - 1) * (L - 2) // 2) * nf:
         raise InvariantError("PE subdivision has the wrong vertex count")
-    if len(graph.edges) != L * ne + (3 * L * (L - 1) // 2) * nf:
+    if len(ids) != L * ne + (3 * L * (L - 1) // 2) * nf:
         raise InvariantError("PE subdivision has the wrong edge count")
-    return approx
+    return PEApprox(graph, {v: f"v{i}" for i, v in enumerate(k.vertices)}, dict(zip(names, carriers)))
 
 
 class _Level(NamedTuple):

@@ -70,6 +70,36 @@ def pseudo_projective_plane(k: int) -> SimplicialComplex2:
     return SimplicialComplex2(range(m + 4), triangles)
 
 
+def presentation_complex(generators: int, relators) -> SimplicialComplex2:
+    """A triangulated presentation complex, pi_1 = <generators | relators>.
+
+    Vertex 0 is the base point, and generator g (letters g + 1 and -(g + 1))
+    is the 3-edge loop 0, 1 + 2g, 2 + 2g.  A relator of length l is a disk:
+    its boundary walk of 3l vertices, a ring of 3l fresh vertices inside it
+    and a cone point over the ring, as in `pseudo_projective_plane`.
+    """
+    loops = [(0, 1 + 2 * g, 2 + 2 * g, 0) for g in range(generators)]
+    triangles, fresh = [], 1 + 2 * generators
+    for word in relators:
+        walk = [x for letter in word
+                for x in (loops[letter - 1][1:] if letter > 0 else loops[-letter - 1][-2::-1])]
+        m = len(walk)
+        cone = fresh + m
+        for i in range(m):
+            r, r_next = fresh + i, fresh + (i + 1) % m
+            triangles += [(walk[i - 1], walk[i], r), (walk[i], r, r_next), (r, r_next, cone)]
+        fresh = cone + 1
+    return SimplicialComplex2(range(fresh), triangles)
+
+
+# non-abelian deck groups: (generators, relators, order, f-vector of the complex)
+NON_ABELIAN = {
+    "S3": (2, [(1, 1), (2, 2, 2), (1, 2, 1, 2)], 6, (35, 114, 81)),
+    "Q8": (2, [(1, 1, 1, 1), (1, 1, -2, -2), (1, 2, 1, -2)], 8, (44, 150, 108)),
+    "A4": (2, [(1, 1, 1), (2, 2, 2), (1, 2, 1, 2)], 12, (38, 126, 90)),
+}
+
+
 def cyclic_powers(n: int, k: int) -> Presentation:
     """Z_n on generators a, a^2, .., a^k: relators a^n and b_j a^-j."""
     return Presentation(k, [(1,) * n] + [(j,) + (-1,) * j for j in range(2, k + 1)])

@@ -14,6 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from coverdiam._search import bfs
+from coverdiam.complexes import SimplicialComplex2
 from coverdiam.covering import CoveringGraph, Voltage
 from coverdiam.errors import DisconnectedGraphError, EnumerationOverflow, InvariantError
 from coverdiam.groups import (
@@ -37,6 +38,7 @@ from coverdiam.metric_graph import (
     validate_route,
 )
 from coverdiam.separator import cayley_cap_holds
+from coverdiam.universal_cover import PEApprox
 
 
 class SubdivisionMap:
@@ -174,7 +176,8 @@ def single_source_heapq(g: MetricGraph, source: str):
         if v in done:
             continue
         done.add(v)
-        for e, w in g.neighbors(v):
+        for e, side in g.incident(v):
+            w = e.v if side == "u" else e.u
             nd = d + e.length
             if w not in dist or nd < dist[w]:
                 dist[w] = nd
@@ -315,8 +318,8 @@ def continuous_diameter_allpairs(g: MetricGraph, chunk: int = 200_000) -> Diamet
         return DiameterResult(0.0, None)
     dm = g.apsp().values
     edges = g.edges
-    u = np.array([g._vindex[e.u] for e in edges])
-    v = np.array([g._vindex[e.v] for e in edges])
+    u = np.array([g.vertex_index(e.u) for e in edges])
+    v = np.array([g.vertex_index(e.v) for e in edges])
     Lall = np.array([e.length for e in edges])
 
     half = (Lall + dm[u, v]) / 2.0
@@ -388,7 +391,29 @@ def full_dijkstra(g: MetricGraph) -> np.ndarray:
     return dijkstra(_csr(g)[0])
 
 
-def derive_cover_string_keyed(g: MetricGraph, v: Voltage) -> CoveringGraph:
+class StringKeyedCover(CoveringGraph):
+    """A cover whose lifts and projections are read from the string-keyed
+    dicts it was built with: `maps` = (vertex lifts, edge lifts, vertex
+    projections, edge projections)."""
+
+    def __init__(self, base, voltage, graph, *maps):
+        super().__init__(base, voltage, graph)
+        self.maps = maps
+
+    def lift_vertex(self, v, sheet):
+        return self.maps[0][(v, sheet)]
+
+    def lift_edge(self, e, sheet):
+        return self.maps[1][(e, sheet)]
+
+    def project_vertex(self, dv):
+        return self.maps[2][dv]
+
+    def project_edge(self, de):
+        return self.maps[3][de]
+
+
+def derive_cover_string_keyed(g: MetricGraph, v: Voltage) -> StringKeyedCover:
     """The derived graph of (g, v) built through string name maps, with the
     star of every derived vertex checked by sorting its projected ends."""
     n = v.sheets
@@ -408,7 +433,7 @@ def derive_cover_string_keyed(g: MetricGraph, v: Voltage) -> CoveringGraph:
             eproj[name] = (e.id, s)
             edges.append(Edge(name, vlift[(e.u, s)], vlift[(e.v, perm[s])], e.length))
     derived = MetricGraph(vertices, edges, require_connected=False)
-    c = CoveringGraph(g, v, derived, vlift, elift, vproj, eproj)
+    c = StringKeyedCover(g, v, derived, vlift, elift, vproj, eproj)
     if len(c.graph.vertices) != n * len(g.vertices):
         raise InvariantError("derived graph does not have n vertices per base vertex")
     if len(c.graph.edges) != n * len(g.edges):
@@ -423,6 +448,89 @@ def derive_cover_string_keyed(g: MetricGraph, v: Voltage) -> CoveringGraph:
         if derived_star != base_star:
             raise InvariantError(f"star at {dv} does not project bijectively")
     return c
+
+
+def pe_subdivision_graph_records(k: SimplicialComplex2, level: int) -> PEApprox:
+    """Subdivision graph of the unit-equilateral model, built from `Edge`
+    records: the reference for `universal_cover.pe_subdivision_graph`.
+
+    A vertex carries itself, an edge point is carried by its edge's smaller
+    endpoint and a triangle's interior point by its smallest corner.
+    """
+    if level < 1:
+        raise ValueError("level must be a positive integer")
+    L = level
+    h = 1.0 / L
+
+    vert_ids = {v: f"v{i}" for i, v in enumerate(k.vertices)}
+    edge_index = {e: j for j, e in enumerate(k.edges)}
+    carrier = {name: v for v, name in vert_ids.items()}  # vertex name -> its carrier
+    edges_out: list[Edge] = []
+
+    def edge_point(e: tuple, t: int) -> str:
+        # t steps from the smaller endpoint along edge e
+        if t == 0:
+            return vert_ids[e[0]]
+        if t == L:
+            return vert_ids[e[1]]
+        return f"e{edge_index[e]}:{t}"
+
+    for e, j in edge_index.items():
+        carrier.update((f"e{j}:{t}", e[0]) for t in range(1, L))
+        for t in range(L):
+            edges_out.append(
+                Edge(f"E{j}:{t}", edge_point(e, t), edge_point(e, t + 1), h)
+            )
+
+    for m, (a, b, c) in enumerate(k.triangles):
+        e_ab = (a, b)
+        e_ac = (a, c)
+        e_bc = (b, c)
+
+        def corner_name(x: int, y: int, z: int) -> str:
+            # barycentric steps (x, y, z) summing to L; a = (L,0,0) etc.
+            if z == 0:
+                return edge_point(e_ab, y)
+            if y == 0:
+                return edge_point(e_ac, z)
+            if x == 0:
+                return edge_point(e_bc, z)
+            return f"t{m}:{x},{y}"
+
+        for x in range(L - 2, 0, -1):
+            for y in range(1, L - x):
+                carrier[f"t{m}:{x},{y}"] = a
+
+        count = 0
+        for x in range(L + 1):
+            for y in range(L + 1 - x):
+                z = L - x - y
+                # each step keeps one coordinate, and lies on a boundary chain,
+                # whose edges already exist, exactly when that coordinate is 0
+                for dx, dy, dz, kept in ((-1, 1, 0, z), (-1, 0, 1, y), (0, -1, 1, x)):
+                    nx, ny, nz = x + dx, y + dy, z + dz
+                    if kept == 0 or nx < 0 or ny < 0:
+                        continue
+                    edges_out.append(
+                        Edge(
+                            f"T{m}:{x},{y},{z}-{nx},{ny},{nz}",
+                            corner_name(x, y, z),
+                            corner_name(nx, ny, nz),
+                            h,
+                        )
+                    )
+                    count += 1
+        if count != 3 * L * (L - 1) // 2:
+            raise InvariantError(f"triangle {m} subdivided into {count} edges")
+
+    graph = MetricGraph(carrier, edges_out, require_connected=k.is_connected())
+    approx = PEApprox(graph, vert_ids, carrier)
+    nv, ne, nf = k.f_vector
+    if len(graph.vertices) != nv + (L - 1) * ne + ((L - 1) * (L - 2) // 2) * nf:
+        raise InvariantError("PE subdivision has the wrong vertex count")
+    if len(graph.edges) != L * ne + (3 * L * (L - 1) // 2) * nf:
+        raise InvariantError("PE subdivision has the wrong edge count")
+    return approx
 
 
 def pe_voltage(cover, pe_base) -> Voltage:

@@ -106,6 +106,19 @@ def test_orbits_numbered_by_first_derived_vertex():
     assert rep.orbits == ((2,), (0, 1))
 
 
+def test_cover_names_outside_the_cover_raise_key_error(fig8_cover):
+    assert fig8_cover.lift_vertex("v", 1) == "v@1" and fig8_cover.project_edge("a@1") == ("a", 1)
+    for call, args in [
+        (fig8_cover.lift_vertex, ("w", 0)), (fig8_cover.lift_vertex, ("v", 2)),
+        (fig8_cover.lift_vertex, ("v", -1)), (fig8_cover.lift_vertex, (0, 0)),
+        (fig8_cover.lift_edge, ("v", 0)), (fig8_cover.lift_edge, ("a", 0.5)),
+        (fig8_cover.project_vertex, ("v@2",)), (fig8_cover.project_vertex, ("a@0",)),
+        (fig8_cover.project_edge, ("a@01",)), (fig8_cover.project_edge, ("b",)),
+    ]:
+        with pytest.raises(KeyError):
+            call(*args)
+
+
 def test_derive_figure_eight(fig8_cover):
     g = fig8_cover.graph
     assert len(g.vertices) == 2
@@ -454,8 +467,11 @@ def test_lift_matches_string_keyed_oracle_on_every_sweep_attempt():
             assert_same_lift(*_lift(g, [v.perm(e.id) for e in g.edges], v.sheets), reference)
             cover = derive_cover(g, v)
             assert cover.graph.edges == reference.graph.edges
-            for name in ("_vlift", "_elift", "_vproj", "_eproj"):
-                assert getattr(cover, name) == getattr(reference, name)
+            vlift, elift, vproj, eproj = reference.maps
+            assert all(cover.lift_vertex(*key) == name for key, name in vlift.items())
+            assert all(cover.lift_edge(*key) == name for key, name in elift.items())
+            assert all(cover.project_vertex(name) == key for name, key in vproj.items())
+            assert all(cover.project_edge(name) == key for name, key in eproj.items())
             attempts += 1
     assert attempts > 200  # some rows resample
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverdiam import universal_cover
+from coverdiam._search import bfs
 from coverdiam.cli import sweep_base_graph, sweep_instance
 from coverdiam.errors import DisconnectedGraphError, InvariantError
 from coverdiam.metric_graph import (
@@ -739,6 +741,84 @@ def test_unknown_vertex_named_in_error():
     }
     with pytest.raises(ValueError, match="e9"):
         metric_graph_from_json(obj)
+
+
+# ------------------------------------------------ the index constructor
+
+
+def _index_built(vertices, edges, require_connected=True):
+    """The graph of (vertices, edges) made by the index constructor, with
+    the names and ids sorted here."""
+    names = tuple(sorted(vertices))
+    at = {v: i for i, v in enumerate(names)}
+    edges = sorted(edges)
+    return MetricGraph._from_arrays(
+        names, tuple(e[0] for e in edges), [at[e[1]] for e in edges], [at[e[2]] for e in edges],
+        [e[3] for e in edges], require_connected=require_connected)
+
+
+def _least_member_of_component(g):
+    roots = {}
+    for i, v in enumerate(g.vertices):
+        if v not in roots:
+            ends = lambda x: [e.v if side == "u" else e.u for e, side in g.incident(x)]
+            roots.update(dict.fromkeys(bfs(v, ends), i))
+    return [roots[v] for v in g.vertices]
+
+
+def test_index_built_graph_matches_record_built():
+    rng = random.Random(2022)
+    seen = Counter()
+    for _ in range(600):
+        nv = rng.randint(1, 12)
+        names = [f"n{x}" for x in rng.sample(range(1000), nv)]
+        edges = [(f"e{x}", rng.choice(names), rng.choice(names), rng.choice((1.0, 0.5, rng.uniform(0.1, 3))))
+                 for x in rng.sample(range(1000), rng.randint(0, 2 * nv))]
+        want = MetricGraph(names, edges, require_connected=False)
+        got = _index_built(names, edges, require_connected=False)
+        for eid, *_ in edges:  # records made one at a time from the arrays
+            assert got.edge(eid) == want.edge(eid)
+        assert got._edges is None
+        with pytest.raises(ValueError, match="unknown edge id"):
+            got.edge("e-1")
+        assert got.vertices == want.vertices
+        assert all(np.array_equal(a, b) for a, b in zip(got.edge_arrays(), want.edge_arrays()))
+        assert got.is_connected == want.is_connected
+        assert list(got._components) == _least_member_of_component(want)
+        assert got.edges == want.edges
+        assert all(got.edge(e.id) is e for e in got.edges)  # once built, records are kept
+        for v in names:
+            assert got.incident(v) == want.incident(v)
+            assert got.single_source(v) == want.single_source(v)
+        seen["loops"] += any(u == v for _, u, v, _ in edges)
+        seen["parallel"] += len({frozenset((u, v)) for _, u, v, _ in edges}) < len(edges)
+        seen["disconnected"] += not want.is_connected
+    assert min(seen.values()) > 100, seen
+
+
+@pytest.mark.parametrize("vertices,ids,u,v,length,match", [
+    ((), (), [], [], [], "at least one vertex"),
+    (("b", "a"), ("x",), [0], [1], [1.0], "vertex ids must be sorted and distinct"),
+    (("a", "a"), ("x",), [0], [1], [1.0], "vertex ids must be sorted and distinct"),
+    (("a", "b"), ("y", "x"), [0, 0], [1, 1], [1.0, 1.0], "edge ids must be sorted and distinct"),
+    (("a", "b"), ("x", "x"), [0, 0], [1, 1], [1.0, 1.0], "edge ids must be sorted and distinct"),
+    (("a", "b"), ("x",), [0], [2], [1.0], "unknown vertex"),
+    (("a", "b"), ("x",), [-1], [1], [1.0], "unknown vertex"),
+    (("a", "b"), ("x",), [0, 1], [1], [1.0], "differ in number"),
+    (("a", "b"), ("x",), [0], [1], [0.0], "positive and finite"),
+    (("a", "b"), ("x",), [0], [1], [-1.0], "positive and finite"),
+    (("a", "b"), ("x",), [0], [1], [math.nan], "positive and finite"),
+    (("a", "b"), ("x",), [0], [1], [math.inf], "positive and finite"),
+])
+def test_index_constructor_rejects(vertices, ids, u, v, length, match):
+    with pytest.raises(ValueError, match=match):
+        MetricGraph._from_arrays(vertices, ids, u, v, length)
+
+
+def test_index_constructor_checks_connectivity():
+    with pytest.raises(DisconnectedGraphError):
+        MetricGraph._from_arrays(("a", "b"), ("x",), [0], [0], [1.0])
+    assert not MetricGraph._from_arrays(("a", "b"), ("x",), [0], [0], [1.0], require_connected=False).is_connected
 
 
 # ------------------------------------------------------------ property

@@ -1,7 +1,8 @@
 """Report bytes pinned by sha256, so a faster distance path cannot move a digit.
 
 The digests were taken from the code before the deck-reduced distances
-went in, and the sweep's before the pair stage kept one maximum per edge;
+went in, the sweep's before the pair stage kept one maximum per edge, and
+the non-abelian covers' before the graphs were built from index arrays;
 any change to them is a change of reported values.
 """
 
@@ -19,7 +20,7 @@ from coverdiam.universal_cover import (
     verify_universal_bound,
 )
 
-from .conftest import pseudo_projective_plane
+from .conftest import NON_ABELIAN, presentation_complex, pseudo_projective_plane
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,6 +60,20 @@ def test_lens_plane_level_1_bytes(order, digest):
     check = verify_universal_bound(k, 1, 100_000, cover=cover)
     nerve = fiber_ball_nerve(cover, k.vertices[0], 1.0, 1)
     payload = json.dumps([check.to_json_dict(), nerve.to_json_dict()], sort_keys=True)
+    assert _sha(payload.encode()) == digest
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("S3", "e6afe3897babcce04633b414f2c2feb8d36f7e60a6c274a2d9126fc8eea01486"),
+    ("Q8", "7ae93f95093a63ce776c93fb7ec72ed4e27cbc930b3c1c1284de943d5022d332"),
+    ("A4", "79d9ac6a76b797626f10b3d01c21422e916439af64c5ab0ddbde7c3847bf8cef"),
+])
+def test_non_abelian_cover_levels_1_2_bytes(name, digest):
+    k = presentation_complex(*NON_ABELIAN[name][:2])
+    cover = build_universal_cover(k, 100_000)
+    checks = [verify_universal_bound(k, level, 100_000, cover=cover).to_json_dict() for level in (1, 2)]
+    nerve = fiber_ball_nerve(cover, k.vertices[0], 1.0, 1)
+    payload = json.dumps([checks, nerve.to_json_dict()], sort_keys=True)
     assert _sha(payload.encode()) == digest
 
 

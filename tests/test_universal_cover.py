@@ -29,11 +29,12 @@ from coverdiam.universal_cover import (
     verify_universal_bound,
 )
 
-from .conftest import assert_same_lift, pseudo_projective_plane
+from .conftest import NON_ABELIAN, assert_same_lift, presentation_complex, pseudo_projective_plane
 from .oracle import (
     derive_cover_string_keyed,
     final_inequality_holds,
     full_dijkstra,
+    pe_subdivision_graph_records,
     pe_voltage,
     subdivided_total_lift,
 )
@@ -134,6 +135,30 @@ def test_pe_count_formulas(rp2):
         nv, ne, nf = rp2.f_vector
         assert len(pe.graph.vertices) == nv + (level - 1) * ne + (level - 1) * (level - 2) // 2 * nf
         assert len(pe.graph.edges) == level * ne + 3 * level * (level - 1) // 2 * nf
+
+
+@pytest.mark.parametrize("key", ["rp2", 3, 6, 24, "apart"])
+def test_pe_graph_matches_record_built_oracle(key, rp2):
+    k = {"rp2": rp2, "apart": SimplicialComplex2(range(7), [(0, 1, 2)], [(3, 4)])}.get(key)
+    k = k or pseudo_projective_plane(key)
+    for level in range(1, 9):
+        got, want = pe_subdivision_graph(k, level), pe_subdivision_graph_records(k, level)
+        g, w = got.graph, want.graph
+        assert g.vertices == w.vertices
+        assert all(np.array_equal(a, b) for a, b in zip(g.edge_arrays(), w.edge_arrays()))
+        assert g.edges == w.edges
+        assert all(g.incident(v) == w.incident(v) for v in w.vertices)
+        assert (got.vertex_ids, got.carriers) == (want.vertex_ids, want.carriers)
+        assert g.is_connected == w.is_connected == (key != "apart")
+
+
+def test_pe_and_diameters_build_no_edge_records(rp2_cover):
+    pe_base, total, _ = rp2_cover.pe(6)
+    continuous_diameter(pe_base.graph)
+    continuous_diameter(total)
+    for g in (pe_base.graph, total):
+        # no id-to-edge map exists at all: edge(id) bisects the sorted ids
+        assert g._edges is None and g._incident is None
 
 
 def test_pe_vertex_distances_nonincreasing_under_refinement(rp2):
@@ -456,11 +481,13 @@ _COMPLEXES = {
     **{f"plane{k}": functools.partial(pseudo_projective_plane, k) for k in range(3, 9)},
     "plane5-relabelled": functools.partial(
         load_complex, Path(__file__).parent / "data" / "plane5_relabelled.json"),
+    **{name: functools.partial(presentation_complex, *spec[:2]) for name, spec in NON_ABELIAN.items()},
 }
 _DECK_CASES = (
     [(f"rp2-{seed}", level) for seed in (1, 2, 3) for level in range(1, 9)]
     + [(f"plane{k}", level) for k in range(3, 9) for level in (1, 2)]
     + [("plane5-relabelled", 1)]
+    + [(name, level) for name in NON_ABELIAN for level in (1, 2)]
 )
 
 
@@ -500,6 +527,33 @@ def test_deck_reduced_distances_need_one_edge_length():
                      for v in g.vertices])
     with pytest.raises(ValueError, match="one length"):
         _sheet0_distances(g, derived.graph, lift, ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("name", NON_ABELIAN)
+def test_presentation_complex_has_a_non_abelian_deck(name):
+    *_, order, f_vector = NON_ABELIAN[name]
+    k, cover = _cover_of(name)
+    assert (k.f_vector, cover.sheets) == (f_vector, order)
+    deck = cover.deck  # deck[a][0] = a, so deck[a][deck[b][0]] is the product ab
+    assert any(deck[a][deck[b][0]] != deck[b][deck[a][0]] for a in range(order) for b in range(order))
+
+
+@pytest.mark.parametrize("name", NON_ABELIAN)
+def test_cover_check_rejects_a_deck_of_right_multiplications(name):
+    _, cover = _cover_of(name)
+    table, n = cover.table, cover.sheets
+    # a word for every element, along a breadth-first tree from the identity
+    words, queue = {0: ()}, [0]
+    letters = [x for g in range(1, len(table.action) + 1) for x in (g, -g)]
+    for s in queue:
+        for x in letters:
+            if table.act(s, x) not in words:
+                words[table.act(s, x)] = words[s] + (x,)
+                queue.append(table.act(s, x))
+    right = tuple(tuple(table.trace(s, words[a]) for s in range(n)) for a in range(n))
+    assert [lam[0] for lam in right] == list(range(n)) and right != cover.deck
+    with pytest.raises(InvariantError, match="does not commute"):
+        _check_cover_complex(dataclasses.replace(cover, deck=right))
 
 
 def test_cover_check_rejects_a_deck_map_off_the_edge_permutations():
