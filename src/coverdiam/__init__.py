@@ -11,7 +11,6 @@ from .errors import (
 )
 from .metric_graph import (
     DiameterResult,
-    DistanceMatrix,
     Edge,
     EdgePoint,
     MetricGraph,

@@ -243,7 +243,7 @@ def _run_ucover_verify(config: ExperimentConfig) -> Report:
     for level in config.levels:
         repro = (
             f"coverdiam ucover verify-bound --complex {config.complex_path} "
-            f"--level {level} --budget {config.budget}"
+            f"--levels {level} --budget {config.budget}"
         )
         row = {"level": level, "repro": repro, "error": None}
         try:
@@ -545,15 +545,14 @@ def ucover_build(complex_path, budget):
 
 @ucover_grp.command("verify-bound")
 @click.option("--complex", "complex_path", required=True, type=click.Path(exists=True))
-@click.option("--level", default=6, show_default=True, type=click.IntRange(min=1))
-@click.option("--levels", default=None, help="comma-separated levels for a sweep report")
+@click.option("--levels", default="6", show_default=True, help="comma-separated subdivision levels")
 @click.option("--budget", default=100_000, show_default=True, type=click.IntRange(min=1))
 @click.option("--tol", default=1e-9, show_default=True, type=click.FloatRange(min=0))
 @click.option("--out", default=None, type=click.Path())
 @click.option("--format", "fmt", default="json", type=click.Choice(["csv", "json"]), show_default=True)
-def ucover_verify(complex_path, level, levels, budget, tol, out, fmt):
+def ucover_verify(complex_path, levels, budget, tol, out, fmt):
     """Check d(cover) < 4 sqrt(n) d(base) on subdivision graphs."""
-    level_tuple = _parse_ints(levels, "--levels") if levels else (level,)
+    level_tuple = _parse_ints(levels, "--levels")
     if not level_tuple or min(level_tuple) < 1:
         raise click.UsageError(f"--levels expects positive levels, got {levels!r}")
     report = run(

@@ -11,7 +11,7 @@ test suite, not shipped here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -287,19 +287,7 @@ class CoverBoundReport:
     cover_witness: tuple[EdgePoint, EdgePoint] | None
 
     def to_json_dict(self) -> dict:
-        def pt(w):
-            return None if w is None else [{"edge": p.edge, "offset": p.offset} for p in w]
-
-        return {
-            "sheets": self.sheets,
-            "d_base": self.d_base,
-            "d_cover": self.d_cover,
-            "bound": self.bound,
-            "holds": self.holds,
-            "tol": self.tol,
-            "base_witness": pt(self.base_witness),
-            "cover_witness": pt(self.cover_witness),
-        }
+        return asdict(self)
 
 
 def verify_diameter_bound(g: MetricGraph, v: Voltage, tol: float = 1e-9) -> CoverBoundReport:

@@ -26,7 +26,6 @@ __all__ = [
     "RouteLeg",
     "PathRoute",
     "MetricGraph",
-    "DistanceMatrix",
     "DiameterResult",
     "point_distance",
     "continuous_diameter",
@@ -356,8 +355,9 @@ class MetricGraph:
         sums = np.cumsum(np.concatenate(([0.0], np.full(len(self.vertices) - 1, h), [np.inf])))
         return np.take(sums, self._hop_counts(indices), mode="clip")
 
-    def apsp(self) -> "DistanceMatrix":
-        """All-pairs distances, cached.  A float Dijkstra returns the least
+    def apsp(self) -> np.ndarray:
+        """All-pairs distances as a cached float64 (N, N) array, rows and
+        columns in `vertices` order.  A float Dijkstra returns the least
         left-to-right float sum over all walks (rounding is monotone and
         fl(x + w) >= x): the one fixed point of relaxing every arc, which
         any relaxation reaches bit for bit.  Graphs whose links have one
@@ -386,7 +386,7 @@ class MetricGraph:
                         if np.array_equal(block, before):
                             break
                     values[lo : lo + step] = block.T
-            self._apsp_cache = DistanceMatrix(self.vertices, values)
+            self._apsp_cache = values
         return self._apsp_cache
 
     def single_source(self, source: str) -> tuple[dict[str, float], dict[str, tuple[str, str]]]:
@@ -398,7 +398,7 @@ class MetricGraph:
         spans dist, acyclic even where a sub-ulp edge is tight both ways."""
         if (i := _position(self.vertices, source)) < 0:
             raise ValueError(f"unknown vertex {source!r}")
-        row = self.apsp().values[i].tolist()
+        row = self.apsp()[i].tolist()
         dist = {v: d for v, d in zip(self.vertices, row) if d < math.inf}
         parent, queue = {}, [source]
         for p in queue:
@@ -435,20 +435,6 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         while not np.array_equal(up := root[root], root):
             root = up
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Vertex all-pairs shortest-path distances, indexed by sorted vertex order."""
-
-    vertices: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "_idx", {v: i for i, v in enumerate(self.vertices)})
-
-    def get(self, u: str, v: str) -> float:
-        return float(self.values[self._idx[u], self._idx[v]])
 
 
 # -- point utilities ---------------------------------------------------
@@ -498,7 +484,7 @@ def _shortest_way(g: MetricGraph, x: EdgePoint, y: EdgePoint) -> tuple[float, in
     dm = g.apsp()
     for i, (vx, cx) in enumerate(((ex.u, x.offset), (ex.v, ex.length - x.offset))):
         for j, (vy, cy) in enumerate(((ey.u, y.offset), (ey.v, ey.length - y.offset))):
-            cand = cx + dm.get(vx, vy) + cy
+            cand = cx + float(dm[g.vertex_index(vx), g.vertex_index(vy)]) + cy
             if cand < best:
                 best, kind = cand, 2 * i + j
     return best, kind
@@ -729,7 +715,7 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
     if m == 0:
         return DiameterResult(0.0, None)
 
-    dm = g.apsp().values
+    dm = g.apsp()
     u, v, Lall = g.edge_arrays()
 
     half = (Lall + dm[u, v]) / 2.0

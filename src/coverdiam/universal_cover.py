@@ -16,7 +16,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Hashable, NamedTuple
 
 import numpy as np
@@ -34,7 +34,6 @@ from .groups import CosetTable, TrivialityResult, todd_coxeter
 from .metric_graph import (
     _PAIR_CHUNK,
     DiameterResult,
-    DistanceMatrix,
     MetricGraph,
     _sorted,
     continuous_diameter,
@@ -87,12 +86,10 @@ class CoveringComplex:
         """Continuous diameters of the (base, total) PE models at `level`."""
         if level not in self._levels:
             pe_base, total, lift = self.pe(level)
-            base = pe_base.graph
-            own = np.array([base.vertex_index(pe_base.vertex_id(v)) for v in self.base.vertices])
-            diameters = (continuous_diameter(base), continuous_diameter(total))
+            diameters = (continuous_diameter(pe_base.graph), continuous_diameter(total))
             # copied past both diameters' peaks; the models go when this returns
-            rows = total.apsp().values[lift[own, 0]]
-            self._levels[level] = _Level(diameters, rows, lift, own)
+            rows = total.apsp()[lift[pe_base.own, 0]]
+            self._levels[level] = _Level(diameters, rows, lift, pe_base.own)
         return self._levels[level].diameters
 
     def pe(self, level: int) -> tuple[PEApprox, MetricGraph, np.ndarray]:
@@ -106,9 +103,8 @@ class CoveringComplex:
         subdivision edges run from the smaller carrier to the larger.
         """
         pe_base = pe_subdivision_graph(self.base, level)
-        base = pe_base.graph
+        base, carrier = pe_base.graph, pe_base.carrier
         pos = {v: i for i, v in enumerate(self.base.vertices)}
-        carrier = np.array([pos[pe_base.carriers[p]] for p in base.vertices])
         # row code[a, b] of moves carries the sheets from carrier a to carrier b
         moves = np.array([range(self.sheets), *self.edge_permutation.values()])
         code = np.full((len(pos), len(pos)), -1)
@@ -234,17 +230,14 @@ class PEApprox:
 
     Triangles split into level^2 sub-triangles of side 1/level; shared
     sub-edges are identified.  The graph metric dominates the flat metric
-    by at most 2/sqrt(3).  `vertex_ids` names the graph vertex of each
-    complex vertex, and `carriers` maps each subdivision vertex to the
-    complex vertex that carries it.
+    by at most 2/sqrt(3).  `carrier[i]` is the position in `k.vertices` of
+    the complex vertex that carries graph vertex i, and `own[j]` is the
+    graph index of complex vertex k.vertices[j].
     """
 
     graph: MetricGraph
-    vertex_ids: dict
-    carriers: dict
-
-    def vertex_id(self, v) -> str:
-        return self.vertex_ids[v]
+    carrier: np.ndarray
+    own: np.ndarray
 
 
 def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
@@ -268,8 +261,6 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
     names = ([f"v{i}" for i in range(nv)]
              + [f"e{j}:{t}" for j in range(ne) for t in range(1, L)]
              + [f"t{m}:{x},{y}" for m in range(nf) for x, y in inner])
-    carriers = (list(k.vertices) + [a for a, _ in k.edges for _ in range(1, L)]
-                + [t[0] for t in k.triangles for _ in inner])
     chain = nv + np.arange(ne)[:, None] * (L - 1) + np.arange(-1, L)
     chain[:, [0, L]] = np.array([(vpos[a], vpos[b]) for a, b in k.edges], dtype=np.intp).reshape(ne, 2)
 
@@ -293,6 +284,8 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
                                     dtype=np.intp).reshape(-1, 4).T
     tri = np.array([(vpos[a], vpos[b], vpos[c], epos[a, b], epos[a, c], epos[b, c])
                     for a, b, c in k.triangles], dtype=np.intp).reshape(nf, 6)
+    carrier = np.concatenate((np.arange(nv), np.repeat(chain[:, 0], L - 1),
+                              np.repeat(tri[:, 0], len(inner))))
     cols = np.column_stack((tri[:, :3], nv + tri[:, 3:] * (L - 1) - 1,  # edge point t: + t
                             nv + ne * (L - 1) + np.arange(nf) * len(inner)))
     u = np.concatenate((chain[:, :-1].ravel(), (cols[:, kind] + at).ravel()))
@@ -309,7 +302,7 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
         raise InvariantError("PE subdivision has the wrong vertex count")
     if len(ids) != L * ne + (3 * L * (L - 1) // 2) * nf:
         raise InvariantError("PE subdivision has the wrong edge count")
-    return PEApprox(graph, {v: f"v{i}" for i, v in enumerate(k.vertices)}, dict(zip(names, carriers)))
+    return PEApprox(graph, carrier[order], rank[:nv])
 
 
 class _Level(NamedTuple):
@@ -342,7 +335,7 @@ def _deck_columns(lift: np.ndarray, deck) -> np.ndarray:
 def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
                       deck) -> None:
     """Both models' all-pairs distances from a breadth-first search out of
-    the sheet-0 lifts alone; fills their `apsp()`.
+    the sheet-0 lifts alone, stored as the arrays their `apsp()` returns.
 
     `total` covers `base`: `lift[b, s]` is the total index of base vertex b
     on sheet s, and each deck permutation lam maps (w, t) to (w, lam(t))
@@ -384,8 +377,7 @@ def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
             for s in range(1, n):
                 np.take(row, cols[s], out=dist[targets[s]])
         del rows  # before the next block's search makes its own
-    base._apsp_cache = DistanceMatrix(base.vertices, dist_base)
-    total._apsp_cache = DistanceMatrix(total.vertices, dist)
+    base._apsp_cache, total._apsp_cache = dist_base, dist
 
 
 def _fiber_rows(c: CoveringComplex, level: int, p) -> tuple[np.ndarray, np.ndarray]:
@@ -413,17 +405,7 @@ class UniversalBoundReport:
     tol: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "sheets": self.sheets,
-            "level": self.level,
-            "d_base": self.d_base,
-            "d_cover": self.d_cover,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "corrected_ratio": self.corrected_ratio,
-            "holds": self.holds,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def verify_universal_bound(

@@ -38,7 +38,6 @@ from coverdiam.metric_graph import (
     validate_route,
 )
 from coverdiam.separator import cayley_cap_holds
-from coverdiam.universal_cover import PEApprox
 
 
 class SubdivisionMap:
@@ -316,7 +315,7 @@ def continuous_diameter_allpairs(g: MetricGraph, chunk: int = 200_000) -> Diamet
     m = len(g.edges)
     if m == 0:
         return DiameterResult(0.0, None)
-    dm = g.apsp().values
+    dm = g.apsp()
     edges = g.edges
     u = np.array([g.vertex_index(e.u) for e in edges])
     v = np.array([g.vertex_index(e.v) for e in edges])
@@ -450,9 +449,11 @@ def derive_cover_string_keyed(g: MetricGraph, v: Voltage) -> StringKeyedCover:
     return c
 
 
-def pe_subdivision_graph_records(k: SimplicialComplex2, level: int) -> PEApprox:
+def pe_subdivision_graph_records(k: SimplicialComplex2, level: int) -> tuple[MetricGraph, dict, dict]:
     """Subdivision graph of the unit-equilateral model, built from `Edge`
     records: the reference for `universal_cover.pe_subdivision_graph`.
+    Returns the graph, the graph vertex name of each complex vertex, and
+    the complex vertex that carries each graph vertex, by name.
 
     A vertex carries itself, an edge point is carried by its edge's smaller
     endpoint and a triangle's interior point by its smallest corner.
@@ -524,19 +525,18 @@ def pe_subdivision_graph_records(k: SimplicialComplex2, level: int) -> PEApprox:
             raise InvariantError(f"triangle {m} subdivided into {count} edges")
 
     graph = MetricGraph(carrier, edges_out, require_connected=k.is_connected())
-    approx = PEApprox(graph, vert_ids, carrier)
     nv, ne, nf = k.f_vector
     if len(graph.vertices) != nv + (L - 1) * ne + ((L - 1) * (L - 2) // 2) * nf:
         raise InvariantError("PE subdivision has the wrong vertex count")
     if len(graph.edges) != L * ne + (3 * L * (L - 1) // 2) * nf:
         raise InvariantError("PE subdivision has the wrong edge count")
-    return approx
+    return graph, vert_ids, carrier
 
 
 def pe_voltage(cover, pe_base) -> Voltage:
     """Per PE edge P->Q of a universal cover's base model, the transport
     from carrier(P) to carrier(Q) as a voltage."""
-    carrier = pe_base.carriers
+    carrier = dict(zip(pe_base.graph.vertices, (cover.base.vertices[c] for c in pe_base.carrier)))
     transport = dict(cover.edge_permutation)
     transport.update({(v, v): tuple(range(cover.sheets)) for v in cover.base.vertices})
     return Voltage(cover.sheets, {

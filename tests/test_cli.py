@@ -365,7 +365,18 @@ def test_ucover_commands(runner, data_dir, tmp_path):
     assert all(r["status"] == "PASS" for r in obj["rows"])
 
 
-@pytest.mark.parametrize("levels", ["3,x", ",", "0", "0,3"])
+def test_ucover_verify_repro_lines_rerun_their_rows(runner, data_dir, tmp_path):
+    complex_path = str(data_dir / "rp2_complex.json")
+    rep = run(ExperimentConfig(command="ucover-verify", levels=(2, 3), complex_path=complex_path))
+    rows = json.loads(emit(rep, "json"))["rows"]
+    for i, row in enumerate(rows):
+        out = tmp_path / f"{i}.json"
+        result = runner.invoke(main, row["repro"].split()[1:] + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["rows"] == [row]
+
+
+@pytest.mark.parametrize("levels", ["3,x", ",", "0", "0,3", "-2"])
 def test_ucover_verify_rejects_malformed_levels(runner, data_dir, levels):
     result = runner.invoke(
         main,
@@ -375,7 +386,7 @@ def test_ucover_verify_rejects_malformed_levels(runner, data_dir, levels):
     assert "--levels" in result.output
 
 
-@pytest.mark.parametrize("command", ["verify-bound", "nerve"])
+@pytest.mark.parametrize("command", ["nerve"])
 @pytest.mark.parametrize("level", ["0", "-2"])
 def test_ucover_rejects_nonpositive_level(runner, data_dir, command, level):
     result = runner.invoke(

@@ -326,12 +326,13 @@ def test_deck_figure_eight(fig8_cover):
 
 
 def test_deck_transformations_are_isometries(cycle18):
-    dm = cycle18.graph.apsp()
+    g = cycle18.graph
+    dm, at = g.apsp(), g.vertex_index
     for t in deck_transformations(cycle18):
-        for u in cycle18.graph.vertices:
-            for v in cycle18.graph.vertices:
-                assert dm.get(u, v) == pytest.approx(
-                    dm.get(t.apply_vertex(u), t.apply_vertex(v)), abs=1e-9
+        for u in g.vertices:
+            for v in g.vertices:
+                assert dm[at(u), at(v)] == pytest.approx(
+                    dm[at(t.apply_vertex(u)), at(t.apply_vertex(v))], abs=1e-9
                 )
 
 

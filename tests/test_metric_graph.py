@@ -67,36 +67,51 @@ def test_incident_ends_in_id_then_side_order(theta, figure_eight):
 
 def test_apsp_unit_triangle(unit_triangle):
     dm = unit_triangle.apsp()
-    for u in unit_triangle.vertices:
-        for v in unit_triangle.vertices:
+    n = len(unit_triangle.vertices)
+    for u in range(n):
+        for v in range(n):
             expected = 0.0 if u == v else 1.0
-            assert dm.get(u, v) == pytest.approx(expected, abs=1e-12)
+            assert dm[u, v] == pytest.approx(expected, abs=1e-12)
 
 
 def test_apsp_path(path_graph):
     dm = path_graph.apsp()
-    assert dm.get("p0", "p2") == pytest.approx(3.0, abs=1e-12)
+    at = path_graph.vertex_index
+    assert dm[at("p0"), at("p2")] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_apsp_single_loop(loop6):
     dm = loop6.apsp()
-    assert dm.get("v0", "v0") == 0.0
+    assert dm[loop6.vertex_index("v0"), loop6.vertex_index("v0")] == 0.0
 
 
 def test_apsp_is_metric(theta):
     dm = theta.apsp()
-    vs = theta.vertices
+    vs = range(len(theta.vertices))
     for a in vs:
-        assert dm.get(a, a) == 0.0
+        assert dm[a, a] == 0.0
         for b in vs:
-            assert dm.get(a, b) == dm.get(b, a)
+            assert dm[a, b] == dm[b, a]
             for c in vs:
-                assert dm.get(a, c) <= dm.get(a, b) + dm.get(b, c) + 1e-9
+                assert dm[a, c] <= dm[a, b] + dm[b, c] + 1e-9
 
 
 def _sweep_graphs(seed: int, i: int):
     g, _, cover, _ = sweep_instance(seed, i)
     return g, cover.graph
+
+
+def test_apsp_is_one_cached_matrix_in_vertex_order():
+    weighted = next(g for i in range(20) for g in _sweep_graphs(7, i) if len(set(g.edge_arrays()[2])) > 1)
+    rp2_cover = universal_cover.build_universal_cover(universal_cover.rp2_complex(), 100_000)
+    pe_base, total, _ = rp2_cover.pe(3)  # both filled by the deck-reduced search
+    for g in (weighted, pe_base.graph, total):
+        dm = g.apsp()
+        assert dm is g.apsp()
+        assert type(dm) is np.ndarray and dm.dtype == np.float64 and dm.flags.c_contiguous
+        assert dm.shape == (len(g.vertices), len(g.vertices))
+        # scipy's rows and columns follow g.vertex_index, the order of g.vertices
+        assert np.array_equal(dm, full_dijkstra(g))
 
 
 def _adversarial_graph(rng: random.Random) -> MetricGraph:
@@ -140,7 +155,7 @@ def test_apsp_matches_scipy_dijkstra_bit_for_bit():
     adversarial = (_adversarial_graph(rng) for _ in range(3000))
     unreached = 0
     for g in itertools.chain(sweep, adversarial, _equal_length_graphs()):
-        got = g.apsp().values
+        got = g.apsp()
         assert np.array_equal(got, full_dijkstra(g))
         unreached += int(np.isinf(got).any())
     assert unreached > 100
@@ -276,10 +291,7 @@ def test_diameter_theta_against_mesh_oracle(theta):
 
 def test_diameter_dominates_vertex_distances(theta, unit_triangle, path_graph):
     for g in (theta, unit_triangle, path_graph):
-        dm = g.apsp()
-        vmax = max(
-            dm.get(u, v) for u in g.vertices for v in g.vertices
-        )
+        vmax = float(g.apsp().max())
         res = continuous_diameter(g)
         assert res.value >= vmax - 1e-12
         # equality exactly when the witness is a vertex pair
@@ -483,7 +495,7 @@ def test_diameter_independent_of_chunk_size(chunk, monkeypatch):
 def _edge_pair_corners(g):
     """Per ordered edge pair i < j: corner distances A, B, C, E, lengths and
     H_i = max_w d(u_i, w) + d(v_i, w)."""
-    dm = g.apsp().values
+    dm = g.apsp()
     idx = {v: k for k, v in enumerate(g.vertices)}
     u = np.array([idx[e.u] for e in g.edges])
     v = np.array([idx[e.v] for e in g.edges])
@@ -557,8 +569,7 @@ def test_subdivide_identity_case():
 def test_subdivide_triangle_half(unit_triangle):
     sub, _ = subdivide(unit_triangle, 0.5)
     assert len(sub.vertices) == 6
-    dm = sub.apsp()
-    vmax = max(dm.get(u, v) for u in sub.vertices for v in sub.vertices)
+    vmax = float(sub.apsp().max())
     assert vmax == pytest.approx(1.5, abs=1e-12)
 
 

@@ -142,13 +142,17 @@ def test_pe_graph_matches_record_built_oracle(key, rp2):
     k = {"rp2": rp2, "apart": SimplicialComplex2(range(7), [(0, 1, 2)], [(3, 4)])}.get(key)
     k = k or pseudo_projective_plane(key)
     for level in range(1, 9):
-        got, want = pe_subdivision_graph(k, level), pe_subdivision_graph_records(k, level)
-        g, w = got.graph, want.graph
+        got = pe_subdivision_graph(k, level)
+        w, vertex_ids, carriers = pe_subdivision_graph_records(k, level)
+        g = got.graph
         assert g.vertices == w.vertices
         assert all(np.array_equal(a, b) for a, b in zip(g.edge_arrays(), w.edge_arrays()))
         assert g.edges == w.edges
         assert all(g.incident(v) == w.incident(v) for v in w.vertices)
-        assert (got.vertex_ids, got.carriers) == (want.vertex_ids, want.carriers)
+        # vertex by vertex: the index arrays name what the oracle's dicts name
+        assert sorted(carriers) == list(g.vertices) and list(vertex_ids) == list(k.vertices)
+        assert [k.vertices[c] for c in got.carrier] == [carriers[v] for v in g.vertices]
+        assert [g.vertices[i] for i in got.own] == [vertex_ids[v] for v in k.vertices]
         assert g.is_connected == w.is_connected == (key != "apart")
 
 
@@ -164,13 +168,10 @@ def test_pe_and_diameters_build_no_edge_records(rp2_cover):
 def test_pe_vertex_distances_nonincreasing_under_refinement(rp2):
     pe2 = pe_subdivision_graph(rp2, 2)
     pe4 = pe_subdivision_graph(rp2, 4)
-    d2 = pe2.graph.apsp()
-    d4 = pe4.graph.apsp()
-    for u in rp2.vertices:
-        for v in rp2.vertices:
-            assert d4.get(pe4.vertex_id(u), pe4.vertex_id(v)) <= d2.get(
-                pe2.vertex_id(u), pe2.vertex_id(v)
-            ) + 1e-9
+    d2 = pe2.graph.apsp()[np.ix_(pe2.own, pe2.own)]
+    d4 = pe4.graph.apsp()[np.ix_(pe4.own, pe4.own)]
+    assert d2.shape == d4.shape == (len(rp2.vertices),) * 2
+    assert (d4 <= d2 + 1e-9).all()
 
 
 def test_pe_projection_n_to_one(rp2_cover):
@@ -432,10 +433,9 @@ def _subdivided_total_cover(k, level):
     cover = build_universal_cover(k, 100_000)
     pe_base, pe_total = pe_subdivision_graph(k, level), pe_subdivision_graph(cover.total, level)
     lift = subdivided_total_lift(cover, pe_base.graph, pe_total.graph)
-    own = np.array([pe_base.graph.vertex_index(pe_base.vertex_id(v)) for v in k.vertices])
     diameters = (continuous_diameter(pe_base.graph), continuous_diameter(pe_total.graph))
-    rows = full_dijkstra(pe_total.graph)[lift[own, 0]]
-    cover._levels[level] = _Level(diameters, rows, lift, own)
+    rows = full_dijkstra(pe_total.graph)[lift[pe_base.own, 0]]
+    cover._levels[level] = _Level(diameters, rows, lift, pe_base.own)
     return cover, pe_total
 
 
@@ -502,11 +502,11 @@ def test_deck_reduced_distances_match_full_dijkstra(key, level):
     k, cover = _cover_of(key)
     pe_base, total, lift = cover.pe(level)
     cover.diameters(level)  # fills the level record that _fiber_rows reads
-    assert np.array_equal(pe_base.graph.apsp().values, full_dijkstra(pe_base.graph))
+    assert np.array_equal(pe_base.graph.apsp(), full_dijkstra(pe_base.graph))
     full = full_dijkstra(total)
-    assert np.array_equal(total.apsp().values, full)
-    for p in k.vertices:
-        fiber = list(lift[pe_base.graph.vertex_index(pe_base.vertex_id(p))])
+    assert np.array_equal(total.apsp(), full)
+    for i, p in enumerate(k.vertices):
+        fiber = list(lift[pe_base.graph.vertex_index(f"v{i}")])
         rows, sources = _fiber_rows(cover, level, p)
         assert list(sources) == fiber
         assert np.array_equal(rows, full[fiber])
