@@ -17,7 +17,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from ._search import bfs
 from .errors import DisconnectedGraphError
-from .groups import CayleyGraph, Presentation, TrivialityResult, free_reduce, is_trivial
+from .groups import CayleyGraph, Presentation, TrivialityResult, is_trivial
 
 __all__ = [
     "SimplicialComplex2",
@@ -115,7 +115,8 @@ class SpanningTreeData:
 
 
 def spanning_tree_presentation(k: SimplicialComplex2) -> SpanningTreeData:
-    """The tree is grown breadth-first from k.vertices[0]."""
+    """The tree is grown breadth-first from k.vertices[0].  Tree edges number
+    0, and sorted triangle (a, b, c) gives (g_ab, g_bc, -g_ac) without zeros."""
     if not k.vertices:
         raise ValueError("complex has no vertices")
     if not k.is_connected():
@@ -133,18 +134,10 @@ def spanning_tree_presentation(k: SimplicialComplex2) -> SpanningTreeData:
                 queue.append(w)
 
     gen_edges = tuple(e for e in k.edges if e not in tree)
-    gen_index = {e: i + 1 for i, e in enumerate(gen_edges)}
-
-    def letter(a, b) -> tuple[int, ...]:
-        e = tuple(sorted((a, b)))
-        if e in tree:
-            return ()
-        g = gen_index[e]
-        return (g,) if (a, b) == e else (-g,)
-
-    relators = []
-    for a, b, c in k.triangles:
-        relators.append(free_reduce(letter(a, b) + letter(b, c) + letter(c, a)))
+    number = dict.fromkeys(tree, 0)
+    number.update((e, i + 1) for i, e in enumerate(gen_edges))
+    relators = [tuple(x for x in (number[a, b], number[b, c], -number[a, c]) if x)
+                for a, b, c in k.triangles]
     presentation = Presentation(len(gen_edges), relators)
     return SpanningTreeData(presentation, frozenset(tree), gen_edges)
 

@@ -10,7 +10,7 @@ class DisconnectedCoverError(ValueError):
 
 
 class EnumerationOverflow(RuntimeError):
-    """Coset enumeration exhausted its live-coset budget.
+    """Coset enumeration exceeded its live-coset budget or a multiple of it in definitions.
 
     The presented group may be infinite, or the budget may simply be too
     small; the two cases are indistinguishable to the enumerator.

@@ -138,26 +138,30 @@ def load_presentation(path) -> Presentation:
 
 # ------------------------------------------------------------ enumeration
 
+# completed enumerations of the test corpora define at most 1.4 per budget coset
+_DEFINITIONS_PER_COSET = 16
+
 
 class _Enumerator:
     """HLT scan-and-fill with immediate coincidence handling.
 
     Table columns alternate generator/inverse: column 2k is generator k+1,
-    column 2k+1 its inverse.  Merges keep the smaller coset index, so the
-    surviving numbering only depends on the deterministic definition order.
+    column 2k+1 its inverse; relators are scanned as lists of columns, and
+    backwards through column ^ 1.  Merges keep the smaller coset index, so
+    the surviving numbering only depends on the deterministic definition
+    order.  More than max_cosets live cosets, or more than
+    _DEFINITIONS_PER_COSET times max_cosets definitions, raise
+    EnumerationOverflow, so a coincidence fault cannot loop forever.
     """
 
     def __init__(self, ngens: int, max_cosets: int):
         self.ngens = ngens
         self.ncols = 2 * ngens
         self.max_cosets = max_cosets
+        self.max_definitions = _DEFINITIONS_PER_COSET * max_cosets
         self.table: list[list[int]] = [[-1] * self.ncols]
         self.parent = [0]
         self.live = 1
-
-    @staticmethod
-    def col(letter: int) -> int:
-        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
     def find(self, c: int) -> int:
         root = c
@@ -170,6 +174,8 @@ class _Enumerator:
     def define(self) -> int:
         if self.live + 1 > self.max_cosets:
             raise EnumerationOverflow(self.max_cosets)
+        if len(self.table) > self.max_definitions:
+            raise EnumerationOverflow(self.max_cosets, f"{self.max_definitions} cosets defined")
         c = len(self.table)
         self.table.append([-1] * self.ncols)
         self.parent.append(c)
@@ -228,57 +234,56 @@ class _Enumerator:
         else:
             self.table[y][c ^ 1] = x
 
-    def scan_and_fill(self, a: int, word: Word) -> None:
-        if not word:
-            return
+    def scan_and_fill(self, a: int, cols: list[int]) -> None:
+        table, parent = self.table, self.parent
         f = b = a
-        i, j = 0, len(word) - 1
+        i, j = 0, len(cols) - 1
         while True:
             while i <= j:
-                t = self.table[f][self.col(word[i])]
+                t = table[f][cols[i]]
                 if t < 0:
                     break
-                f = self.find(t)
+                f = t if parent[t] == t else self.find(t)
                 i += 1
             if i > j:
                 if f != b:
                     self.coincide(f, b)
                 return
             while j >= i:
-                t = self.table[b][self.col(-word[j])]
+                t = table[b][cols[j] ^ 1]
                 if t < 0:
                     break
-                b = self.find(t)
+                b = t if parent[t] == t else self.find(t)
                 j -= 1
             if j < i:
                 self.coincide(f, b)
                 return
             if j == i:
-                self.set_entry(f, self.col(word[i]), b)
+                self.set_entry(f, cols[i], b)
                 return
             nxt = self.define()
-            self.set_entry(f, self.col(word[i]), nxt)
+            self.set_entry(f, cols[i], nxt)
             f = self.find(nxt)
             i += 1
 
     def run(self, relators: Sequence[Word]) -> None:
-        # Each pass scans every live coset (chasing growth within the pass).
-        # Only a closed table or EnumerationOverflow (more than max_cosets
-        # live cosets) ends the loop: the budget bounds live cosets, not
-        # passes or definitions, so a coincidence fault would loop forever.
+        # Each pass scans every live coset (chasing growth within the pass),
+        # until the table closes or EnumerationOverflow ends the loop.
+        relators = [[2 * x - 2 if x > 0 else -2 * x - 1 for x in w] for w in relators]
+        parent = self.parent
         while True:
             a = 0
             while a < len(self.table):
-                if self.find(a) != a:
+                if parent[a] != a:
                     a += 1
                     continue
-                for w in relators:
-                    self.scan_and_fill(a, w)
-                    if self.find(a) != a:
+                for cols in relators:
+                    self.scan_and_fill(a, cols)
+                    if parent[a] != a:
                         break
-                if self.find(a) == a:
+                if parent[a] == a:
                     for c in range(self.ncols):
-                        if self.find(a) != a:
+                        if parent[a] != a:
                             break
                         if self.table[a][c] < 0:
                             self.set_entry(a, c, self.define())
@@ -286,18 +291,17 @@ class _Enumerator:
             if self._closed(relators):
                 return
 
-    def _closed(self, relators: Sequence[Word]) -> bool:
-        for a in range(len(self.table)):
-            if self.find(a) != a:
+    def _closed(self, relators: list[list[int]]) -> bool:
+        table, find = self.table, self.find
+        for a in range(len(table)):
+            if self.parent[a] != a:
                 continue
-            row = self.table[a]
-            for c in range(self.ncols):
-                if row[c] < 0:
-                    return False
-            for w in relators:
+            if min(table[a]) < 0:
+                return False
+            for cols in relators:
                 x = a
-                for letter in w:
-                    x = self.find(self.table[x][self.col(letter)])
+                for c in cols:
+                    x = find(table[x][c])
                 if x != a:
                     return False
         return True
@@ -306,11 +310,7 @@ class _Enumerator:
         """Renumber live cosets in increasing order; returns generator permutations."""
         live = [a for a in range(len(self.table)) if self.find(a) == a]
         renum = {a: i for i, a in enumerate(live)}
-        action = []
-        for g in range(self.ngens):
-            perm = [renum[self.find(self.table[a][2 * g])] for a in live]
-            action.append(perm)
-        return action
+        return [[renum[self.find(self.table[a][2 * g])] for a in live] for g in range(self.ngens)]
 
 
 @dataclass(frozen=True)
@@ -351,9 +351,15 @@ class CosetTable:
         return coset
 
     def satisfies(self, p: Presentation) -> bool:
-        return all(
-            self.trace(c, w) == c for w in p.relators for c in range(self.coset_count)
-        )
+        identity = list(range(self.coset_count))
+        for w in p.relators:
+            perm = identity
+            for x in w:
+                image = self.action[x - 1] if x > 0 else self._inverse[-x - 1]
+                perm = list(map(image.__getitem__, perm))
+            if perm != identity:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -376,20 +382,46 @@ class TietzeReduction:
 def tietze_reduce(p: Presentation) -> TietzeReduction:
     """Eliminate generators that occur once in a short relator.
 
-    While some cyclically reduced relator of length <= 3 contains a
-    generator g exactly once, the relator is solved for g (a word of at
-    most 2 letters), dropped, and g's word is substituted into the
-    relators that an occurrence index lists for g; those are then freely
-    and cyclically reduced, and empty ones dropped.  The shortest, then
-    lowest-numbered, relator goes first, and within it the generator that
-    occurs in the fewest relators (the least number among equals), so the
-    result depends only on p.  Each step is a Tietze move, so the group is
-    unchanged; a relator equal to an earlier one or to its inverse is
-    dropped at the end.
+    First, while a relator has one letter left whose generator g is not
+    eliminated, the lowest-numbered such relator eliminates g as (g, ()),
+    and eliminated letters are deleted.  Then, while some cyclically
+    reduced relator of length <= 3 contains a generator g exactly once, the
+    relator is solved for g (a word of at most 2 letters), dropped, and g's
+    word is substituted into the relators that an occurrence index lists
+    for g, which are then freely and cyclically reduced, empty ones
+    dropped.  The shortest, then lowest-numbered, relator goes first, and
+    within it the generator in the fewest relators (the least number among
+    equals), so the result depends only on p.  Each step is a Tietze move,
+    so the group is unchanged; a relator equal to an earlier one or to its
+    inverse is dropped at the end.
     """
-    relators: dict[int, Word] = {}
+    words = [_cyclic_reduce(w) for w in p.relators]
+    eliminated: list[tuple[int, Word]] = []
     # generator -> ids of the relators holding it; None once eliminated
     index: list[set[int] | None] = [set() for _ in range(p.generator_count + 1)]
+    if any(len(w) == 1 for w in words):
+        live = [len(w) for w in words]  # letters of generators not yet eliminated
+        holders: list[list[int]] = [[] for _ in index]  # with multiplicity
+        for i, w in enumerate(words):
+            for x in w:
+                holders[abs(x)].append(i)
+        ones = [i for i, n in enumerate(live) if n == 1]
+        while ones:
+            i = heappop(ones)
+            if live[i] == 1:
+                g = next(abs(x) for x in words[i] if index[abs(x)] is not None)
+                index[g] = None
+                eliminated.append((g, ()))
+                for j in holders[g]:
+                    live[j] -= 1
+                    if live[j] == 1:
+                        heappush(ones, j)
+        # one generator at a time, as substitution does: the rotations match
+        for g, _ in eliminated:
+            for j in dict.fromkeys(holders[g]):
+                words[j] = _cyclic_reduce(free_reduce([x for x in words[j] if abs(x) != g]))
+
+    relators: dict[int, Word] = {}
     short: list[tuple[int, int]] = []  # (length, relator id), entries may be stale
 
     def store(i: int, word: Word) -> None:
@@ -408,10 +440,9 @@ def tietze_reduce(p: Presentation) -> TietzeReduction:
                 holding.discard(i)
         return word
 
-    for i, w in enumerate(p.relators):
-        store(i, _cyclic_reduce(w))
+    for i, w in enumerate(words):
+        store(i, w)
 
-    eliminated: list[tuple[int, Word]] = []
     while short:
         length, i = heappop(short)
         word = relators.get(i)

@@ -352,7 +352,8 @@ def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
 
     Sources run in blocks of whole 64-source words, whose rows and base
     columns hold at most _PAIR_CHUNK numbers, or one word's, and the total
-    matrix is filled a row at a time: the blocks are the only temporaries.
+    matrix is filled a sheet of the block at a time: the blocks and one
+    moved copy are the only temporaries.
     """
     if len(np.unique(total.edge_arrays()[2])) > 1:
         raise ValueError("deck-reduced distances need edges of one length")
@@ -372,10 +373,9 @@ def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
         for t in range(1, n):
             np.minimum(base_rows, np.take(rows, by_sheet[t], axis=1, out=part[: hi - lo]),
                        out=base_rows)
-        for row, targets in zip(rows, lift[lo:hi]):
-            dist[targets[0]] = row  # sheet 0's deck element is the identity
-            for s in range(1, n):
-                np.take(row, cols[s], out=dist[targets[s]])
+        dist[lift[lo:hi, 0]] = rows  # sheet 0's deck element is the identity
+        for s in range(1, n):
+            dist[lift[lo:hi, s]] = np.take(rows, cols[s], axis=1)
         del rows  # before the next block's search makes its own
     base._apsp_cache, total._apsp_cache = dist_base, dist
 

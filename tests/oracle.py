@@ -8,6 +8,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -21,10 +22,15 @@ from coverdiam.groups import (
     CayleyGraph,
     CosetTable,
     Presentation,
+    TietzeReduction,
     TrivialityResult,
+    Word,
+    _cyclic_reduce,
     _enumerate,
     _exponent_matrix_rank,
+    _invert_word,
     bfs_distances,
+    free_reduce,
 )
 from coverdiam.metric_graph import (
     DiameterResult,
@@ -723,3 +729,83 @@ def final_inequality_holds(n_max: int) -> bool:
     n = np.arange(1, n_max + 1, dtype=np.float64)
     lhs = 2.0 + 2.0 * (np.sqrt(4.0 * n + 1.0) - 2.0)
     return bool(np.all(lhs < 4.0 * np.sqrt(n)))
+
+
+def tietze_reduce_heap(p: Presentation) -> TietzeReduction:
+    """Eliminate generators that occur once in a short relator.
+
+    While some cyclically reduced relator of length <= 3 contains a
+    generator g exactly once, the relator is solved for g (a word of at
+    most 2 letters), dropped, and g's word is substituted into the
+    relators that an occurrence index lists for g; those are then freely
+    and cyclically reduced, and empty ones dropped.  The shortest, then
+    lowest-numbered, relator goes first, and within it the generator that
+    occurs in the fewest relators (the least number among equals), so the
+    result depends only on p.  Each step is a Tietze move, so the group is
+    unchanged; a relator equal to an earlier one or to its inverse is
+    dropped at the end.
+    """
+    relators: dict[int, Word] = {}
+    # generator -> ids of the relators holding it; None once eliminated
+    index: list[set[int] | None] = [set() for _ in range(p.generator_count + 1)]
+    short: list[tuple[int, int]] = []  # (length, relator id), entries may be stale
+
+    def store(i: int, word: Word) -> None:
+        if word:
+            relators[i] = word
+            for x in word:
+                index[abs(x)].add(i)
+            if len(word) <= 3:
+                heappush(short, (len(word), i))
+
+    def drop(i: int) -> Word:
+        word = relators.pop(i)
+        for x in word:
+            holding = index[abs(x)]
+            if holding is not None:
+                holding.discard(i)
+        return word
+
+    for i, w in enumerate(p.relators):
+        store(i, _cyclic_reduce(w))
+
+    eliminated: list[tuple[int, Word]] = []
+    while short:
+        length, i = heappop(short)
+        word = relators.get(i)
+        if word is None or len(word) != length:
+            continue
+        gens = [abs(x) for x in word]
+        once = [h for h in gens if gens.count(h) == 1]
+        if not once:
+            continue
+        g = min(once, key=lambda h: (len(index[h]), h))
+        drop(i)
+        k = gens.index(g)
+        rest = word[k + 1:] + word[:k]  # word is a rotation of word[k] * rest
+        sub = rest if word[k] < 0 else _invert_word(rest)
+        inverse = _invert_word(sub)
+        eliminated.append((g, sub))
+        holding, index[g] = index[g], None
+        for j in holding:
+            new: list[int] = []
+            for x in drop(j):
+                if x == g:
+                    new += sub
+                elif x == -g:
+                    new += inverse
+                else:
+                    new.append(x)
+            store(j, _cyclic_reduce(free_reduce(new)))
+
+    kept = tuple(g for g in range(1, p.generator_count + 1) if index[g] is not None)
+    number = {g: i + 1 for i, g in enumerate(kept)}
+    seen: set[Word] = set()
+    reduced = []
+    for i in sorted(relators):
+        w = tuple(number[x] if x > 0 else -number[-x] for x in relators[i])
+        key = min(w, _invert_word(w))
+        if key not in seen:
+            seen.add(key)
+            reduced.append(w)
+    return TietzeReduction(Presentation(len(kept), reduced), kept, tuple(eliminated))

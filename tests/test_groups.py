@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from coverdiam.errors import EnumerationOverflow, InvariantError, NotGeneratingE
 from coverdiam.groups import (
     CosetTable,
     Presentation,
+    _Enumerator,
     _exponent_matrix_rank,
     bfs_distances,
     cayley_graph,
@@ -25,7 +27,12 @@ from coverdiam.separator import zoo_instances
 from coverdiam.universal_cover import build_universal_cover, rp2_complex
 
 from .conftest import cyclic_powers, pseudo_projective_plane
-from .oracle import exponent_rank_fraction, is_trivial_unreduced, todd_coxeter_unreduced
+from .oracle import (
+    exponent_rank_fraction,
+    is_trivial_unreduced,
+    tietze_reduce_heap,
+    todd_coxeter_unreduced,
+)
 
 
 def cyclic(k: int) -> Presentation:
@@ -117,6 +124,10 @@ def test_table_satisfies_relators():
         # every generator acts as a bijection
         for perm in t.action:
             assert sorted(perm) == list(range(t.coset_count))
+    # and not a relator that moves some coset: (ab)^2 is not 1 in S3
+    assert not todd_coxeter(cyclic(6), 100).satisfies(cyclic(3))
+    s3 = todd_coxeter(Presentation(2, [(1, 1), (2, 2), (1, 2) * 3]), 100)
+    assert not s3.satisfies(Presentation(2, [(1, 2) * 2]))
 
 
 def test_enumeration_deterministic():
@@ -144,6 +155,40 @@ def test_enumeration_keeps_inverse_entries_through_coincidences():
     # again, and enumeration never ended
     assert todd_coxeter_unreduced(Presentation(1, [(1,) * 4, (1,) * 4, (1,)]), 10).coset_count == 1
     assert todd_coxeter(Presentation(1, [(1,) * 3, (1,) * 5]), 10).coset_count == 1
+
+
+class _CoincideWithoutReverseCarry(_Enumerator):
+    """The coincidence step as it was before the reverse-entry carry: the
+    entry g*x = d moves to the representatives as mu*x = nu only."""
+
+    def coincide(self, a: int, b: int) -> None:
+        dead: deque = deque()
+        self._union(a, b, dead)
+        while dead:
+            g = dead.popleft()
+            row = self.table[g]
+            for c in range(self.ncols):
+                d = row[c]
+                if d < 0:
+                    continue
+                row[c] = -1
+                if self.table[d][c ^ 1] == g:
+                    self.table[d][c ^ 1] = -1
+                mu, nu = self.find(g), self.find(d)
+                e = self.table[mu][c]
+                if e >= 0:
+                    self._union(e, nu, dead)
+                else:
+                    self.table[mu][c] = nu
+
+
+def test_faulty_coincidence_overflows_instead_of_looping():
+    # each pass defines one coset that collapses again: the live count stays
+    # at 1 and only the cap on definitions ends the enumeration
+    enum = _CoincideWithoutReverseCarry(1, 10)
+    with pytest.raises(EnumerationOverflow, match="cosets defined"):
+        enum.run(Presentation(1, [(1,) * 4, (1,) * 4, (1,)]).relators)
+    assert enum.live <= 10 and len(enum.table) - 1 == enum.max_definitions
 
 
 def test_enumeration_against_permutation_models():
@@ -388,6 +433,28 @@ def test_tietze_reduce_drops_duplicate_relators():
     assert tietze_reduce(p).presentation == Presentation(2, [(1, 2, 1, 2), (1, 1, 1)])
 
 
+def _one_letter_entries_unordered(eliminated):
+    """The eliminations with a word, in order, and the (g, ()) ones as a set."""
+    return [e for e in eliminated if e[1]], sorted(e for e in eliminated if not e[1])
+
+
+def test_tietze_reduce_one_letter_order_after_free_cancellation():
+    # dropping c leaves dbD, freely the one letter b: the heap pops it at
+    # once, the counting closure first finishes a, so only the order moves
+    p = Presentation(5, [parse_word(w, 5) for w in ["C", "cdbD", "caCA", "a", "acAC", "dd"]])
+    new, old = tietze_reduce(p), tietze_reduce_heap(p)
+    assert (new.presentation, new.kept) == (old.presentation, old.kept)
+    assert new.eliminated == ((3, ()), (1, ()), (2, ())) != old.eliminated
+    assert _one_letter_entries_unordered(new.eliminated) == _one_letter_entries_unordered(old.eliminated)
+
+
+def test_tietze_reduce_keeps_rotations_of_the_one_letter_phase():
+    # deleting d, then b, leaves Abbcc; both at once would leave bbccA
+    p = Presentation(5, [parse_word(w, 5) for w in ["d", "b", "abAcceeAd"]])
+    new, old = tietze_reduce(p), tietze_reduce_heap(p)
+    assert new == old and new.presentation == Presentation(3, [(-1, 2, 2, 3, 3)])
+
+
 def test_is_trivial_yes_certificate_counts_eliminations():
     res = is_trivial(Presentation(3, [(1, 2), (2,), (3, -1)]), 10)
     assert res.status == "yes"
@@ -527,6 +594,16 @@ _RANK_CASES = {
 def test_exponent_rank_matches_fraction_elimination(family):
     for p in _RANK_CASES[family]():
         assert _exponent_matrix_rank(p) == exponent_rank_fraction(p), p
+
+
+@pytest.mark.parametrize("cases,family", [("oracle", f) for f in sorted(_ORACLE_CASES)]
+                         + [("rank", f) for f in sorted(_RANK_CASES)])
+def test_tietze_reduce_matches_heap_only_reduction(cases, family):
+    for p in {"oracle": _ORACLE_CASES, "rank": _RANK_CASES}[cases][family]():
+        new, old = tietze_reduce(p), tietze_reduce_heap(p)
+        assert (new.presentation, new.kept) == (old.presentation, old.kept), p
+        assert _one_letter_entries_unordered(new.eliminated) == (
+            _one_letter_entries_unordered(old.eliminated)), p
 
 
 @given(st.data())

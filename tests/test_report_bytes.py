@@ -1,4 +1,4 @@
-"""Report bytes pinned by sha256, so a faster distance path cannot move a digit.
+"""Report bytes pinned by sha256, so a faster path cannot move a digit.
 
 The digests were taken from the code before the deck-reduced distances
 went in, the sweep's before the pair stage kept one maximum per edge, and
@@ -6,7 +6,12 @@ the non-abelian covers' before the graphs were built from index arrays;
 any change to them is a change of reported values.  The ucover-verify
 digest was retaken when its repro lines went from ``--level N`` to
 ``--levels N``, the one level option of ``ucover verify-bound``; with that
-text swapped back the bytes hash to the digest taken before.
+text swapped back the bytes hash to the digest taken before.  The
+cayley-zoo report, the coset tables of the cayley and plane presentations
+and the spanning-tree presentations were pinned before the pi_1 pipeline
+went to integer words: the one-letter Tietze phase as a counting closure,
+relators scanned as precomputed table columns and relators read from an
+edge-to-generator map.
 """
 
 import hashlib
@@ -16,6 +21,9 @@ from pathlib import Path
 import pytest
 
 from coverdiam import cli
+from coverdiam.complexes import flag_triangles, spanning_tree_presentation
+from coverdiam.groups import cayley_graph, todd_coxeter
+from coverdiam.separator import zoo_instances
 from coverdiam.universal_cover import (
     build_universal_cover,
     fiber_ball_nerve,
@@ -24,6 +32,7 @@ from coverdiam.universal_cover import (
 )
 
 from .conftest import NON_ABELIAN, presentation_complex, pseudo_projective_plane
+from .test_groups import _ORACLE_CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -88,3 +97,41 @@ def test_sweep_cover_seed_7_bytes(fmt, digest):
     # every sweep graph's diameter runs the witness stage
     report = cli.run(cli.ExperimentConfig("sweep-cover", seed=7, count=200))
     assert _sha(cli.emit(report, fmt)) == digest
+
+
+def test_cayley_zoo_bytes():
+    report = cli.run(cli.ExperimentConfig("cayley-zoo"))
+    assert _sha(cli.emit(report, "json")) == (
+        "84d5858e54b5fc2fedc1532d7a92ed7fc180d8988508db38a9ec51cfa49caa17")
+
+
+@pytest.mark.parametrize("family,digest", [
+    ("cayley groups", "b142b0648dd58dc3a47ecc1bc8e37bb6b805f13e3d47c58514a6314ec91d6dc7"),
+    ("planes and their totals", "70e97e90befe60523c672512db24ac592bf1779fb708240e04f3392411bab1e8"),
+])
+def test_coset_table_bytes(family, digest):
+    tables = [todd_coxeter(p, 100_000).action for p in _ORACLE_CASES[family]()]
+    assert _sha(json.dumps(tables).encode()) == digest
+
+
+def _zoo_flag_fillings():
+    return [flag_triangles(cayley_graph(todd_coxeter(inst.presentation, 100_000), inst.gens))
+            for inst in zoo_instances()]
+
+
+def _planes_and_totals():
+    planes = [pseudo_projective_plane(order) for order in range(3, 13)]
+    return planes + [build_universal_cover(k, 100_000).total for k in planes]
+
+
+@pytest.mark.parametrize("complexes,digest", [
+    (_zoo_flag_fillings, "94a1fa377f71ee030182dd1dd0ac38048d3d647bb8e076315ce4f7950306ac0a"),
+    (_planes_and_totals, "21a9dca6f9c6ac32199958418e96d896c54cb5e40bb6d5c4fb248c64ed4f9f27"),
+])
+def test_spanning_tree_presentation_bytes(complexes, digest):
+    outputs = []
+    for k in complexes():
+        data = spanning_tree_presentation(k)
+        outputs.append([data.presentation.generator_count, data.presentation.relators,
+                        sorted(data.tree_edges), data.generator_edges])
+    assert _sha(json.dumps(outputs).encode()) == digest
