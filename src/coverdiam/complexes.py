@@ -13,6 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 from typing import Callable, Hashable, Iterable, Sequence
 
 from ._search import bfs
@@ -52,9 +53,7 @@ class SimplicialComplex2:
                 raise ValueError(f"triangle {t!r} references unknown vertices")
             tris.add(t)
         self.triangles = tuple(sorted(tris))
-        edge_set = set()
-        for t in self.triangles:
-            edge_set.update({(t[0], t[1]), (t[0], t[2]), (t[1], t[2])})
+        edge_set = {e for a, b, c in self.triangles for e in ((a, b), (a, c), (b, c))}
         for e in edges:
             e = tuple(sorted(e))
             if len(set(e)) != 2:
@@ -63,12 +62,27 @@ class SimplicialComplex2:
                 raise ValueError(f"edge {e!r} references unknown vertices")
             edge_set.add(e)
         self.edges = tuple(sorted(edge_set))
-
         adj: dict[Hashable, set] = {v: set() for v in self.vertices}
         for u, w in self.edges:
             adj[u].add(w)
             adj[w].add(u)
         self._adj = {v: tuple(sorted(s)) for v, s in adj.items()}
+
+    @classmethod
+    def _from_sorted(cls, vertices, triangles, edges, adjacency) -> "SimplicialComplex2":
+        """The complex of sorted, distinct vertices, triangles and edges, with
+        adjacency[i] the sorted neighbours of vertices[i], checked at C speed.
+        Callers guarantee the rest: their triangles (u, v, w) have u < v < w,
+        and each triangle's edges are among their edges."""
+        for xs, kind in ((vertices, "vertices"), (triangles, "triangles"), (edges, "edges")):
+            if not all(map(lt, xs, xs[1:])):
+                raise ValueError(f"{kind} must be sorted and distinct")
+        if len(adjacency) != len(vertices) or sum(map(len, adjacency)) != 2 * len(edges):
+            raise ValueError("adjacency does not match the vertices and edges")
+        k = cls.__new__(cls)
+        k.vertices, k.triangles, k.edges = vertices, tuple(triangles), tuple(edges)
+        k._adj = dict(zip(vertices, adjacency))
+        return k
 
     def neighbors(self, v) -> tuple:
         return self._adj[v]
@@ -115,14 +129,12 @@ class SpanningTreeData:
 
 
 def spanning_tree_presentation(k: SimplicialComplex2) -> SpanningTreeData:
-    """The tree is grown breadth-first from k.vertices[0].  Tree edges number
-    0, and sorted triangle (a, b, c) gives (g_ab, g_bc, -g_ac) without zeros."""
+    """The tree is grown breadth-first from k.vertices[0], and must reach every
+    vertex.  Tree edges number 0, and sorted triangle (a, b, c) gives the
+    reduced word (g_ab, g_bc, -g_ac) without zeros: distinct nonzero letters."""
     if not k.vertices:
         raise ValueError("complex has no vertices")
-    if not k.is_connected():
-        raise DisconnectedGraphError("complex is not connected")
-
-    tree: set[tuple] = set()
+    tree: list[tuple] = []
     seen = {k.vertices[0]}
     queue = deque([k.vertices[0]])
     while queue:
@@ -130,15 +142,17 @@ def spanning_tree_presentation(k: SimplicialComplex2) -> SpanningTreeData:
         for w in k.neighbors(v):
             if w not in seen:
                 seen.add(w)
-                tree.add(tuple(sorted((v, w))))
+                tree.append((v, w) if v < w else (w, v))
                 queue.append(w)
+    if len(seen) != len(k.vertices):
+        raise DisconnectedGraphError("complex is not connected")
 
-    gen_edges = tuple(e for e in k.edges if e not in tree)
     number = dict.fromkeys(tree, 0)
+    gen_edges = tuple(e for e in k.edges if e not in number)
     number.update((e, i + 1) for i, e in enumerate(gen_edges))
-    relators = [tuple(x for x in (number[a, b], number[b, c], -number[a, c]) if x)
+    relators = [tuple(filter(None, (number[a, b], number[b, c], -number[a, c])))
                 for a, b, c in k.triangles]
-    presentation = Presentation(len(gen_edges), relators)
+    presentation = Presentation._reduced(len(gen_edges), relators)
     return SpanningTreeData(presentation, frozenset(tree), gen_edges)
 
 
@@ -156,7 +170,8 @@ def is_simply_connected(k: SimplicialComplex2, budget: int) -> TrivialityResult:
 
 
 def flag_triangles(c: CayleyGraph) -> SimplicialComplex2:
-    """The complex on the Cayley graph with every 3-clique filled."""
+    """The complex on the Cayley graph with every 3-clique filled; edges
+    (u, v) and triangles (u, v, w), u < v < w, come out sorted."""
     edges = []
     neighbor_sets = [set(ns) for ns in c.neighbors]
     triangles = []
@@ -168,7 +183,7 @@ def flag_triangles(c: CayleyGraph) -> SimplicialComplex2:
             for w in c.neighbors[v]:
                 if w > v and w in neighbor_sets[u]:
                     triangles.append((u, v, w))
-    return SimplicialComplex2(range(c.element_count), triangles, edges)
+    return SimplicialComplex2._from_sorted(tuple(range(c.element_count)), triangles, edges, c.neighbors)
 
 
 # --------------------------------------------------------------------- nerve
@@ -183,7 +198,7 @@ def nerve2(
     """2-skeleton of the nerve of balls around the centers, tested by sampling.
 
     A face enters iff some sample lies strictly within `radius` of all of
-    its centers; denser samples only ever add faces.
+    its centers, so its edges enter with it; denser samples only add faces.
     """
     if not samples:
         raise ValueError("samples must be nonempty")
@@ -203,4 +218,5 @@ def nerve2(
         for i, j, k in combinations(range(n), 3)
         if masks[i] & masks[j] & masks[k]
     ]
-    return SimplicialComplex2(range(n), triangles, edges)
+    adjacency = [tuple(j for j in range(n) if j != i and masks[i] & masks[j]) for i in range(n)]
+    return SimplicialComplex2._from_sorted(tuple(range(n)), triangles, edges, adjacency)

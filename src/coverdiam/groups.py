@@ -16,6 +16,7 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain
 from math import gcd
 from typing import Iterable, Literal, Sequence
 
@@ -95,17 +96,23 @@ class Presentation:
     """A finite presentation; relator words are freely reduced on construction."""
 
     def __init__(self, generator_count: int, relators: Iterable[Sequence[int]]):
+        self._adopt(generator_count, [free_reduce(tuple(map(int, w))) for w in relators])
+
+    @classmethod
+    def _reduced(cls, generator_count: int, words: Sequence[Word]) -> "Presentation":
+        """Freely reduced words, not reduced again: spanning-tree relators hold
+        distinct nonzero edge numbers, and Tietze output is cyclically reduced."""
+        p = cls.__new__(cls)
+        p._adopt(generator_count, words)
+        return p
+
+    def _adopt(self, generator_count: int, words: Sequence[Word]) -> None:
         if generator_count < 0:
             raise ValueError("generator_count must be nonnegative")
-        self.generator_count = int(generator_count)
-        reduced = []
-        for w in relators:
-            w = free_reduce(tuple(int(x) for x in w))
-            for letter in w:
-                if letter == 0 or abs(letter) > self.generator_count:
-                    raise ValueError(f"letter {letter} out of range in relator")
-            reduced.append(w)
-        self.relators: tuple[Word, ...] = tuple(reduced)
+        sizes = list(map(abs, chain.from_iterable(words)))  # the range, checked at C speed
+        if min(sizes, default=1) < 1 or max(sizes, default=0) > generator_count:
+            raise ValueError(f"relator letters must lie in 1..{generator_count} up to sign")
+        self.generator_count, self.relators = int(generator_count), tuple(words)
 
     def __repr__(self) -> str:
         rels = ", ".join(word_to_string(w) for w in self.relators)
@@ -160,6 +167,7 @@ class _Enumerator:
         self.max_cosets = max_cosets
         self.max_definitions = _DEFINITIONS_PER_COSET * max_cosets
         self.table: list[list[int]] = [[-1] * self.ncols]
+        self.dead_row = (-1,) * self.ncols  # every coincided coset's row: a write raises
         self.parent = [0]
         self.live = 1
 
@@ -219,6 +227,7 @@ class _Enumerator:
                     self._union(e2, mu, dead)
                 else:
                     self.table[nu][c ^ 1] = mu
+            self.table[g] = self.dead_row
 
     def set_entry(self, x: int, c: int, y: int) -> None:
         ex = self.table[x][c]
@@ -481,7 +490,7 @@ def tietze_reduce(p: Presentation) -> TietzeReduction:
         if key not in seen:
             seen.add(key)
             reduced.append(w)
-    return TietzeReduction(Presentation(len(kept), reduced), kept, tuple(eliminated))
+    return TietzeReduction(Presentation._reduced(len(kept), reduced), kept, tuple(eliminated))
 
 
 def _enumerate(p: Presentation, max_cosets: int) -> CosetTable:

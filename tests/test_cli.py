@@ -254,6 +254,31 @@ def test_cayley_verify_zoo_preset(runner):
     assert obj["verdict"] == "hypothesis_failed" and obj["diam"] == 6
 
 
+S3_FILE = Path(__file__).resolve().parent / "data" / "s3_presentation.json"
+
+
+def test_cayley_verify_presentation_file_matches_zoo_row(runner):
+    by_file = runner.invoke(main, ["cayley", "verify", "--presentation", str(S3_FILE), "--gens", "0,1"])
+    by_zoo = runner.invoke(main, ["cayley", "verify", "--zoo", "S3"])
+    assert by_file.exit_code == by_zoo.exit_code == 0
+    assert by_file.output == by_zoo.output
+    row = json.loads(by_file.output)
+    assert (row["order"], row["diam"], row["verdict"]) == (6, 3, "hypothesis_failed")
+
+
+def test_cayley_verify_presentation_needs_gens(runner):
+    result = runner.invoke(main, ["cayley", "verify", "--presentation", str(S3_FILE)])
+    assert result.exit_code == 2
+    assert "need --presentation and --gens, or --zoo" in result.output
+
+
+def test_cayley_verify_generator_out_of_range_is_a_user_error(runner):
+    result = runner.invoke(main, ["cayley", "verify", "--presentation", str(S3_FILE), "--gens", "5"])
+    assert result.exit_code == 1
+    assert "Error: ValueError: generator index 5 out of range" in result.output
+    assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+
+
 def test_cayley_zoo_csv_output(runner, tmp_path):
     out = tmp_path / "zoo.csv"
     result = runner.invoke(main, ["cayley", "zoo", "--out", str(out)])

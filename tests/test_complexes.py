@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coverdiam import universal_cover
 from coverdiam.cli import sweep_base_graph
 from coverdiam.complexes import (
     SimplicialComplex2,
@@ -14,7 +15,7 @@ from coverdiam.complexes import (
     spanning_tree_presentation,
 )
 from coverdiam.errors import DisconnectedGraphError
-from coverdiam.groups import Presentation, cayley_graph, todd_coxeter
+from coverdiam.groups import Presentation, cayley_graph, tietze_reduce, todd_coxeter
 from coverdiam.metric_graph import (
     EdgePoint,
     MetricGraph,
@@ -23,8 +24,9 @@ from coverdiam.metric_graph import (
     points_coincide,
     validate_route,
 )
+from coverdiam.separator import zoo_instances
 
-from .conftest import random_connected_graph
+from .conftest import cyclic_powers, pseudo_projective_plane, random_connected_graph
 from .oracle import short_loop_generators, short_loop_generators_subdivided
 
 RP2_FACES = [
@@ -207,6 +209,119 @@ def test_nerve_monotone_in_radius_and_samples(hex_cycle):
         grown_s = nerve2(centers, r1, many, dist_fn)
         assert set(small.edges) <= set(grown_s.edges)
         assert set(small.triangles) <= set(grown_s.triangles)
+
+
+# ------------------------------------------------ canonical constructors
+
+
+def _same_fields(new, ref):
+    """Equal field by field, each field of the same type."""
+    assert type(new) is type(ref) and vars(new) == vars(ref)
+    assert [type(x) for x in vars(new).values()] == [type(x) for x in vars(ref).values()]
+
+
+def _check_pi1(k):
+    # spanning-tree relators and their Tietze reduction, reduced and in range
+    p = spanning_tree_presentation(k).presentation
+    for q in (p, tietze_reduce(p).presentation):
+        _same_fields(q, Presentation(q.generator_count, q.relators))
+
+
+def _check_flag(p, gens):
+    q = tietze_reduce(p).presentation
+    _same_fields(q, Presentation(q.generator_count, q.relators))
+    flag = flag_triangles(cayley_graph(todd_coxeter(p, 100_000), gens))
+    _same_fields(flag, SimplicialComplex2(flag.vertices, flag.triangles, flag.edges))
+    _check_pi1(flag)
+
+
+def _renumbered(p, rng):
+    """p with its generators renumbered and its relators shuffled, as the
+    benchmark's Z_n|1..k instances are."""
+    number = list(range(1, p.generator_count + 1))
+    rng.shuffle(number)
+    words = [tuple(number[x - 1] if x > 0 else -number[-x - 1] for x in w) for w in p.relators]
+    rng.shuffle(words)
+    return Presentation(p.generator_count, words)
+
+
+_CYCLIC_FAMILIES = [(3 * k, k) for k in range(3, 8)] + [(36, 4), (30, 5), (40, 5)]
+
+
+def _check_nerves(monkeypatch, base, levels, epsilon):
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(nerve2(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(universal_cover, "nerve2", recording)
+    cover = universal_cover.build_universal_cover(base, 100_000)
+    for level in levels:
+        universal_cover.fiber_ball_nerve(cover, base.vertices[0], epsilon, level)
+    assert len(made) == len(levels)
+    for k in made:
+        _same_fields(k, SimplicialComplex2(k.vertices, k.triangles, k.edges))
+
+
+def test_canonical_constructors_on_zoo_flag_fillings():
+    for inst in zoo_instances():
+        _check_flag(inst.presentation, inst.gens)
+
+
+def test_canonical_constructors_on_cyclic_power_flag_fillings():
+    rng = random.Random(9001)
+    for n, k in _CYCLIC_FAMILIES:
+        _check_flag(cyclic_powers(n, k), range(k))
+        _check_flag(_renumbered(cyclic_powers(n, k), rng), range(k))
+
+
+def test_canonical_constructors_on_planes_and_totals():
+    for order in range(3, 13):
+        plane = pseudo_projective_plane(order)
+        _check_pi1(plane)
+        _check_pi1(universal_cover.build_universal_cover(plane, 100_000).total)
+
+
+def test_canonical_constructors_on_rp2_and_plane_nerves(monkeypatch):
+    _check_nerves(monkeypatch, universal_cover.rp2_complex(), (3, 4, 6), 0.25)
+    for order in (3, 4, 6):
+        _check_nerves(monkeypatch, pseudo_projective_plane(order), (1,), 1.0)
+
+
+def test_canonical_constructors_on_small_nerves(hex_cycle):
+    rng = random.Random(3)
+    pts = [EdgePoint(e.id, rng.uniform(0, e.length)) for e in hex_cycle.edges for _ in range(2)]
+
+    def dist(x, c):
+        return point_distance(hex_cycle, x, c)
+
+    for radius in (0.5, 1.0, 1.5, 2.5, 4.0):
+        k = nerve2(pts[:6], radius, pts[6:], dist)
+        _same_fields(k, SimplicialComplex2(range(6), k.triangles, k.edges))
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+K4_ADJACENCY = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
+
+
+def test_from_sorted_matches_the_constructor_on_k4():
+    k = SimplicialComplex2._from_sorted((0, 1, 2, 3), [(0, 1, 2), (0, 1, 3)], K4_EDGES, K4_ADJACENCY)
+    _same_fields(k, SimplicialComplex2(range(4), [(0, 1, 2), (3, 1, 0)], K4_EDGES[::-1]))
+
+
+@pytest.mark.parametrize("vertices,triangles,edges,adjacency,message", [
+    ((0, 1, 2, 3), [(0, 1, 3), (0, 1, 2)], K4_EDGES, K4_ADJACENCY, "triangles must be sorted"),
+    ((0, 1, 2, 3), [(0, 1, 2), (0, 1, 2)], K4_EDGES, K4_ADJACENCY, "triangles must be sorted"),
+    ((0, 1, 2, 3), [], K4_EDGES[::-1], K4_ADJACENCY, "edges must be sorted"),
+    ((0, 1, 2, 3), [], K4_EDGES + [(2, 3)], K4_ADJACENCY, "edges must be sorted"),
+    ((0, 2, 1, 3), [], K4_EDGES, K4_ADJACENCY, "vertices must be sorted"),
+    ((0, 1, 2, 3), [], K4_EDGES[:-1], K4_ADJACENCY, "adjacency does not match"),
+    ((0, 1, 2, 3), [], K4_EDGES, K4_ADJACENCY[:-1], "adjacency does not match"),
+])
+def test_from_sorted_rejects_unsorted_or_repeated_input(vertices, triangles, edges, adjacency, message):
+    with pytest.raises(ValueError, match=message):
+        SimplicialComplex2._from_sorted(vertices, triangles, edges, adjacency)
 
 
 # ------------------------------------------------- short loop generators

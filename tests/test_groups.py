@@ -62,6 +62,16 @@ def test_presentation_reduces_on_load():
     assert p.relators == ((1, 1),)
 
 
+@pytest.mark.parametrize("count,words", [
+    (2, [(1, 2), (1, 3)]), (2, [(-3,)]), (2, [(1, 0)]), (0, [(1,)]), (-1, []),
+])
+def test_reduced_presentation_rejects_letters_out_of_range(count, words):
+    with pytest.raises(ValueError, match="letters must lie in|must be nonnegative"):
+        Presentation._reduced(count, words)
+    with pytest.raises(ValueError):
+        Presentation(count, words)
+
+
 # ------------------------------------------------------- todd_coxeter
 
 
@@ -189,6 +199,23 @@ def test_faulty_coincidence_overflows_instead_of_looping():
     with pytest.raises(EnumerationOverflow, match="cosets defined"):
         enum.run(Presentation(1, [(1,) * 4, (1,) * 4, (1,)]).relators)
     assert enum.live <= 10 and len(enum.table) - 1 == enum.max_definitions
+
+
+def test_coincided_rows_share_one_read_only_row():
+    # the largest budget-500 overflow of the unreduced oracle on the random
+    # family: 10,049 rows without the definitions cap, 8,001 with it, and of
+    # those only the live cosets' rows are lists
+    p = Presentation(4, [parse_word(w, 4) for w in ["BCB", "bbbbb", "dddddddd", "dddd", "Cd", "cc"]])
+    assert p in _random_small_presentations()
+    enum = _Enumerator(p.generator_count, 500)
+    with pytest.raises(EnumerationOverflow, match="8000 cosets defined"):
+        enum.run(p.relators)
+    assert len(enum.table) == 8001
+    assert sum(row is not enum.dead_row for row in enum.table) == enum.live <= 500
+    assert all(type(row) is list for a, row in enumerate(enum.table) if enum.parent[a] == a)
+    assert enum.dead_row == (-1,) * 8
+    with pytest.raises(TypeError):
+        enum.dead_row[0] = 0
 
 
 def test_enumeration_against_permutation_models():
