@@ -186,10 +186,7 @@ def _lift(g: MetricGraph, perms, sheets: int) -> tuple[MetricGraph, np.ndarray]:
     """
     gu, gv, length = g.edge_arrays()
     perms = np.asarray(perms, dtype=np.intp).reshape(len(gu), sheets)
-    # each derived star maps bijectively onto its base star: the lifts of an
-    # edge leave every sheet over its u end once by construction, and must
-    # reach every sheet over its v end once
-    bad = (np.sort(perms, axis=1) != np.arange(sheets)).any(axis=1)
+    bad = _not_permutations(perms)
     if bad.any():
         j = int(bad.argmax())
         raise InvariantError(f"star at a lift of {g.vertices[gv[j]]} does not project "
@@ -201,6 +198,13 @@ def _lift(g: MetricGraph, perms, sheets: int) -> tuple[MetricGraph, np.ndarray]:
         vertices, ids, lift[gu].ravel()[by_id], lift[gv[:, None], perms].ravel()[by_id],
         np.repeat(length, sheets)[by_id], require_connected=False)
     return derived, lift
+
+
+def _not_permutations(perms: np.ndarray) -> np.ndarray:
+    """Rows of `perms`, sheet maps, that do not permute the sheets: a lift's
+    stars project bijectively exactly when none does (its edges leave each
+    sheet over their first end once, and must reach each over the other)."""
+    return (np.sort(perms, axis=1) != np.arange(perms.shape[1])).any(axis=1)
 
 
 @dataclass(frozen=True)

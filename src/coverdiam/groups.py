@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
 from math import gcd
@@ -557,6 +557,8 @@ class CayleyGraph:
     element_count: int
     neighbors: tuple[tuple[int, ...], ...]
     identity: int = 0
+    # hop distances from element 0, kept from the search in `cayley_graph`
+    _hops: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def cayley_graph(t: CosetTable, generating_subset: Iterable[int]) -> CayleyGraph:
@@ -580,17 +582,16 @@ def cayley_graph(t: CosetTable, generating_subset: Iterable[int]) -> CayleyGraph
 
     neighbor_sets = [{t.act(g, letter) for letter in signed} for g in range(n)]
 
-    # orbit of the identity must be everything
+    # the identity's orbit must be everything; word_metric_diameter reads its hops
     seen = bfs(0, neighbor_sets.__getitem__)
     if len(seen) != n:
         raise NotGeneratingError(
             f"generators {chosen} reach only {len(seen)} of {n} elements"
         )
 
-    return CayleyGraph(
-        element_count=n,
-        neighbors=tuple(tuple(sorted(s)) for s in neighbor_sets),
-    )
+    c = CayleyGraph(element_count=n, neighbors=tuple(tuple(sorted(s)) for s in neighbor_sets))
+    object.__setattr__(c, "_hops", tuple(seen[g] for g in range(n)))
+    return c
 
 
 def bfs_distances(c: CayleyGraph, source: int) -> list[int]:
@@ -610,15 +611,12 @@ class WordDiameter:
 
 def word_metric_diameter(c: CayleyGraph) -> WordDiameter:
     """Word-metric diameter = eccentricity of the identity (vertex-transitivity)."""
-    dist = bfs_distances(c, c.identity)
+    dist = c._hops if c._hops is not None else bfs_distances(c, c.identity)
     if min(dist) < 0:
         raise NotGeneratingError("Cayley graph is disconnected")
     m = max(dist)
-    farthest = dist.index(m)
-    layers = [0] * (m + 1)
-    for d in dist:
-        layers[d] += 1
-    return WordDiameter(m, farthest, tuple(layers), tuple(dist))
+    layers = Counter(dist)
+    return WordDiameter(m, dist.index(m), tuple(layers[d] for d in range(m + 1)), tuple(dist))
 
 
 # ------------------------------------------------------------ triviality

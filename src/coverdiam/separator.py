@@ -40,47 +40,48 @@ __all__ = [
 ]
 
 
-def _identity_tree(t: CosetTable) -> list[tuple[int, int, int]]:
-    """(h, g, letter) with h = g*letter for every element h but the
-    identity, in the visit order of a BFS from it, so g comes before h."""
+def _identity_tree(t: CosetTable) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(h, g, row) with h = row[g] = g*letter, row being the letter's row of
+    the table, for every element h but the identity, in the visit order of a
+    BFS from it, so g comes before h."""
     n = t.coset_count
+    rows = [row for pair in zip(t.action, t._inverse) for row in pair]  # letters 1, -1, 2, ..
     seen = [True] + [False] * (n - 1)
     tree = []
     queue = deque([0])
     while queue:
         g = queue.popleft()
-        for k in range(1, t.generator_count + 1):
-            for letter in (k, -k):
-                h = t.act(g, letter)
-                if not seen[h]:
-                    seen[h] = True
-                    tree.append((h, g, letter))
-                    queue.append(h)
+        for row in rows:
+            h = row[g]
+            if not seen[h]:
+                seen[h] = True
+                tree.append((h, g, row))
+                queue.append(h)
     if len(tree) != n - 1:
         raise InvariantError("left multiplication missed an element")
     return tree
 
 
-def _along_tree(t: CosetTable, tree: list[tuple[int, int, int]], a: int) -> tuple[int, ...]:
+def _along_tree(n: int, tree: list[tuple[int, int, tuple[int, ...]]], a: int) -> tuple[int, ...]:
     # left and right multiplication commute: a*(g*letter) = (a*g)*letter.
     # The tree sets every entry but the identity's, which is a.
-    image = [a] * t.coset_count
-    for h, g, letter in tree:
-        image[h] = t.act(image[g], letter)
+    image = [a] * n
+    for h, g, row in tree:
+        image[h] = row[image[g]]
     return tuple(image)
 
 
 def left_multiplication(t: CosetTable, a: int) -> tuple[int, ...]:
     """The permutation g -> a*g, propagated from the identity along the
     right action (left and right multiplication commute)."""
-    return _along_tree(t, _identity_tree(t), a)
+    return _along_tree(t.coset_count, _identity_tree(t), a)
 
 
 def left_multiplications(t: CosetTable) -> tuple[tuple[int, ...], ...]:
     """Every left multiplication g -> a*g, in the order of a; one BFS tree
     from the identity serves them all."""
     tree = _identity_tree(t)
-    return tuple(_along_tree(t, tree, a) for a in range(t.coset_count))
+    return tuple(_along_tree(t.coset_count, tree, a) for a in range(t.coset_count))
 
 
 def cayley_diameter_bound(n: int) -> float:

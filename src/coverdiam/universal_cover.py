@@ -17,6 +17,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import islice, product
 from typing import Hashable, NamedTuple
 
 import numpy as np
@@ -28,8 +29,8 @@ from .complexes import (
     nerve2,
     spanning_tree_presentation,
 )
-from .covering import _lift
-from .errors import CoverNotCovering, EnumerationOverflow, InvariantError
+from .covering import _lift, _not_permutations
+from .errors import CoverNotCovering, DisconnectedGraphError, EnumerationOverflow, InvariantError
 from .groups import CosetTable, TrivialityResult, todd_coxeter
 from .metric_graph import (
     _PAIR_CHUNK,
@@ -121,103 +122,104 @@ class CoveringComplex:
 
 
 def _edge_perms(data, table: CosetTable, sheets: int) -> dict:
-    perms = {}
-    gen_of_edge = {e: i + 1 for i, e in enumerate(data.generator_edges)}
-    identity = tuple(range(sheets))
-    for e in data.tree_edges:
-        perms[e] = identity
-    for e, g in gen_of_edge.items():
-        perms[e] = tuple(table.act(s, g) for s in range(sheets))
+    """Base edge (u, v), u < v -> the sheet permutation for u->v: the
+    identity on tree edges, its generator's row of the table on the rest."""
+    perms = dict.fromkeys(data.tree_edges, tuple(range(sheets)))
+    perms.update(zip(data.generator_edges, table.action, strict=True))
     return perms
+
+
+def _by_first(first: np.ndarray, *cols: np.ndarray) -> list[np.ndarray]:
+    """Index columns of lifts (row: base simplex, column: sheet), flattened
+    in the order of `first`, stably, so the base order holds within each."""
+    order = np.argsort(first.ravel(), kind="stable")
+    return [c.ravel()[order] for c in (first, *cols)]
 
 
 def build_universal_cover(k: SimplicialComplex2, budget: int) -> CoveringComplex:
     """Construct the universal cover; raises EnumerationOverflow when the
-    fundamental group cannot be realised within the budget."""
+    fundamental group cannot be realised within the budget.
+
+    The lifts are made on indices, (k.vertices[i], s) being i n + s, ordered
+    by first vertex and then the base's order: the sorted order, which
+    `_from_sorted` checks.  Edge maps must permute the sheets, so that every
+    star projects bijectively, and triangle boundaries must close; the
+    total's pi_1 certificate grows a spanning tree, so it is connected.
+    """
     data = spanning_tree_presentation(k)
     table = todd_coxeter(data.presentation, budget)
     n = table.coset_count
     perms = _edge_perms(data, table, n)
+    pos = {v: i for i, v in enumerate(k.vertices)}
+    epos = {e: j for j, e in enumerate(k.edges)}
+    ends = np.array([(pos[u], pos[w]) for u, w in k.edges], dtype=np.intp).reshape(-1, 2)
+    moves = np.array([perms[e] for e in k.edges], dtype=np.intp).reshape(len(ends), n)
+    sheet = np.arange(n)
+    bad = _not_permutations(moves)
+    if bad.any():
+        j = int(bad.argmax())
+        t = int(((moves[j, :, None] == sheet).sum(axis=0) != 1).argmax())
+        raise InvariantError(f"star at {(k.edges[j][1], t)} does not project bijectively")
+    ab, ac, bc = np.array([(epos[a, b], epos[a, c], epos[b, c]) for a, b, c in k.triangles],
+                          dtype=np.intp).reshape(-1, 3).T
+    if (np.take_along_axis(moves[bc], moves[ab], axis=1) != moves[ac]).any():
+        raise InvariantError("triangle boundary fails to close over the cover")
 
-    vertices = [(v, s) for v in k.vertices for s in range(n)]
-    edges = []
-    for (u, v) in k.edges:
-        perm = perms[(u, v)]
-        for s in range(n):
-            edges.append(((u, s), (v, perm[s])))
-    triangles = []
-    for (a, b, c) in k.triangles:
-        p_ab = perms[(a, b)]
-        p_ac = perms[(a, c)]
-        p_bc = perms[(b, c)]
-        for s in range(n):
-            sb = p_ab[s]
-            sc = p_ac[s]
-            if p_bc[sb] != sc:
-                raise InvariantError("triangle boundary fails to close over the cover")
-            triangles.append(((a, s), (b, sb), (c, sc)))
-    total = SimplicialComplex2(vertices, triangles, edges)
+    vertices = tuple(product(k.vertices, range(n)))
 
-    if total.f_vector != tuple(n * x for x in k.f_vector):
-        raise InvariantError("cover f-vector is not n times the base f-vector")
-    if not total.is_connected():
-        raise InvariantError("regular-representation cover is disconnected")
-    sc = is_simply_connected(total, budget)
+    def simplices(*cols):
+        return list(zip(*(map(vertices.__getitem__, c.tolist()) for c in cols)))
+
+    # every edge from both ends, by (end, other end), with its map from that end
+    inverse = np.empty_like(moves)
+    inverse[np.arange(len(moves))[:, None], moves] = sheet
+    src, dst = np.concatenate((ends, ends[:, ::-1])).T
+    by_end = np.lexsort((dst, src))
+    x, y = _by_first(src[by_end, None] * n + sheet,
+                     dst[by_end, None] * n + np.concatenate((moves, inverse))[by_end])
+    around = map(vertices.__getitem__, y.tolist())
+    total = SimplicialComplex2._from_sorted(
+        vertices,
+        simplices(*_by_first(ends[ab, :1] * n + sheet, ends[ab, 1:] * n + moves[ab],
+                             ends[ac, 1:] * n + moves[ac])),
+        simplices(x[x < y], y[x < y]),
+        [tuple(islice(around, d)) for d in np.repeat(np.bincount(src, minlength=len(pos)), n).tolist()])
+
+    try:
+        sc = is_simply_connected(total, budget)
+    except DisconnectedGraphError:
+        raise InvariantError("regular-representation cover is disconnected") from None
     if sc.status == "unknown":
-        raise EnumerationOverflow(
-            budget, "budget too small to certify the cover simply connected"
-        )
+        raise EnumerationOverflow(budget, "budget too small to certify the cover simply connected")
     if sc.status != "yes":
         raise InvariantError("universal cover failed its simple-connectivity check")
-
-    deck = left_multiplications(table)
-    cover = CoveringComplex(
-        base=k,
-        total=total,
-        sheets=n,
-        table=table,
-        edge_permutation=perms,
-        deck=deck,
-        simply_connected=sc,
-    )
+    cover = CoveringComplex(base=k, total=total, sheets=n, table=table, edge_permutation=perms,
+                            deck=left_multiplications(table), simply_connected=sc)
     _check_cover_complex(cover)
     return cover
 
 
 def _check_cover_complex(c: CoveringComplex) -> None:
+    """The deck group: sheet permutations that commute with every edge
+    permutation and act freely and transitively."""
     n = c.sheets
-    # the star of every lifted vertex maps bijectively onto the base star
-    base_star = {v: set() for v in c.base.vertices}
-    for (u, v) in c.base.edges:
-        base_star[u].add((u, v))
-        base_star[v].add((u, v))
-    total_star: dict = {tv: set() for tv in c.total.vertices}
-    for (x, y) in c.total.edges:
-        total_star[x].add((x, y))
-        total_star[y].add((x, y))
-    for tv in c.total.vertices:
-        v, _ = tv
-        projected = {tuple(sorted((a[0], b[0]))) for (a, b) in total_star[tv]}
-        if projected != base_star[v] or len(total_star[tv]) != len(base_star[v]):
-            raise InvariantError(f"star at {tv} does not project bijectively")
-    # deck group: free and transitive on each fiber, commutes with projection
-    for lam in c.deck:
-        if sorted(lam) != list(range(n)):
-            raise InvariantError("deck transformation is not a permutation of the sheets")
+    deck = np.array(c.deck, dtype=np.intp).reshape(-1, n)
+    if _not_permutations(deck).any():
+        raise InvariantError("deck transformation is not a permutation of the sheets")
     # lam(perm_e(t)) = perm_e(lam(t)): the deck then acts on every model lifted
-    # by the edge permutations, and the sheet-0 distances give all others
+    # by the edge permutations, and the sheet-0 distances give all others.
+    # Each distinct permutation is checked once, for its first edge
     edges = list(c.edge_permutation)
-    perms = np.array([c.edge_permutation[e] for e in edges]).reshape(len(edges), n)
-    for lam in np.array(c.deck):
+    perms, first = np.unique(np.array(list(c.edge_permutation.values()), dtype=np.intp)
+                             .reshape(len(edges), n), axis=0, return_index=True)
+    for lam in deck:
         moved = (lam[perms] != perms[:, lam]).any(axis=1)
         if moved.any():
-            e = edges[int(moved.argmax())]
+            e = edges[int(first[moved].min())]
             raise InvariantError(f"a deck transformation does not commute with edge {e}")
-    fixed = [lam for lam in c.deck if any(lam[s] == s for s in range(n))]
-    if fixed != [tuple(range(n))]:
+    if deck[(deck == np.arange(n)).any(axis=1)].tolist() != [list(range(n))]:
         raise InvariantError("deck group does not act freely")
-    reached = {c.deck[a][0] for a in range(n)}
-    if reached != set(range(n)):
+    if set(deck[:, 0].tolist()) != set(range(n)):
         raise InvariantError("deck group does not act transitively")
 
 
@@ -534,23 +536,18 @@ def fiber_ball_nerve(
             f"{nearest[worst]} >= radius {r}"
         )
 
-    sample_count = dists.shape[1]
-    nerve = nerve2(
-        centers=list(range(n)),
-        radius=r,
-        samples=list(range(sample_count)),
-        dist=lambda x, i: dists[i, x],
-    )
+    nerve = nerve2(centers=list(range(n)), radius=r, samples=list(range(dists.shape[1])),
+                   dist=lambda x, i: dists[i, x])
 
     nerve_diam = _nerve_bfs_diameter(nerve)
     nerve_connected = nerve_diam >= 0
     # deck elements moving the basepoint lift by less than 2r = 2(d + eps)
-    fdist = [[float(dists[i, sources[j]]) for j in range(n)] for i in range(n)]
-    gen_set = tuple(
-        a for a in range(1, n) if fdist[0][c.deck[a][0]] < 2 * r
-    )
-    # the deck group acts freely, so a generator moves every sheet: no loops
-    cayley_edges = {tuple(sorted((i, c.deck[a][i]))) for a in gen_set for i in range(n)}
+    fdist = dists[:, sources]
+    gen_set = tuple(a for a in range(1, n) if fdist[0, c.deck[a][0]] < 2 * r)
+    # centres g_i x0 and g_j x0 meet when g_i^-1 g_j moves x0 by less than
+    # 2r, so the nerve is the right Cayley graph: g_i joins g_i a = deck[i][a].
+    # The deck group acts freely, so a generator moves every sheet: no loops
+    cayley_edges = {tuple(sorted((i, c.deck[i][a]))) for a in gen_set for i in range(n)}
     matches = set(nerve.edges) == cayley_edges
 
     sc = (
@@ -560,9 +557,7 @@ def fiber_ball_nerve(
     )
     diam_bound = cayley_diameter_bound(n)
     pair_bound = diam_bound * 2 * (d + epsilon)
-    pairs_ok = all(
-        fdist[i][j] < pair_bound for i in range(n) for j in range(n) if i != j
-    )
+    pairs_ok = bool((fdist[~np.eye(n, dtype=bool)] < pair_bound).all())
     chain_bound = 2 * d + diam_bound * 2 * (d + epsilon)
     return NerveReport(
         sheets=n,
@@ -579,7 +574,7 @@ def fiber_ball_nerve(
         nerve_diameter=nerve_diam,
         nerve_diameter_bound=diam_bound,
         nerve_diameter_ok=nerve_diam >= 0 and cayley_cap_holds(nerve_diam, n),
-        fiber_distances=tuple(tuple(row) for row in fdist),
+        fiber_distances=tuple(map(tuple, fdist.tolist())),
         fiber_pair_bound=pair_bound,
         fiber_pairs_ok=pairs_ok,
         chain_bound=chain_bound,

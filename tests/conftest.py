@@ -98,6 +98,9 @@ NON_ABELIAN = {
     "Q8": (2, [(1, 1, 1, 1), (1, 1, -2, -2), (1, 2, 1, -2)], 8, (44, 150, 108)),
     "A4": (2, [(1, 1, 1), (2, 2, 2), (1, 2, 1, 2)], 12, (38, 126, 90)),
 }
+# A5 = <a, b | a^2, b^3, (ab)^5>, in the same form; its level-1 nerves pick
+# generating sets that are not closed under conjugation
+A5 = (2, [(1, 1), (2, 2, 2), (1, 2) * 5], 60, (53, 186, 135))
 
 
 def cyclic_powers(n: int, k: int) -> Presentation:

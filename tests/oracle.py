@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from coverdiam._search import bfs
-from coverdiam.complexes import SimplicialComplex2
+from coverdiam.complexes import SimplicialComplex2, is_simply_connected, spanning_tree_presentation
 from coverdiam.covering import CoveringGraph, Voltage
 from coverdiam.errors import DisconnectedGraphError, EnumerationOverflow, InvariantError
 from coverdiam.groups import (
@@ -31,6 +31,7 @@ from coverdiam.groups import (
     _invert_word,
     bfs_distances,
     free_reduce,
+    todd_coxeter,
 )
 from coverdiam.metric_graph import (
     DiameterResult,
@@ -43,7 +44,8 @@ from coverdiam.metric_graph import (
     tree_legs,
     validate_route,
 )
-from coverdiam.separator import cayley_cap_holds
+from coverdiam.separator import cayley_cap_holds, left_multiplications
+from coverdiam.universal_cover import CoveringComplex
 
 
 class SubdivisionMap:
@@ -579,6 +581,41 @@ def subdivided_total_lift(cover, base: MetricGraph, total: MetricGraph) -> np.nd
         return f"{kind}{lifted}:{place}"
 
     return np.array([[total.vertex_index(over(v, s)) for s in range(n)] for v in base.vertices])
+
+
+def universal_cover_tuple_loops(k: SimplicialComplex2, budget: int) -> CoveringComplex:
+    """The universal cover lifted simplex by simplex and sheet by sheet as
+    (vertex, sheet) tuples, through the validating `SimplicialComplex2`, with
+    every lifted star projected onto its base star through sets: the
+    reference for `universal_cover.build_universal_cover`."""
+    data = spanning_tree_presentation(k)
+    table = todd_coxeter(data.presentation, budget)
+    n = table.coset_count
+    perms = {e: tuple(range(n)) for e in data.tree_edges}
+    for i, e in enumerate(data.generator_edges):
+        perms[e] = tuple(table.act(s, i + 1) for s in range(n))
+    vertices = [(v, s) for v in k.vertices for s in range(n)]
+    edges = [((u, s), (v, perms[u, v][s])) for u, v in k.edges for s in range(n)]
+    triangles = []
+    for a, b, c in k.triangles:
+        p_ab, p_ac, p_bc = perms[a, b], perms[a, c], perms[b, c]
+        for s in range(n):
+            if p_bc[p_ab[s]] != p_ac[s]:
+                raise InvariantError("triangle boundary fails to close over the cover")
+            triangles.append(((a, s), (b, p_ab[s]), (c, p_ac[s])))
+    total = SimplicialComplex2(vertices, triangles, edges)
+    if total.f_vector != tuple(n * x for x in k.f_vector):
+        raise InvariantError("cover f-vector is not n times the base f-vector")
+    if not total.is_connected():
+        raise InvariantError("regular-representation cover is disconnected")
+    for tv in total.vertices:
+        star = [tuple(sorted((tv[0], w[0]))) for w in total.neighbors(tv)]
+        if sorted(star) != sorted(e for e in k.edges if tv[0] in e):
+            raise InvariantError(f"star at {tv} does not project bijectively")
+    sc = is_simply_connected(total, budget)
+    if sc.status != "yes":
+        raise InvariantError("universal cover failed its simple-connectivity check")
+    return CoveringComplex(k, total, n, table, perms, left_multiplications(table), sc)
 
 
 # ------------------------------------------- proof steps the tests run

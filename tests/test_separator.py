@@ -5,7 +5,14 @@ import pytest
 
 from coverdiam.complexes import spanning_tree_presentation
 from coverdiam.errors import InvariantError
-from coverdiam.groups import CayleyGraph, CosetTable, Presentation, cayley_graph, todd_coxeter
+from coverdiam.groups import (
+    CayleyGraph,
+    CosetTable,
+    Presentation,
+    cayley_graph,
+    todd_coxeter,
+    word_metric_diameter,
+)
 from coverdiam.separator import (
     cayley_cap_holds,
     cayley_diameter_bound,
@@ -254,6 +261,22 @@ def test_zoo_never_violates():
         assert rep.verdict != "violated", inst.name
         if rep.simply_connected.status == "yes":
             assert rep.diameter <= rep.bound + 1e-9
+
+
+def test_verify_searches_the_cayley_graph_once(monkeypatch):
+    import coverdiam.groups as groups
+
+    sources = []
+    search = groups.bfs
+    monkeypatch.setattr(groups, "bfs", lambda source, nbrs: sources.append(source) or search(source, nbrs))
+    for inst in zoo_instances():
+        sources.clear()
+        rep = verify_cayley_bound(inst.presentation, inst.gens, 100000)
+        assert sources == [0], inst.name
+        # a hand-made graph holds no distances and is searched afresh
+        fresh = word_metric_diameter(CayleyGraph(rep.cayley.element_count, rep.cayley.neighbors))
+        assert word_metric_diameter(rep.cayley) == fresh and rep.diameter == fresh.diameter, inst.name
+        assert sources == [0, 0]
 
 
 # ----------------------------------------------------------- arithmetic

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coverdiam.complexes import SimplicialComplex2, is_simply_connected, load_complex
+from coverdiam.complexes import SimplicialComplex2, is_simply_connected, load_complex, spanning_tree_presentation
 from coverdiam.covering import Voltage, derive_cover
 from coverdiam.errors import CoverNotCovering, EnumerationOverflow, InvariantError
-from coverdiam.groups import TrivialityResult
+from coverdiam.groups import CosetTable, TrivialityResult
 from coverdiam.metric_graph import MetricGraph, continuous_diameter
 from coverdiam.universal_cover import (
     _check_cover_complex,
@@ -29,7 +29,7 @@ from coverdiam.universal_cover import (
     verify_universal_bound,
 )
 
-from .conftest import NON_ABELIAN, assert_same_lift, presentation_complex, pseudo_projective_plane
+from .conftest import A5, NON_ABELIAN, assert_same_lift, presentation_complex, pseudo_projective_plane
 from .oracle import (
     derive_cover_string_keyed,
     final_inequality_holds,
@@ -37,6 +37,7 @@ from .oracle import (
     pe_subdivision_graph_records,
     pe_voltage,
     subdivided_total_lift,
+    universal_cover_tuple_loops,
 )
 
 
@@ -65,6 +66,12 @@ def test_build_trivial_cover(filled_triangle):
     assert cover.simply_connected.status == "yes"
 
 
+def test_build_one_vertex_cover():
+    # no edges: the deck checks run on empty arrays of edge permutations
+    cover = build_universal_cover(SimplicialComplex2([0]), 100)
+    assert (cover.sheets, cover.total.f_vector, cover.total.neighbors((0, 0))) == (1, (1, 0, 0), ())
+
+
 def test_build_infinite_group_overflows():
     cyc = SimplicialComplex2([0, 1, 2], [], [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(EnumerationOverflow):
@@ -76,6 +83,48 @@ def test_build_check_raises_invariant_error(rp2, monkeypatch):
 
     monkeypatch.setattr(uc, "is_simply_connected", lambda k, budget: TrivialityResult("no"))
     with pytest.raises(InvariantError, match="simple-connectivity check"):
+        build_universal_cover(rp2, 10_000)
+
+
+def _with_edge_map(monkeypatch, edit):
+    """Make `build_universal_cover` lift through edited edge maps:
+    `edit(perms)` changes the dict of maps in place."""
+    import coverdiam.universal_cover as uc
+
+    real = uc._edge_perms
+
+    def edited(*args):
+        perms = real(*args)
+        edit(perms)
+        return perms
+
+    monkeypatch.setattr(uc, "_edge_perms", edited)
+
+
+def test_build_rejects_an_edge_map_off_the_sheets(rp2, monkeypatch):
+    edge = rp2.edges[-1]
+    _with_edge_map(monkeypatch, lambda perms: perms.update({edge: (0, 0)}))
+    with pytest.raises(InvariantError, match=rf"^star at \({edge[1]}, 0\) does not project bijectively$"):
+        build_universal_cover(rp2, 10_000)
+
+
+def test_build_rejects_a_triangle_that_does_not_close(rp2, monkeypatch):
+    # a generator edge's swap made the identity: still a permutation of the
+    # sheets, but every triangle through the edge now fails to close
+    edge = spanning_tree_presentation(rp2).generator_edges[0]
+    _with_edge_map(monkeypatch, lambda perms: perms.update({edge: (0, 1)}))
+    with pytest.raises(InvariantError, match="^triangle boundary fails to close over the cover$"):
+        build_universal_cover(rp2, 10_000)
+
+
+def test_build_rejects_a_disconnected_regular_representation(rp2, monkeypatch):
+    import coverdiam.universal_cover as uc
+
+    def trivial_action(p, budget):
+        return CosetTable(action=((0, 1),) * p.generator_count)
+
+    monkeypatch.setattr(uc, "todd_coxeter", trivial_action)
+    with pytest.raises(InvariantError, match="^regular-representation cover is disconnected$"):
         build_universal_cover(rp2, 10_000)
 
 
@@ -254,6 +303,20 @@ def test_nerve_trivial_cover(filled_triangle):
     assert rep.matches_deck_cayley
     assert rep.nerve_simply_connected.status == "yes"
     assert rep.fiber_pairs_ok and rep.chain_ok
+
+
+def test_nerve_is_the_right_cayley_graph_of_a5():
+    # at L1, p = 52, eps = 1 the generating set is proper and not closed
+    # under conjugation, so left and right Cayley graphs differ
+    _, cover = _cover_of("A5")
+    rep = fiber_ball_nerve(cover, p=52, epsilon=1.0, level=1)
+    deck, n = cover.deck, cover.sheets
+    assert (n, len(rep.generator_set), rep.nerve.f_vector[1]) == (60, 54, 1620)
+    right = {tuple(sorted((i, deck[i][a]))) for a in rep.generator_set for i in range(n)}
+    left = {tuple(sorted((i, deck[a][i]))) for a in rep.generator_set for i in range(n)}
+    assert set(rep.nerve.edges) == right != left
+    assert rep.matches_deck_cayley
+    assert rep.to_json_dict()["matches_deck_cayley"] is True
 
 
 def test_nerve_hop_diameter():
@@ -478,10 +541,11 @@ def _relabelled_rp2(seed):
 
 _COMPLEXES = {
     **{f"rp2-{seed}": functools.partial(_relabelled_rp2, seed) for seed in (1, 2, 3)},
-    **{f"plane{k}": functools.partial(pseudo_projective_plane, k) for k in range(3, 9)},
+    **{f"plane{k}": functools.partial(pseudo_projective_plane, k) for k in range(3, 25)},
     "plane5-relabelled": functools.partial(
         load_complex, Path(__file__).parent / "data" / "plane5_relabelled.json"),
     **{name: functools.partial(presentation_complex, *spec[:2]) for name, spec in NON_ABELIAN.items()},
+    "A5": functools.partial(presentation_complex, *A5[:2]),
 }
 _DECK_CASES = (
     [(f"rp2-{seed}", level) for seed in (1, 2, 3) for level in range(1, 9)]
@@ -564,6 +628,25 @@ def test_cover_check_rejects_a_deck_map_off_the_edge_permutations():
     bad = dataclasses.replace(cover, deck=tuple(tuple(lam) for lam in deck))
     with pytest.raises(InvariantError, match="commute"):
         _check_cover_complex(bad)
+
+
+# ----------------------------------------- lift against the tuple-loop build
+
+
+@pytest.mark.parametrize("key", [*(f"rp2-{seed}" for seed in (1, 2, 3)),
+                                 *(f"plane{k}" for k in range(3, 25)), "plane5-relabelled",
+                                 *NON_ABELIAN, "A5"])
+def test_lift_matches_the_tuple_loop_build(key):
+    k, cover = _cover_of(key)
+    want = universal_cover_tuple_loops(k, 100_000)
+    total, ref = cover.total, want.total
+    assert total.vertices == ref.vertices
+    assert total.edges == ref.edges
+    assert total.triangles == ref.triangles
+    assert all(total.neighbors(v) == ref.neighbors(v) for v in ref.vertices)
+    assert total.f_vector == ref.f_vector == tuple(cover.sheets * x for x in k.f_vector)
+    assert cover.edge_permutation == want.edge_permutation
+    assert (cover.sheets, cover.deck, cover.simply_connected) == (want.sheets, want.deck, want.simply_connected)
 
 
 # ----------------------------------------------------------- arithmetic
