@@ -62,11 +62,7 @@ class SimplicialComplex2:
                 raise ValueError(f"edge {e!r} references unknown vertices")
             edge_set.add(e)
         self.edges = tuple(sorted(edge_set))
-        adj: dict[Hashable, set] = {v: set() for v in self.vertices}
-        for u, w in self.edges:
-            adj[u].add(w)
-            adj[w].add(u)
-        self._adj = {v: tuple(sorted(s)) for v, s in adj.items()}
+        self._adj = dict(zip(self.vertices, _sorted_neighbours(self.vertices, self.edges)))
 
     @classmethod
     def _from_sorted(cls, vertices, triangles, edges, adjacency) -> "SimplicialComplex2":
@@ -99,6 +95,17 @@ class SimplicialComplex2:
         if not self.vertices:
             return True
         return len(bfs(self.vertices[0], self.neighbors)) == len(self.vertices)
+
+
+def _sorted_neighbours(vertices, edges) -> list[tuple]:
+    """The sorted neighbours of each of `vertices`, from sorted edges (u, w),
+    u < w, in one pass: the edges (u, v) come before the edges (v, w), each
+    run in order, so every list is appended to in sorted order."""
+    adj: dict[Hashable, list] = {v: [] for v in vertices}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    return [tuple(adj[v]) for v in vertices]
 
 
 def complex_from_json(obj: dict) -> SimplicialComplex2:
@@ -218,5 +225,5 @@ def nerve2(
         for i, j, k in combinations(range(n), 3)
         if masks[i] & masks[j] & masks[k]
     ]
-    adjacency = [tuple(j for j in range(n) if j != i and masks[i] & masks[j]) for i in range(n)]
-    return SimplicialComplex2._from_sorted(tuple(range(n)), triangles, edges, adjacency)
+    vertices = tuple(range(n))
+    return SimplicialComplex2._from_sorted(vertices, triangles, edges, _sorted_neighbours(vertices, edges))

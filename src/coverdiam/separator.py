@@ -16,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .complexes import flag_triangles, is_simply_connected
 from .errors import InvariantError
 from .groups import (
@@ -40,14 +42,21 @@ __all__ = [
 ]
 
 
-def _identity_tree(t: CosetTable) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(h, g, row) with h = row[g] = g*letter, row being the letter's row of
-    the table, for every element h but the identity, in the visit order of a
-    BFS from it, so g comes before h."""
+def left_multiplication(t: CosetTable, a: int) -> tuple[int, ...]:
+    """The permutation g -> a*g: row a of `left_multiplications`."""
+    return tuple(left_multiplications(t)[a].tolist())
+
+
+def left_multiplications(t: CosetTable) -> np.ndarray:
+    """Every left multiplication as an n x n array, deck[a, g] = a*g, filled
+    column by column along one BFS from the identity, whose column is the
+    identity: left and right multiplication commute, a*(g*letter) =
+    (a*g)*letter, so column g*letter is the letter's row read at column g."""
     n = t.coset_count
     rows = [row for pair in zip(t.action, t._inverse) for row in pair]  # letters 1, -1, 2, ..
+    deck = np.empty((n, n), dtype=np.intp)
+    deck[:, 0] = np.arange(n)
     seen = [True] + [False] * (n - 1)
-    tree = []
     queue = deque([0])
     while queue:
         g = queue.popleft()
@@ -55,33 +64,11 @@ def _identity_tree(t: CosetTable) -> list[tuple[int, int, tuple[int, ...]]]:
             h = row[g]
             if not seen[h]:
                 seen[h] = True
-                tree.append((h, g, row))
+                deck[:, h] = np.take(row, deck[:, g])
                 queue.append(h)
-    if len(tree) != n - 1:
+    if not all(seen):
         raise InvariantError("left multiplication missed an element")
-    return tree
-
-
-def _along_tree(n: int, tree: list[tuple[int, int, tuple[int, ...]]], a: int) -> tuple[int, ...]:
-    # left and right multiplication commute: a*(g*letter) = (a*g)*letter.
-    # The tree sets every entry but the identity's, which is a.
-    image = [a] * n
-    for h, g, row in tree:
-        image[h] = row[image[g]]
-    return tuple(image)
-
-
-def left_multiplication(t: CosetTable, a: int) -> tuple[int, ...]:
-    """The permutation g -> a*g, propagated from the identity along the
-    right action (left and right multiplication commute)."""
-    return _along_tree(t.coset_count, _identity_tree(t), a)
-
-
-def left_multiplications(t: CosetTable) -> tuple[tuple[int, ...], ...]:
-    """Every left multiplication g -> a*g, in the order of a; one BFS tree
-    from the identity serves them all."""
-    tree = _identity_tree(t)
-    return tuple(_along_tree(t.coset_count, tree, a) for a in range(t.coset_count))
+    return deck
 
 
 def cayley_diameter_bound(n: int) -> float:

@@ -17,7 +17,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import islice, product
+from itertools import product
 from typing import Hashable, NamedTuple
 
 import numpy as np
@@ -25,13 +25,14 @@ import numpy as np
 from ._search import bfs
 from .complexes import (
     SimplicialComplex2,
+    _sorted_neighbours,
     is_simply_connected,
     nerve2,
     spanning_tree_presentation,
 )
 from .covering import _lift, _not_permutations
 from .errors import CoverNotCovering, DisconnectedGraphError, EnumerationOverflow, InvariantError
-from .groups import CosetTable, TrivialityResult, todd_coxeter
+from .groups import TrivialityResult, todd_coxeter
 from .metric_graph import (
     _PAIR_CHUNK,
     DiameterResult,
@@ -56,16 +57,17 @@ __all__ = [
 _STAIRCASE_FACTOR = 2.0 / math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringComplex:
     """A simplicial covering built over a base complex.
 
-    Total-complex vertices are pairs (base vertex, sheet).  The deck group
-    is stored as sheet permutations (left multiplications of the regular
-    representation); it acts freely and transitively on every fiber and
-    commutes with every edge permutation, so it acts by isometries on the
-    total PE model, which `pe` lifts from the base model by those
-    permutations.  Each level's distances therefore come from one
+    Total-complex vertices are pairs (base vertex, sheet).  The cover keeps
+    the integer arrays it is built from: row j of `moves` maps the sheets
+    along base.edges[j], and `deck[a, s]` = a*s, the left multiplications
+    of the regular representation.  The deck acts freely and transitively
+    on every fiber and commutes with every edge map, so it acts by
+    isometries on the total PE model, which `pe` lifts from the base model
+    by the edge maps.  Each level's distances therefore come from one
     breadth-first search out of the sheet-0 lifts alone (`_sheet0_distances`),
     which fills the all-pairs matrices of both PE models.  The cover keeps no
     model: for every level asked for it keeps one `_Level` record, the two
@@ -77,9 +79,8 @@ class CoveringComplex:
     base: SimplicialComplex2
     total: SimplicialComplex2
     sheets: int
-    table: CosetTable
-    edge_permutation: dict  # base edge (u, v) sorted -> sheet permutation for u->v
-    deck: tuple[tuple[int, ...], ...]
+    moves: np.ndarray  # E x n: moves[j, s] is sheet s carried along base.edges[j] from its first end
+    deck: np.ndarray  # n x n: deck[a, s] = a*s
     simply_connected: TrivialityResult
     _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -107,10 +108,10 @@ class CoveringComplex:
         base, carrier = pe_base.graph, pe_base.carrier
         pos = {v: i for i, v in enumerate(self.base.vertices)}
         # row code[a, b] of moves carries the sheets from carrier a to carrier b
-        moves = np.array([range(self.sheets), *self.edge_permutation.values()])
+        moves = np.vstack((np.arange(self.sheets), self.moves))
         code = np.full((len(pos), len(pos)), -1)
         np.fill_diagonal(code, 0)
-        for j, (a, b) in enumerate(self.edge_permutation, start=1):
+        for j, (a, b) in enumerate(self.base.edges, start=1):
             code[pos[a], pos[b]] = j
         u, v, _ = base.edge_arrays()
         rows = code[carrier[u], carrier[v]]
@@ -119,14 +120,6 @@ class CoveringComplex:
         total, lift = _lift(base, moves[rows], self.sheets)
         _sheet0_distances(base, total, lift, self.deck)
         return pe_base, total, lift
-
-
-def _edge_perms(data, table: CosetTable, sheets: int) -> dict:
-    """Base edge (u, v), u < v -> the sheet permutation for u->v: the
-    identity on tree edges, its generator's row of the table on the rest."""
-    perms = dict.fromkeys(data.tree_edges, tuple(range(sheets)))
-    perms.update(zip(data.generator_edges, table.action, strict=True))
-    return perms
 
 
 def _by_first(first: np.ndarray, *cols: np.ndarray) -> list[np.ndarray]:
@@ -142,19 +135,24 @@ def build_universal_cover(k: SimplicialComplex2, budget: int) -> CoveringComplex
 
     The lifts are made on indices, (k.vertices[i], s) being i n + s, ordered
     by first vertex and then the base's order: the sorted order, which
-    `_from_sorted` checks.  Edge maps must permute the sheets, so that every
-    star projects bijectively, and triangle boundaries must close; the
-    total's pi_1 certificate grows a spanning tree, so it is connected.
+    `_from_sorted` checks and `_sorted_neighbours` reads.  Edge maps must
+    permute the sheets, so that every star projects bijectively, and
+    triangle boundaries must close; the total's pi_1 certificate grows a
+    spanning tree, so it is connected.
     """
     data = spanning_tree_presentation(k)
     table = todd_coxeter(data.presentation, budget)
     n = table.coset_count
-    perms = _edge_perms(data, table, n)
     pos = {v: i for i, v in enumerate(k.vertices)}
     epos = {e: j for j, e in enumerate(k.edges)}
     ends = np.array([(pos[u], pos[w]) for u, w in k.edges], dtype=np.intp).reshape(-1, 2)
-    moves = np.array([perms[e] for e in k.edges], dtype=np.intp).reshape(len(ends), n)
     sheet = np.arange(n)
+    # tree edges keep the sheets, a generator's edge moves them by its row of the table
+    moves = np.tile(sheet, (len(ends), 1))
+    rows = np.reshape(table.action, (-1, n))
+    if len(rows) != len(data.generator_edges):
+        raise InvariantError("coset table has a row count other than the generator count")
+    moves[[epos[e] for e in data.generator_edges]] = rows
     bad = _not_permutations(moves)
     if bad.any():
         j = int(bad.argmax())
@@ -170,20 +168,12 @@ def build_universal_cover(k: SimplicialComplex2, budget: int) -> CoveringComplex
     def simplices(*cols):
         return list(zip(*(map(vertices.__getitem__, c.tolist()) for c in cols)))
 
-    # every edge from both ends, by (end, other end), with its map from that end
-    inverse = np.empty_like(moves)
-    inverse[np.arange(len(moves))[:, None], moves] = sheet
-    src, dst = np.concatenate((ends, ends[:, ::-1])).T
-    by_end = np.lexsort((dst, src))
-    x, y = _by_first(src[by_end, None] * n + sheet,
-                     dst[by_end, None] * n + np.concatenate((moves, inverse))[by_end])
-    around = map(vertices.__getitem__, y.tolist())
+    edges = simplices(*_by_first(ends[:, :1] * n + sheet, ends[:, 1:] * n + moves))
     total = SimplicialComplex2._from_sorted(
         vertices,
         simplices(*_by_first(ends[ab, :1] * n + sheet, ends[ab, 1:] * n + moves[ab],
                              ends[ac, 1:] * n + moves[ac])),
-        simplices(x[x < y], y[x < y]),
-        [tuple(islice(around, d)) for d in np.repeat(np.bincount(src, minlength=len(pos)), n).tolist()])
+        edges, _sorted_neighbours(vertices, edges))
 
     try:
         sc = is_simply_connected(total, budget)
@@ -193,29 +183,27 @@ def build_universal_cover(k: SimplicialComplex2, budget: int) -> CoveringComplex
         raise EnumerationOverflow(budget, "budget too small to certify the cover simply connected")
     if sc.status != "yes":
         raise InvariantError("universal cover failed its simple-connectivity check")
-    cover = CoveringComplex(base=k, total=total, sheets=n, table=table, edge_permutation=perms,
-                            deck=left_multiplications(table), simply_connected=sc)
+    deck = left_multiplications(table)
+    moves.flags.writeable = deck.flags.writeable = False  # read-only: every cached level derives from both
+    cover = CoveringComplex(base=k, total=total, sheets=n, moves=moves, deck=deck, simply_connected=sc)
     _check_cover_complex(cover)
     return cover
 
 
 def _check_cover_complex(c: CoveringComplex) -> None:
-    """The deck group: sheet permutations that commute with every edge
-    permutation and act freely and transitively."""
-    n = c.sheets
-    deck = np.array(c.deck, dtype=np.intp).reshape(-1, n)
+    """The deck group: sheet permutations that commute with every edge map
+    and act freely and transitively."""
+    n, deck = c.sheets, c.deck
     if _not_permutations(deck).any():
         raise InvariantError("deck transformation is not a permutation of the sheets")
     # lam(perm_e(t)) = perm_e(lam(t)): the deck then acts on every model lifted
-    # by the edge permutations, and the sheet-0 distances give all others.
-    # Each distinct permutation is checked once, for its first edge
-    edges = list(c.edge_permutation)
-    perms, first = np.unique(np.array(list(c.edge_permutation.values()), dtype=np.intp)
-                             .reshape(len(edges), n), axis=0, return_index=True)
+    # by the edge maps, and the sheet-0 distances give all others.  Each
+    # distinct map is checked once, for its first edge in base.edges order
+    perms, first = np.unique(c.moves, axis=0, return_index=True)
     for lam in deck:
         moved = (lam[perms] != perms[:, lam]).any(axis=1)
         if moved.any():
-            e = edges[int(first[moved].min())]
+            e = c.base.edges[int(first[moved].min())]
             raise InvariantError(f"a deck transformation does not commute with edge {e}")
     if deck[(deck == np.arange(n)).any(axis=1)].tolist() != [list(range(n))]:
         raise InvariantError("deck group does not act freely")
@@ -322,30 +310,30 @@ class _Level(NamedTuple):
     own: np.ndarray
 
 
-def _deck_columns(lift: np.ndarray, deck) -> np.ndarray:
+def _deck_columns(lift: np.ndarray, deck: np.ndarray) -> np.ndarray:
     """Column maps that turn a sheet-0 row into the row of each sheet.
 
-    With lam the deck element taking sheet 0 to s, lam maps (w, t) to
+    With lam the deck row taking sheet 0 to s, lam maps (w, t) to
     (w, lam(t)) isometrically, so D[(b, s), j] = D[(b, 0), cols[s, j]].
     """
     cols = np.empty((len(deck), lift.size), dtype=np.intp)
     for lam in deck:
-        cols[lam[0], lift[:, np.array(lam)]] = lift
+        cols[lam[0], lift[:, lam]] = lift
     return cols
 
 
 def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
-                      deck) -> None:
+                      deck: np.ndarray) -> None:
     """Both models' all-pairs distances from a breadth-first search out of
     the sheet-0 lifts alone, stored as the arrays their `apsp()` returns.
 
     `total` covers `base`: `lift[b, s]` is the total index of base vertex b
-    on sheet s, and each deck permutation lam maps (w, t) to (w, lam(t))
-    as a graph automorphism (it commutes with the edge permutations).
-    Row (b, lam(0)) of the total matrix is then row (b, 0) with its columns
-    moved by lam (`_deck_columns`).  A base path lifts to a path from
-    (b, 0) with as many edges, and a total path projects to one, so the
-    base matrix is D_base[b, b'] = min over t of D[(b, 0), (b', t)].
+    on sheet s, and each deck row lam maps (w, t) to (w, lam(t)) as a
+    graph automorphism (it commutes with the edge maps).  Row (b, lam(0))
+    of the total matrix is then row (b, 0) with its columns moved by lam
+    (`_deck_columns`).  A base path lifts to a path from (b, 0) with as
+    many edges, and a total path projects to one, so the base matrix is
+    D_base[b, b'] = min over t of D[(b, 0), (b', t)], one gather-min.
 
     Every edge has one length h, so the least edge count k reads as
     S_k = fl(S_{k-1} + h) (`_hop_distances`), which the deck keeps and the
@@ -355,27 +343,21 @@ def _sheet0_distances(base: MetricGraph, total: MetricGraph, lift: np.ndarray,
     Sources run in blocks of whole 64-source words, whose rows and base
     columns hold at most _PAIR_CHUNK numbers, or one word's, and the total
     matrix is filled a sheet of the block at a time: the blocks and one
-    moved copy are the only temporaries.
+    gathered or moved copy are the only temporaries.
     """
     if len(np.unique(total.edge_arrays()[2])) > 1:
         raise ValueError("deck-reduced distances need edges of one length")
     nb, n = lift.shape
     N = len(total.vertices)
     cols = _deck_columns(lift, deck)
-    by_sheet = lift.T.copy()
     dist = np.empty((N, N))
     dist_base = np.empty((nb, nb))
     step = 64 * max(1, _PAIR_CHUNK // (N + nb) // 64)  # whole words of sources
-    part = np.empty((min(step, nb), nb))
     for lo in range(0, nb, step):
         hi = min(lo + step, nb)
-        rows = total._hop_distances(by_sheet[0, lo:hi])
-        base_rows = dist_base[lo:hi]
-        np.take(rows, by_sheet[0], axis=1, out=base_rows)
-        for t in range(1, n):
-            np.minimum(base_rows, np.take(rows, by_sheet[t], axis=1, out=part[: hi - lo]),
-                       out=base_rows)
-        dist[lift[lo:hi, 0]] = rows  # sheet 0's deck element is the identity
+        rows = total._hop_distances(lift[lo:hi, 0])
+        dist_base[lo:hi] = rows[:, lift].min(axis=2)
+        dist[lift[lo:hi, 0]] = rows  # sheet 0's deck row is the identity
         for s in range(1, n):
             dist[lift[lo:hi, s]] = np.take(rows, cols[s], axis=1)
         del rows  # before the next block's search makes its own
@@ -401,8 +383,8 @@ class UniversalBoundReport:
     d_base: float
     d_cover: float
     bound: float
-    ratio: float
-    corrected_ratio: float
+    ratio: float | None
+    corrected_ratio: float | None
     holds: bool
     tol: float
 
@@ -426,7 +408,7 @@ def verify_universal_bound(
         raise ValueError("cover was built over a different base complex")
     d_base, d_cover = (d.value for d in cover.diameters(level))
     bound = 4.0 * math.sqrt(cover.sheets) * d_base
-    ratio = d_cover / d_base
+    ratio = d_cover / d_base if d_base else None  # a one-point base has no ratio
     return UniversalBoundReport(
         sheets=cover.sheets,
         level=level,
@@ -434,7 +416,7 @@ def verify_universal_bound(
         d_cover=d_cover,
         bound=bound,
         ratio=ratio,
-        corrected_ratio=ratio * _STAIRCASE_FACTOR,
+        corrected_ratio=None if ratio is None else ratio * _STAIRCASE_FACTOR,
         holds=d_cover < bound + tol,
         tol=tol,
     )
@@ -494,13 +476,12 @@ class NerveReport:
 
 
 def _nerve_bfs_diameter(k: SimplicialComplex2) -> int:
-    best = 0
-    for src in k.vertices:
-        dist = bfs(src, k.neighbors)
-        if len(dist) < len(k.vertices):
-            return -1
-        best = max(best, max(dist.values()))
-    return best
+    """Hop diameter of a fiber-ball nerve, -1 if disconnected, from one
+    search: the fiber rows are exact column permutations of one row by the
+    deck, so each deck row maps the nerve onto itself, and the deck permutes
+    the centres transitively, so every centre has centre 0's eccentricity."""
+    dist = bfs(k.vertices[0], k.neighbors)
+    return max(dist.values()) if len(dist) == len(k.vertices) else -1
 
 
 def fiber_ball_nerve(
@@ -543,11 +524,11 @@ def fiber_ball_nerve(
     nerve_connected = nerve_diam >= 0
     # deck elements moving the basepoint lift by less than 2r = 2(d + eps)
     fdist = dists[:, sources]
-    gen_set = tuple(a for a in range(1, n) if fdist[0, c.deck[a][0]] < 2 * r)
+    gen_set = tuple(a for a in range(1, n) if fdist[0, c.deck[a, 0]] < 2 * r)
     # centres g_i x0 and g_j x0 meet when g_i^-1 g_j moves x0 by less than
-    # 2r, so the nerve is the right Cayley graph: g_i joins g_i a = deck[i][a].
+    # 2r, so the nerve is the right Cayley graph: g_i joins g_i a = deck[i, a].
     # The deck group acts freely, so a generator moves every sheet: no loops
-    cayley_edges = {tuple(sorted((i, c.deck[i][a]))) for a in gen_set for i in range(n)}
+    cayley_edges = {tuple(sorted((i, c.deck[i, a]))) for a in gen_set for i in range(n)}
     matches = set(nerve.edges) == cayley_edges
 
     sc = (

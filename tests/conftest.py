@@ -8,6 +8,25 @@ from coverdiam.groups import Presentation
 from coverdiam.metric_graph import MetricGraph
 
 
+@pytest.fixture(autouse=True)
+def nerve_diameters_checked(monkeypatch):
+    """Every nerve diameter that `fiber_ball_nerve` computes in a test is
+    compared with the all-sources search it replaced."""
+    from coverdiam import universal_cover
+
+    from .oracle import nerve_diameter_all_sources
+
+    one_search = universal_cover._nerve_bfs_diameter
+
+    def checked(k):
+        got, want = one_search(k), nerve_diameter_all_sources(k)
+        if got != want:
+            raise AssertionError(f"nerve diameter {got} from one search, {want} from all")
+        return got
+
+    monkeypatch.setattr(universal_cover, "_nerve_bfs_diameter", checked)
+
+
 @pytest.fixture(scope="session")
 def unit_triangle():
     return MetricGraph(

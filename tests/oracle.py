@@ -44,7 +44,7 @@ from coverdiam.metric_graph import (
     tree_legs,
     validate_route,
 )
-from coverdiam.separator import cayley_cap_holds, left_multiplications
+from coverdiam.separator import cayley_cap_holds
 from coverdiam.universal_cover import CoveringComplex
 
 
@@ -545,7 +545,7 @@ def pe_voltage(cover, pe_base) -> Voltage:
     """Per PE edge P->Q of a universal cover's base model, the transport
     from carrier(P) to carrier(Q) as a voltage."""
     carrier = dict(zip(pe_base.graph.vertices, (cover.base.vertices[c] for c in pe_base.carrier)))
-    transport = dict(cover.edge_permutation)
+    transport = dict(zip(cover.base.edges, map(tuple, cover.moves.tolist())))
     transport.update({(v, v): tuple(range(cover.sheets)) for v in cover.base.vertices})
     return Voltage(cover.sheets, {
         e.id: transport[(carrier[e.u], carrier[e.v])] for e in pe_base.graph.edges
@@ -561,14 +561,15 @@ def subdivided_total_lift(cover, base: MetricGraph, total: MetricGraph) -> np.nd
     lifted simplices keep the order of their base corners.
     """
     k, tot, n = cover.base, cover.total, cover.sheets
+    moves = dict(zip(k.edges, cover.moves.tolist()))
     sheet_edge = {}
     for j, (u, w) in enumerate(k.edges):
-        perm = cover.edge_permutation[(u, w)]
+        perm = moves[u, w]
         for s in range(n):
             sheet_edge[j, s] = tot.edges.index(((u, s), (w, perm[s])))
     sheet_triangle = {}
     for m, (a, b, c) in enumerate(k.triangles):
-        p_ab, p_ac = cover.edge_permutation[(a, b)], cover.edge_permutation[(a, c)]
+        p_ab, p_ac = moves[a, b], moves[a, c]
         for s in range(n):
             sheet_triangle[m, s] = tot.triangles.index(((a, s), (b, p_ab[s]), (c, p_ac[s])))
 
@@ -586,8 +587,9 @@ def subdivided_total_lift(cover, base: MetricGraph, total: MetricGraph) -> np.nd
 def universal_cover_tuple_loops(k: SimplicialComplex2, budget: int) -> CoveringComplex:
     """The universal cover lifted simplex by simplex and sheet by sheet as
     (vertex, sheet) tuples, through the validating `SimplicialComplex2`, with
-    every lifted star projected onto its base star through sets: the
-    reference for `universal_cover.build_universal_cover`."""
+    every lifted star projected onto its base star through sets, and its
+    deck from the per-element `left_multiplication_bfs`: the reference for
+    `universal_cover.build_universal_cover`."""
     data = spanning_tree_presentation(k)
     table = todd_coxeter(data.presentation, budget)
     n = table.coset_count
@@ -615,7 +617,32 @@ def universal_cover_tuple_loops(k: SimplicialComplex2, budget: int) -> CoveringC
     sc = is_simply_connected(total, budget)
     if sc.status != "yes":
         raise InvariantError("universal cover failed its simple-connectivity check")
-    return CoveringComplex(k, total, n, table, perms, left_multiplications(table), sc)
+    moves = np.array([perms[e] for e in k.edges], dtype=np.intp).reshape(len(k.edges), n)
+    deck = np.array([left_multiplication_bfs(table, a) for a in range(n)], dtype=np.intp)
+    return CoveringComplex(k, total, n, moves, deck, sc)
+
+
+def adjacency_by_sets(k: SimplicialComplex2) -> list[tuple]:
+    """Each vertex's neighbours, gathered in sets and sorted: the
+    predecessor of `complexes._sorted_neighbours`."""
+    adj: dict = {v: set() for v in k.vertices}
+    for u, w in k.edges:
+        adj[u].add(w)
+        adj[w].add(u)
+    return [tuple(sorted(adj[v])) for v in k.vertices]
+
+
+def nerve_diameter_all_sources(k: SimplicialComplex2) -> int:
+    """Hop diameter by a search from every vertex, -1 when disconnected:
+    the predecessor of `universal_cover._nerve_bfs_diameter`, which
+    searches from one vertex of a vertex-transitive nerve."""
+    best = 0
+    for src in k.vertices:
+        dist = bfs(src, k.neighbors)
+        if len(dist) < len(k.vertices):
+            return -1
+        best = max(best, max(dist.values()))
+    return best
 
 
 # ------------------------------------------- proof steps the tests run

@@ -364,6 +364,18 @@ def test_ucover_build_rejects_an_empty_complex(runner, tmp_path):
     assert "Error: ValueError: complex has no vertices" in result.output
 
 
+def test_ucover_verify_on_a_one_vertex_complex_passes_with_null_ratios(runner, tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vertices": ["a"]}))
+    result = runner.invoke(main, ["ucover", "verify-bound", "--complex", str(path)])
+    assert result.exit_code == 0, result.output
+    obj = json.loads(result.stdout)
+    assert len(obj["rows"]) == 1 and obj["summary"]["pass"] == 1
+    row = obj["rows"][0]
+    assert (row["status"], row["error"], row["d_base"], row["d_cover"]) == ("PASS", None, 0.0, 0.0)
+    assert row["ratio"] is None and row["corrected_ratio"] is None
+
+
 def test_ucover_commands(runner, data_dir, tmp_path):
     result = runner.invoke(
         main, ["ucover", "build", "--complex", str(data_dir / "rp2_complex.json")]

@@ -7,6 +7,7 @@ from coverdiam import universal_cover
 from coverdiam.cli import sweep_base_graph
 from coverdiam.complexes import (
     SimplicialComplex2,
+    _sorted_neighbours,
     complex_from_json,
     flag_triangles,
     is_simply_connected,
@@ -27,7 +28,7 @@ from coverdiam.metric_graph import (
 from coverdiam.separator import zoo_instances
 
 from .conftest import cyclic_powers, pseudo_projective_plane, random_connected_graph
-from .oracle import short_loop_generators, short_loop_generators_subdivided
+from .oracle import adjacency_by_sets, short_loop_generators, short_loop_generators_subdivided
 
 RP2_FACES = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
@@ -220,6 +221,13 @@ def _same_fields(new, ref):
     assert [type(x) for x in vars(new).values()] == [type(x) for x in vars(ref).values()]
 
 
+def _check_neighbours(k):
+    # the one-pass neighbours from sorted edges, against sets sorted per vertex
+    want = adjacency_by_sets(k)
+    assert _sorted_neighbours(k.vertices, k.edges) == want
+    assert [k.neighbors(v) for v in k.vertices] == want
+
+
 def _check_pi1(k):
     # spanning-tree relators and their Tietze reduction, reduced and in range
     p = spanning_tree_presentation(k).presentation
@@ -232,6 +240,7 @@ def _check_flag(p, gens):
     _same_fields(q, Presentation(q.generator_count, q.relators))
     flag = flag_triangles(cayley_graph(todd_coxeter(p, 100_000), gens))
     _same_fields(flag, SimplicialComplex2(flag.vertices, flag.triangles, flag.edges))
+    _check_neighbours(flag)
     _check_pi1(flag)
 
 
@@ -262,6 +271,7 @@ def _check_nerves(monkeypatch, base, levels, epsilon):
     assert len(made) == len(levels)
     for k in made:
         _same_fields(k, SimplicialComplex2(k.vertices, k.triangles, k.edges))
+        _check_neighbours(k)
 
 
 def test_canonical_constructors_on_zoo_flag_fillings():
@@ -279,8 +289,10 @@ def test_canonical_constructors_on_cyclic_power_flag_fillings():
 def test_canonical_constructors_on_planes_and_totals():
     for order in range(3, 13):
         plane = pseudo_projective_plane(order)
-        _check_pi1(plane)
-        _check_pi1(universal_cover.build_universal_cover(plane, 100_000).total)
+        total = universal_cover.build_universal_cover(plane, 100_000).total
+        for k in (plane, total):
+            _check_pi1(k)
+            _check_neighbours(k)
 
 
 def test_canonical_constructors_on_rp2_and_plane_nerves(monkeypatch):
@@ -299,6 +311,7 @@ def test_canonical_constructors_on_small_nerves(hex_cycle):
     for radius in (0.5, 1.0, 1.5, 2.5, 4.0):
         k = nerve2(pts[:6], radius, pts[6:], dist)
         _same_fields(k, SimplicialComplex2(range(6), k.triangles, k.edges))
+        _check_neighbours(k)
 
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import random
+import re
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -11,11 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coverdiam.complexes import SimplicialComplex2, is_simply_connected, load_complex, spanning_tree_presentation
+from coverdiam.complexes import (
+    SimplicialComplex2,
+    _sorted_neighbours,
+    is_simply_connected,
+    load_complex,
+    spanning_tree_presentation,
+)
 from coverdiam.covering import Voltage, derive_cover
 from coverdiam.errors import CoverNotCovering, EnumerationOverflow, InvariantError
-from coverdiam.groups import CosetTable, TrivialityResult
+from coverdiam.groups import CosetTable, TrivialityResult, todd_coxeter
 from coverdiam.metric_graph import MetricGraph, continuous_diameter
+from coverdiam.separator import left_multiplications
 from coverdiam.universal_cover import (
     _check_cover_complex,
     _fiber_rows,
@@ -31,9 +39,11 @@ from coverdiam.universal_cover import (
 
 from .conftest import A5, NON_ABELIAN, assert_same_lift, presentation_complex, pseudo_projective_plane
 from .oracle import (
+    adjacency_by_sets,
     derive_cover_string_keyed,
     final_inequality_holds,
     full_dijkstra,
+    nerve_diameter_all_sources,
     pe_subdivision_graph_records,
     pe_voltage,
     subdivided_total_lift,
@@ -86,24 +96,22 @@ def test_build_check_raises_invariant_error(rp2, monkeypatch):
         build_universal_cover(rp2, 10_000)
 
 
-def _with_edge_map(monkeypatch, edit):
-    """Make `build_universal_cover` lift through edited edge maps:
-    `edit(perms)` changes the dict of maps in place."""
+def _with_first_generator_acting_by(monkeypatch, row):
+    """Make `build_universal_cover` lift through a coset table whose first
+    generator acts by `row`: the edge map of the first generator edge."""
     import coverdiam.universal_cover as uc
 
-    real = uc._edge_perms
+    real = uc.todd_coxeter
 
-    def edited(*args):
-        perms = real(*args)
-        edit(perms)
-        return perms
+    def edited(p, budget):
+        return CosetTable(action=(tuple(row), *real(p, budget).action[1:]))
 
-    monkeypatch.setattr(uc, "_edge_perms", edited)
+    monkeypatch.setattr(uc, "todd_coxeter", edited)
 
 
 def test_build_rejects_an_edge_map_off_the_sheets(rp2, monkeypatch):
-    edge = rp2.edges[-1]
-    _with_edge_map(monkeypatch, lambda perms: perms.update({edge: (0, 0)}))
+    edge = spanning_tree_presentation(rp2).generator_edges[0]
+    _with_first_generator_acting_by(monkeypatch, (0, 0))
     with pytest.raises(InvariantError, match=rf"^star at \({edge[1]}, 0\) does not project bijectively$"):
         build_universal_cover(rp2, 10_000)
 
@@ -111,9 +119,22 @@ def test_build_rejects_an_edge_map_off_the_sheets(rp2, monkeypatch):
 def test_build_rejects_a_triangle_that_does_not_close(rp2, monkeypatch):
     # a generator edge's swap made the identity: still a permutation of the
     # sheets, but every triangle through the edge now fails to close
-    edge = spanning_tree_presentation(rp2).generator_edges[0]
-    _with_edge_map(monkeypatch, lambda perms: perms.update({edge: (0, 1)}))
+    _with_first_generator_acting_by(monkeypatch, (0, 1))
     with pytest.raises(InvariantError, match="^triangle boundary fails to close over the cover$"):
+        build_universal_cover(rp2, 10_000)
+
+
+def test_build_rejects_a_table_without_a_row_per_generator(rp2, monkeypatch):
+    import coverdiam.universal_cover as uc
+
+    real = uc.todd_coxeter
+
+    def one_row(p, budget):
+        assert p.generator_count > 1
+        return CosetTable(action=real(p, budget).action[:1])
+
+    monkeypatch.setattr(uc, "todd_coxeter", one_row)
+    with pytest.raises(InvariantError, match="^coset table has a row count other than the generator count$"):
         build_universal_cover(rp2, 10_000)
 
 
@@ -141,7 +162,9 @@ def test_rp2_cover_is_certified_directly(rp2_cover):
 
 def test_deck_group_free_transitive(rp2_cover):
     n = rp2_cover.sheets
-    assert len(rp2_cover.deck) == n
+    assert rp2_cover.deck.shape == (n, n) and rp2_cover.moves.shape == (len(rp2_cover.base.edges), n)
+    # read-only, as every cached level derives from both
+    assert not rp2_cover.deck.flags.writeable and not rp2_cover.moves.flags.writeable
     assert {rp2_cover.deck[a][0] for a in range(n)} == set(range(n))
     for a, lam in enumerate(rp2_cover.deck):
         if a != 0:
@@ -244,6 +267,14 @@ def test_monotone_refinement(rp2_cover):
 # ----------------------------------------------------------- bound check
 
 
+def test_bound_on_a_one_vertex_complex_has_no_ratio():
+    # d_base = 0: no ratio, and d_cover = 0 < 0 + tol holds
+    rep = verify_universal_bound(SimplicialComplex2(["a"]), 6, 100)
+    assert (rep.sheets, rep.d_base, rep.d_cover, rep.bound) == (1, 0.0, 0.0, 0.0)
+    assert rep.ratio is None and rep.corrected_ratio is None and rep.holds
+    assert rep.to_json_dict()["ratio"] is None
+
+
 def test_bound_trivial_instance(filled_triangle):
     rep = verify_universal_bound(filled_triangle, 4, 100)
     assert rep.sheets == 1
@@ -317,12 +348,45 @@ def test_nerve_is_the_right_cayley_graph_of_a5():
     assert set(rep.nerve.edges) == right != left
     assert rep.matches_deck_cayley
     assert rep.to_json_dict()["matches_deck_cayley"] is True
+    assert rep.nerve_diameter == nerve_diameter_all_sources(rep.nerve) > 0
+
+
+# (cover, base vertex, epsilon, level): nerves of several deck groups
+_NERVE_CASES = ([("rp2-1", None, 0.05, level) for level in (3, 4, 6)]
+                + [(key, None, 1.0, 1) for key in ("plane3", "plane4", "plane6", *NON_ABELIAN)]
+                + [("A5", 52, 1.0, 1)])
+
+
+@pytest.mark.parametrize("key,p,epsilon,level", _NERVE_CASES)
+def test_deck_maps_the_nerve_onto_itself(key, p, epsilon, level):
+    # the fact behind the one-search nerve diameter: each deck row is an
+    # automorphism of the nerve, and the deck is transitive on its vertices
+    k, cover = _cover_of(key)
+    n = cover.sheets
+    nerve = fiber_ball_nerve(cover, k.vertices[0] if p is None else p, epsilon, level).nerve
+    assert nerve.vertices == tuple(range(n))
+    for faces, width in ((nerve.edges, 2), (nerve.triangles, 3)):
+        faces = np.array(faces, dtype=np.intp).reshape(-1, width)
+        place = n ** np.arange(width)  # a face's sorted corners as one number
+
+        def codes(f):
+            return np.sort(np.sort(f, axis=1) @ place)
+
+        for lam in cover.deck:
+            assert np.array_equal(codes(lam[faces]), codes(faces))
 
 
 def test_nerve_hop_diameter():
-    path = SimplicialComplex2(range(5), [], [(i, i + 1) for i in range(4)])
-    assert _nerve_bfs_diameter(path) == 4
+    # one search is exact on vertex-transitive nerves, such as cycles
+    for m in (5, 8):
+        cycle = SimplicialComplex2(range(m), [], [(i, (i + 1) % m) for i in range(m)])
+        assert _nerve_bfs_diameter(cycle) == nerve_diameter_all_sources(cycle) == m // 2
+    # any source finds a disconnected nerve
     assert _nerve_bfs_diameter(SimplicialComplex2(range(3), [], [(0, 1)])) == -1
+    # the reference searches from every vertex, so a path's middle does not fool it
+    path = SimplicialComplex2(range(5), [], [(i, i + 1) for i in range(4)])
+    assert nerve_diameter_all_sources(path) == 4
+    assert nerve_diameter_all_sources(SimplicialComplex2(range(3), [], [(0, 1)])) == -1
 
 
 def _nerve_with_a_sample_at(cover, distance, monkeypatch):
@@ -598,14 +662,15 @@ def test_presentation_complex_has_a_non_abelian_deck(name):
     *_, order, f_vector = NON_ABELIAN[name]
     k, cover = _cover_of(name)
     assert (k.f_vector, cover.sheets) == (f_vector, order)
-    deck = cover.deck  # deck[a][0] = a, so deck[a][deck[b][0]] is the product ab
+    deck = cover.deck  # deck[a, 0] = a, so deck[a, deck[b, 0]] is the product ab
     assert any(deck[a][deck[b][0]] != deck[b][deck[a][0]] for a in range(order) for b in range(order))
 
 
 @pytest.mark.parametrize("name", NON_ABELIAN)
 def test_cover_check_rejects_a_deck_of_right_multiplications(name):
-    _, cover = _cover_of(name)
-    table, n = cover.table, cover.sheets
+    k, cover = _cover_of(name)
+    table, n = todd_coxeter(spanning_tree_presentation(k).presentation, 100_000), cover.sheets
+    assert np.array_equal(left_multiplications(table), cover.deck)  # the cover's own table
     # a word for every element, along a breadth-first tree from the identity
     words, queue = {0: ()}, [0]
     letters = [x for g in range(1, len(table.action) + 1) for x in (g, -g)]
@@ -614,8 +679,8 @@ def test_cover_check_rejects_a_deck_of_right_multiplications(name):
             if table.act(s, x) not in words:
                 words[table.act(s, x)] = words[s] + (x,)
                 queue.append(table.act(s, x))
-    right = tuple(tuple(table.trace(s, words[a]) for s in range(n)) for a in range(n))
-    assert [lam[0] for lam in right] == list(range(n)) and right != cover.deck
+    right = np.array([[table.trace(s, words[a]) for s in range(n)] for a in range(n)])
+    assert right[:, 0].tolist() == list(range(n)) and not np.array_equal(right, cover.deck)
     with pytest.raises(InvariantError, match="does not commute"):
         _check_cover_complex(dataclasses.replace(cover, deck=right))
 
@@ -623,11 +688,15 @@ def test_cover_check_rejects_a_deck_of_right_multiplications(name):
 def test_cover_check_rejects_a_deck_map_off_the_edge_permutations():
     cover = build_universal_cover(pseudo_projective_plane(3), 100_000)
     _check_cover_complex(cover)
-    deck = [list(lam) for lam in cover.deck]
-    deck[1][0], deck[1][1] = deck[1][1], deck[1][0]  # still a permutation of the sheets
-    bad = dataclasses.replace(cover, deck=tuple(tuple(lam) for lam in deck))
-    with pytest.raises(InvariantError, match="commute"):
-        _check_cover_complex(bad)
+    deck = cover.deck.copy()
+    deck[1, [0, 1]] = deck[1, [1, 0]]  # still a permutation of the sheets
+    # the message names the first edge, in base.edges order, whose map the
+    # first failing deck row does not commute with
+    lam, moves = deck[1].tolist(), cover.moves.tolist()
+    first = next(e for e, m in zip(cover.base.edges, moves) if [lam[t] for t in m] != [m[t] for t in lam])
+    message = f"a deck transformation does not commute with edge {first}"
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        _check_cover_complex(dataclasses.replace(cover, deck=deck))
 
 
 # ----------------------------------------- lift against the tuple-loop build
@@ -645,8 +714,13 @@ def test_lift_matches_the_tuple_loop_build(key):
     assert total.triangles == ref.triangles
     assert all(total.neighbors(v) == ref.neighbors(v) for v in ref.vertices)
     assert total.f_vector == ref.f_vector == tuple(cover.sheets * x for x in k.f_vector)
-    assert cover.edge_permutation == want.edge_permutation
-    assert (cover.sheets, cover.deck, cover.simply_connected) == (want.sheets, want.deck, want.simply_connected)
+    assert cover.moves.dtype == cover.deck.dtype == np.intp
+    assert np.array_equal(cover.moves, want.moves) and np.array_equal(cover.deck, want.deck)
+    assert (cover.sheets, cover.simply_connected) == (want.sheets, want.simply_connected)
+    # the one-pass neighbours from sorted edges, against sets sorted per vertex
+    for c in (k, total):
+        assert _sorted_neighbours(c.vertices, c.edges) == adjacency_by_sets(c)
+        assert [c.neighbors(v) for v in c.vertices] == adjacency_by_sets(c)
 
 
 # ----------------------------------------------------------- arithmetic
