@@ -301,16 +301,18 @@ class _Enumerator:
                 return
 
     def _closed(self, relators: list[list[int]]) -> bool:
-        table, find = self.table, self.find
+        table, parent = self.table, self.parent
         for a in range(len(table)):
-            if self.parent[a] != a:
+            if parent[a] != a:
                 continue
             if min(table[a]) < 0:
                 return False
             for cols in relators:
                 x = a
                 for c in cols:
-                    x = find(table[x][c])
+                    x = table[x][c]
+                    if parent[x] != x:
+                        x = self.find(x)
                 if x != a:
                     return False
         return True
@@ -392,17 +394,24 @@ def tietze_reduce(p: Presentation) -> TietzeReduction:
     """Eliminate generators that occur once in a short relator.
 
     First, while a relator has one letter left whose generator g is not
-    eliminated, the lowest-numbered such relator eliminates g as (g, ()),
-    and eliminated letters are deleted.  Then, while some cyclically
-    reduced relator of length <= 3 contains a generator g exactly once, the
-    relator is solved for g (a word of at most 2 letters), dropped, and g's
-    word is substituted into the relators that an occurrence index lists
-    for g, which are then freely and cyclically reduced, empty ones
-    dropped.  The shortest, then lowest-numbered, relator goes first, and
-    within it the generator in the fewest relators (the least number among
-    equals), so the result depends only on p.  Each step is a Tietze move,
-    so the group is unchanged; a relator equal to an earlier one or to its
-    inverse is dropped at the end.
+    eliminated, the lowest-numbered such relator eliminates g as (g, ());
+    each relator keeps the count and the sum of its live generators, so
+    the sum names g.  Then each relator is rewritten once: one with no
+    live letter becomes (), and one whose letters name distinct generators
+    loses its eliminated letters in one pass, since deleting letters from
+    such a word leaves nothing to cancel freely or cyclically.  Any other
+    relator deletes its eliminated generators one at a time in elimination
+    order, reducing freely and cyclically after each, as substitution
+    would.  Then, while some cyclically reduced relator of length <= 3
+    contains a generator g exactly once, the relator is solved for g (a
+    word of at most 2 letters), dropped, and g's word is substituted into
+    the relators that an occurrence index lists for g, which are then
+    freely and cyclically reduced, empty ones dropped.  The shortest, then
+    lowest-numbered, relator goes first, and within it the generator in
+    the fewest relators (the least number among equals), so the result
+    depends only on p.  Each step is a Tietze move, so the group is
+    unchanged; a relator equal to an earlier one or to its inverse is
+    dropped at the end.
     """
     words = [_cyclic_reduce(w) for w in p.relators]
     eliminated: list[tuple[int, Word]] = []
@@ -410,6 +419,7 @@ def tietze_reduce(p: Presentation) -> TietzeReduction:
     index: list[set[int] | None] = [set() for _ in range(p.generator_count + 1)]
     if any(len(w) == 1 for w in words):
         live = [len(w) for w in words]  # letters of generators not yet eliminated
+        total = [sum(map(abs, w)) for w in words]  # and the sum of their generators
         holders: list[list[int]] = [[] for _ in index]  # with multiplicity
         for i, w in enumerate(words):
             for x in w:
@@ -418,17 +428,26 @@ def tietze_reduce(p: Presentation) -> TietzeReduction:
         while ones:
             i = heappop(ones)
             if live[i] == 1:
-                g = next(abs(x) for x in words[i] if index[abs(x)] is not None)
+                g = total[i]
                 index[g] = None
                 eliminated.append((g, ()))
                 for j in holders[g]:
                     live[j] -= 1
+                    total[j] -= g
                     if live[j] == 1:
                         heappush(ones, j)
-        # one generator at a time, as substitution does: the rotations match
-        for g, _ in eliminated:
-            for j in dict.fromkeys(holders[g]):
-                words[j] = _cyclic_reduce(free_reduce([x for x in words[j] if abs(x) != g]))
+        step = {g: k for k, (g, _) in enumerate(eliminated)}
+        for j, w in enumerate(words):
+            if live[j] == len(w):
+                continue
+            if live[j] == 0:
+                words[j] = ()
+            elif len(set(map(abs, w))) == len(w):  # nothing can cancel
+                words[j] = tuple(x for x in w if index[abs(x)] is not None)
+            else:  # one generator at a time, as substitution does: the rotations match
+                for g in sorted({abs(x) for x in w if index[abs(x)] is None}, key=step.__getitem__):
+                    w = _cyclic_reduce(free_reduce([x for x in w if abs(x) != g]))
+                words[j] = w
 
     relators: dict[int, Word] = {}
     short: list[tuple[int, int]] = []  # (length, relator id), entries may be stale
@@ -574,13 +593,9 @@ def cayley_graph(t: CosetTable, generating_subset: Iterable[int]) -> CayleyGraph
             raise ValueError(f"generator index {i} out of range")
     n = t.coset_count
 
-    signed = []
-    for i in chosen:
-        for letter in (i + 1, -(i + 1)):
-            if t.act(0, letter) != 0:  # identity-acting generators are excluded
-                signed.append(letter)
-
-    neighbor_sets = [{t.act(g, letter) for letter in signed} for g in range(n)]
+    # one action row per signed letter; identity-acting generators are excluded
+    rows = [row for i in chosen if t.action[i][0] != 0 for row in (t.action[i], t._inverse[i])]
+    neighbor_sets = [set(images) for images in zip(*rows)] if rows else [set() for _ in range(n)]
 
     # the identity's orbit must be everything; word_metric_diameter reads its hops
     seen = bfs(0, neighbor_sets.__getitem__)
@@ -669,6 +684,8 @@ def is_trivial(p: Presentation, max_cosets: int) -> TrivialityResult:
     own counts.  Otherwise enumeration of the reduced presentation
     decides, with Unknown on overflow.
     """
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
     q = tietze_reduce(p).presentation
     if q.generator_count == 0:
         return TrivialityResult(

@@ -517,8 +517,9 @@ def fiber_ball_nerve(
             f"{nearest[worst]} >= radius {r}"
         )
 
+    rows = dists.tolist()  # Python floats: one list index per pair, not a numpy scalar
     nerve = nerve2(centers=list(range(n)), radius=r, samples=list(range(dists.shape[1])),
-                   dist=lambda x, i: dists[i, x])
+                   dist=lambda x, i: rows[i][x])
 
     nerve_diam = _nerve_bfs_diameter(nerve)
     nerve_connected = nerve_diam >= 0

@@ -69,6 +69,9 @@ coverdiam groups enumerate --presentation tests/data/s3_presentation.json \
   | python -c "$CHECK_ROW" '{"order": 6}'
 coverdiam cayley verify --presentation tests/data/s3_presentation.json --gens 0,1 \
   | python -c "$CHECK_ROW" '{"order": 6, "diam": 3, "verdict": "hypothesis_failed"}'
+# the word metric read from the Cayley graph's action rows
+coverdiam groups diameter --presentation tests/data/s3_presentation.json --gens 0,1 \
+  | python -c "$CHECK_ROW" '{"order": 6, "diameter": 3, "layer_sizes": [1, 2, 2, 1]}'
 
 # exit codes
 # an empty complex is a user error: exit 1 with an Error line, no traceback
@@ -78,6 +81,13 @@ coverdiam ucover build --complex "$scratch/empty.json" 2> "$scratch/empty.err" |
 test "$status" -eq 1
 grep -q '^Error: ValueError' "$scratch/empty.err"
 if grep -q Traceback "$scratch/empty.err"; then exit 1; fi
+# a generator subset that reaches only part of the group: exit 1, no traceback
+status=0
+coverdiam groups diameter --presentation tests/data/s3_presentation.json --gens 0 \
+  2> "$scratch/subset.err" || status=$?
+test "$status" -eq 1
+grep -q '^Error: NotGeneratingError' "$scratch/subset.err"
+if grep -q Traceback "$scratch/subset.err"; then exit 1; fi
 # a nonpositive level is a usage error: exit 2
 status=0
 coverdiam ucover verify-bound --complex src/coverdiam/data/rp2_complex.json --levels 0 || status=$?

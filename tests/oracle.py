@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 from coverdiam._search import bfs
 from coverdiam.complexes import SimplicialComplex2, is_simply_connected, spanning_tree_presentation
 from coverdiam.covering import CoveringGraph, Voltage
-from coverdiam.errors import DisconnectedGraphError, EnumerationOverflow, InvariantError
+from coverdiam.errors import DisconnectedGraphError, EnumerationOverflow, InvariantError, NotGeneratingError
 from coverdiam.groups import (
     CayleyGraph,
     CosetTable,
@@ -873,3 +873,155 @@ def tietze_reduce_heap(p: Presentation) -> TietzeReduction:
             seen.add(key)
             reduced.append(w)
     return TietzeReduction(Presentation(len(kept), reduced), kept, tuple(eliminated))
+
+
+def tietze_reduce_stepwise(p: Presentation) -> TietzeReduction:
+    """Eliminate generators that occur once in a short relator.
+
+    First, while a relator has one letter left whose generator g is not
+    eliminated, the lowest-numbered such relator eliminates g as (g, ()),
+    and eliminated letters are deleted.  Then, while some cyclically
+    reduced relator of length <= 3 contains a generator g exactly once, the
+    relator is solved for g (a word of at most 2 letters), dropped, and g's
+    word is substituted into the relators that an occurrence index lists
+    for g, which are then freely and cyclically reduced, empty ones
+    dropped.  The shortest, then lowest-numbered, relator goes first, and
+    within it the generator in the fewest relators (the least number among
+    equals), so the result depends only on p.  Each step is a Tietze move,
+    so the group is unchanged; a relator equal to an earlier one or to its
+    inverse is dropped at the end.
+    """
+    words = [_cyclic_reduce(w) for w in p.relators]
+    eliminated: list[tuple[int, Word]] = []
+    # generator -> ids of the relators holding it; None once eliminated
+    index: list[set[int] | None] = [set() for _ in range(p.generator_count + 1)]
+    if any(len(w) == 1 for w in words):
+        live = [len(w) for w in words]  # letters of generators not yet eliminated
+        holders: list[list[int]] = [[] for _ in index]  # with multiplicity
+        for i, w in enumerate(words):
+            for x in w:
+                holders[abs(x)].append(i)
+        ones = [i for i, n in enumerate(live) if n == 1]
+        while ones:
+            i = heappop(ones)
+            if live[i] == 1:
+                g = next(abs(x) for x in words[i] if index[abs(x)] is not None)
+                index[g] = None
+                eliminated.append((g, ()))
+                for j in holders[g]:
+                    live[j] -= 1
+                    if live[j] == 1:
+                        heappush(ones, j)
+        # one generator at a time, as substitution does: the rotations match
+        for g, _ in eliminated:
+            for j in dict.fromkeys(holders[g]):
+                words[j] = _cyclic_reduce(free_reduce([x for x in words[j] if abs(x) != g]))
+
+    relators: dict[int, Word] = {}
+    short: list[tuple[int, int]] = []  # (length, relator id), entries may be stale
+
+    def store(i: int, word: Word) -> None:
+        if word:
+            relators[i] = word
+            for x in word:
+                index[abs(x)].add(i)
+            if len(word) <= 3:
+                heappush(short, (len(word), i))
+
+    def drop(i: int) -> Word:
+        word = relators.pop(i)
+        for x in word:
+            holding = index[abs(x)]
+            if holding is not None:
+                holding.discard(i)
+        return word
+
+    for i, w in enumerate(words):
+        store(i, w)
+
+    while short:
+        length, i = heappop(short)
+        word = relators.get(i)
+        if word is None or len(word) != length:
+            continue
+        gens = [abs(x) for x in word]
+        once = [h for h in gens if gens.count(h) == 1]
+        if not once:
+            continue
+        g = min(once, key=lambda h: (len(index[h]), h))
+        drop(i)
+        k = gens.index(g)
+        rest = word[k + 1:] + word[:k]  # word is a rotation of word[k] * rest
+        sub = rest if word[k] < 0 else _invert_word(rest)
+        inverse = _invert_word(sub)
+        eliminated.append((g, sub))
+        holding, index[g] = index[g], None
+        for j in holding:
+            new: list[int] = []
+            for x in drop(j):
+                if x == g:
+                    new += sub
+                elif x == -g:
+                    new += inverse
+                else:
+                    new.append(x)
+            store(j, _cyclic_reduce(free_reduce(new)))
+
+    kept = tuple(g for g in range(1, p.generator_count + 1) if index[g] is not None)
+    number = {g: i + 1 for i, g in enumerate(kept)}
+    seen: set[Word] = set()
+    reduced = []
+    for i in sorted(relators):
+        w = tuple(number[x] if x > 0 else -number[-x] for x in relators[i])
+        key = min(w, _invert_word(w))
+        if key not in seen:
+            seen.add(key)
+            reduced.append(w)
+    return TietzeReduction(Presentation._reduced(len(kept), reduced), kept, tuple(eliminated))
+
+
+def cayley_graph_by_act(t: CosetTable, generating_subset) -> CayleyGraph:
+    """`groups.cayley_graph` with one `CosetTable.act` call per element and
+    signed letter: the predecessor of reading the action rows."""
+    chosen = sorted(set(int(i) for i in generating_subset))
+    for i in chosen:
+        if not (0 <= i < t.generator_count):
+            raise ValueError(f"generator index {i} out of range")
+    n = t.coset_count
+
+    signed = []
+    for i in chosen:
+        for letter in (i + 1, -(i + 1)):
+            if t.act(0, letter) != 0:  # identity-acting generators are excluded
+                signed.append(letter)
+
+    neighbor_sets = [{t.act(g, letter) for letter in signed} for g in range(n)]
+
+    # the identity's orbit must be everything; word_metric_diameter reads its hops
+    seen = bfs(0, neighbor_sets.__getitem__)
+    if len(seen) != n:
+        raise NotGeneratingError(
+            f"generators {chosen} reach only {len(seen)} of {n} elements"
+        )
+
+    c = CayleyGraph(element_count=n, neighbors=tuple(tuple(sorted(s)) for s in neighbor_sets))
+    object.__setattr__(c, "_hops", tuple(seen[g] for g in range(n)))
+    return c
+
+
+def closed_find_per_letter(enum, relators: list[list[int]]) -> bool:
+    """`_Enumerator._closed` with a `find` call per letter: the predecessor
+    of reading the table entry and finding only non-roots."""
+    table, find = enum.table, enum.find
+    for a in range(len(table)):
+        if enum.parent[a] != a:
+            continue
+        if min(table[a]) < 0:
+            return False
+        for cols in relators:
+            x = a
+            for c in cols:
+                x = find(table[x][c])
+            if x != a:
+                return False
+    return True

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coverdiam.complexes import flag_triangles, pi1_presentation
+from coverdiam import groups
+from coverdiam.complexes import flag_triangles, is_simply_connected, pi1_presentation
 from coverdiam.errors import EnumerationOverflow, InvariantError, NotGeneratingError
 from coverdiam.groups import (
     CosetTable,
@@ -26,11 +27,14 @@ from coverdiam.groups import (
 from coverdiam.separator import zoo_instances
 from coverdiam.universal_cover import build_universal_cover, rp2_complex
 
-from .conftest import cyclic_powers, pseudo_projective_plane
+from .conftest import A5, NON_ABELIAN, cyclic_powers, presentation_complex, pseudo_projective_plane
 from .oracle import (
+    cayley_graph_by_act,
+    closed_find_per_letter,
     exponent_rank_fraction,
     is_trivial_unreduced,
     tietze_reduce_heap,
+    tietze_reduce_stepwise,
     todd_coxeter_unreduced,
 )
 
@@ -351,6 +355,41 @@ def test_cayley_labels_consistent():
         assert c.neighbors[g] == tuple(sorted({t.act(g, x) for x in (1, -1, 2, -2)}))
 
 
+def _cayley_outcome(build, t, gens):
+    try:
+        c = build(t, gens)
+    except NotGeneratingError as exc:
+        return str(exc)
+    return c.element_count, c.neighbors, c._hops
+
+
+def _cayley_reference_cases():
+    """(presentation, generator subset): the zoo, the cyclic-power families,
+    S4 and A5 on two generators, and an identity-acting generator."""
+    s4 = Presentation(2, [(1, 1), (2, 2, 2), (1, 2) * 4])
+    out = _cayley_presentations() + [(s4, (0, 1)), (Presentation(*A5[:2]), (0, 1))]
+    return out + [(Presentation(2, [(1, 1), (2, -1, -1)]), (0, 1)), (Presentation(1, [(1,)]), (0,))]
+
+
+def test_cayley_graph_matches_act_reference():
+    errors = 0
+    for p, gens in _cayley_reference_cases():
+        t = todd_coxeter(p, 100_000)
+        for subset in [gens, (), *((i,) for i in gens)]:
+            new = _cayley_outcome(cayley_graph, t, subset)
+            assert new == _cayley_outcome(cayley_graph_by_act, t, subset), (p, subset)
+            errors += isinstance(new, str)
+    assert errors > 0
+
+
+def test_cayley_graph_of_no_generators():
+    trivial = todd_coxeter(Presentation(1, [(1,)]), 10)
+    assert cayley_graph(trivial, ()).neighbors == ((),)
+    assert cayley_graph(trivial, (0,)).neighbors == ((),)  # the identity is dropped
+    with pytest.raises(NotGeneratingError, match=r"^generators \[\] reach only 1 of 6 elements$"):
+        cayley_graph(todd_coxeter(cyclic(6), 100), ())
+
+
 # ---------------------------------------------- word_metric_diameter
 
 
@@ -431,6 +470,20 @@ def test_is_trivial_unknown_on_budget():
     res = is_trivial(p, 500)
     assert res.status == "unknown"
     assert "budget" in res.certificate
+
+
+@pytest.mark.parametrize("p", [
+    Presentation(1, [(1,)]),  # trivial by Tietze moves
+    Presentation(2, [(1, 2, -1, -2)]),  # infinite by the exponent rank
+    Presentation(1, [(1, 1)]),  # decided by enumeration
+], ids=["tietze", "rank", "enumeration"])
+@pytest.mark.parametrize("budget", [0, -1])
+def test_is_trivial_rejects_a_nonpositive_budget_on_every_path(p, budget):
+    with pytest.raises(ValueError, match="^max_cosets must be positive$"):
+        is_trivial(p, budget)
+    complex_ = presentation_complex(p.generator_count, p.relators)
+    with pytest.raises(ValueError, match="^max_cosets must be positive$"):
+        is_simply_connected(complex_, budget)
 
 
 # ------------------------------------------------------ Tietze reduction
@@ -631,6 +684,110 @@ def test_tietze_reduce_matches_heap_only_reduction(cases, family):
         assert (new.presentation, new.kept) == (old.presentation, old.kept), p
         assert _one_letter_entries_unordered(new.eliminated) == (
             _one_letter_entries_unordered(old.eliminated)), p
+
+
+@pytest.mark.parametrize("cases,family", [("oracle", f) for f in sorted(_ORACLE_CASES)]
+                         + [("rank", f) for f in sorted(_RANK_CASES)])
+def test_tietze_reduce_matches_stepwise_deletion(cases, family):
+    for p in {"oracle": _ORACLE_CASES, "rank": _RANK_CASES}[cases][family]():
+        assert tietze_reduce(p) == tietze_reduce_stepwise(p), p
+
+
+@pytest.mark.parametrize("spec", [*NON_ABELIAN.values(), A5], ids=[*NON_ABELIAN, "A5"])
+def test_tietze_reduce_matches_stepwise_on_presentation_complexes(spec):
+    complex_ = presentation_complex(*spec[:2])
+    for k in (complex_, build_universal_cover(complex_, 100_000).total):
+        p = pi1_presentation(k)
+        assert tietze_reduce(p) == tietze_reduce_stepwise(p)
+
+
+def _repeated_generator_presentations():
+    """200 seeded presentations whose one-letter relators eliminate
+    generators that other relators hold more than once."""
+    rng = random.Random(2828)
+    out = []
+
+    def letter():
+        return rng.choice((1, -1)) * rng.randint(1, n)
+
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        relators = [[letter()] for _ in range(rng.randint(1, n - 1))]
+        for _ in range(rng.randint(1, 5)):
+            a, b = letter(), letter()
+            word = [letter() for _ in range(rng.randint(0, 4))]
+            relators.append([a, b, *word, -a, b, *word])
+        out.append(Presentation(n, relators))
+    return out
+
+
+def test_tietze_reduce_matches_stepwise_with_repeated_generators(monkeypatch):
+    calls = []
+    monkeypatch.setattr(groups, "free_reduce", lambda w: calls.append(1) or free_reduce(w))
+    stepwise = 0
+    for p in _repeated_generator_presentations():
+        del calls[:]
+        new = tietze_reduce(p)
+        assert new == tietze_reduce_stepwise(p), p
+        stepwise += bool(calls)
+    assert stepwise >= 150  # most cases rewrite a relator a generator at a time
+
+
+def test_tietze_one_letter_phase_on_plane_totals_reduces_no_word(monkeypatch):
+    totals = [pi1_presentation(build_universal_cover(pseudo_projective_plane(k), 100_000).total)
+              for k in range(3, 8)]
+    calls = []
+    monkeypatch.setattr(groups, "free_reduce", lambda w: calls.append(1) or free_reduce(w))
+    for p in totals:
+        r = tietze_reduce(p)
+        assert calls == []
+        assert r.kept == () and len(r.eliminated) == p.generator_count
+        assert all(word == () for _, word in r.eliminated)
+        assert r == tietze_reduce_stepwise(p)
+
+
+@pytest.mark.parametrize("family", sorted(_ORACLE_CASES))
+def test_closing_check_matches_find_per_letter(family, monkeypatch):
+    # the enumerations of test_reduced_path_matches_unreduced_oracle
+    closed = _Enumerator._closed
+    calls = []
+
+    def checked(self, relators):
+        live = [row for a, row in enumerate(self.table) if self.parent[a] == a]
+        stale = any(self.parent[x] != x for row in live for x in row if x >= 0)
+        verdict = closed(self, relators)
+        assert verdict == closed_find_per_letter(self, relators)
+        calls.append((verdict, stale))
+        return verdict
+
+    monkeypatch.setattr(_Enumerator, "_closed", checked)
+    budget = 500 if family == "random" else 100_000
+    overflows = 0
+    for p in _ORACLE_CASES[family]():
+        is_trivial(p, budget)
+        is_trivial_unreduced(p, budget)
+        if family != "cayley flag fillings":
+            for enumerate_ in (todd_coxeter, todd_coxeter_unreduced):
+                overflows += _order_or_overflow(enumerate_, p, budget) is None
+    assert calls
+    if family == "random":  # entries left on merged cosets take the find branch
+        assert overflows > 0 and (True, True) in calls
+
+
+def test_closing_check_rejects_like_find_per_letter():
+    # completed enumerations close on their first pass; here the tables are
+    # checked against words they do not satisfy, and before any definition
+    verdicts = []
+    for p in [cyclic(6), Presentation(2, [(1, 1), (2, 2), (1, 2) * 3]), Presentation(*A5[:2])]:
+        enum = _Enumerator(p.generator_count, 1000)
+        fresh = [[c] for c in range(enum.ncols)]
+        assert enum._closed(fresh) is closed_find_per_letter(enum, fresh) is False
+        enum.run(p.relators)
+        words = [[c] * k for c in range(enum.ncols) for k in (1, 2, 3)]
+        for cols in [*words, *([c, c ^ 1, c] for c in range(enum.ncols))]:
+            verdicts.append(enum._closed([cols]))
+            assert verdicts[-1] == closed_find_per_letter(enum, [cols]), (p, cols)
+    assert set(verdicts) == {True, False}
 
 
 @given(st.data())
