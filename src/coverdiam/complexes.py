@@ -1,24 +1,27 @@
 """Simplicial 2-complexes: fundamental groups, flag fillings and nerves.
 
-Complexes are stored by their vertex/edge/triangle sets (downward closure
-enforced).  Fundamental groups come from the spanning-tree presentation:
-one generator per non-tree edge, one relator per triangle boundary.  The
-proof step that loops of length at most 2d generate the fundamental group
-(short loop generators) is run by the test suite, not shipped here.
+A complex is its sorted vertex names plus sorted integer rows into them
+(downward closure enforced).  Fundamental groups come from the spanning-tree
+presentation: one generator per non-tree edge, one relator per triangle
+boundary.  The proof step that loops of length at most 2d generate the
+fundamental group (short loop generators) is run by the test suite, not
+shipped here.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from operator import lt
+from functools import cached_property
+from itertools import accumulate, combinations, compress, starmap
+from operator import itemgetter, lt, mul, neg, not_
 from typing import Callable, Hashable, Iterable, Sequence
 
-from ._search import bfs
+import numpy as np
+
 from .errors import DisconnectedGraphError
 from .groups import CayleyGraph, Presentation, TrivialityResult, is_trivial
+from .metric_graph import _component_roots
 
 __all__ = [
     "SimplicialComplex2",
@@ -34,7 +37,13 @@ __all__ = [
 
 
 class SimplicialComplex2:
-    """Vertices, edges (2-sets) and triangles (3-sets), downward closed."""
+    """Vertices, edges (2-sets) and triangles (3-sets), downward closed.
+
+    Held as the sorted vertex names and sorted integer rows into them:
+    `_edge_rows` (i, j), i < j, `_triangle_rows` (a, b, c), a < b < c, and
+    `_sides`, the columns (ab, ac, bc) of each triangle's edge indices.  The
+    name views `edges`, `triangles` and `neighbors` are built at first use.
+    """
 
     def __init__(
         self,
@@ -42,70 +51,95 @@ class SimplicialComplex2:
         triangles: Iterable[Sequence[Hashable]] = (),
         edges: Iterable[Sequence[Hashable]] = (),
     ):
-        self.vertices = tuple(sorted(set(vertices)))
-        vset = set(self.vertices)
+        vertices = tuple(sorted(set(vertices)))
+        index = {v: i for i, v in enumerate(vertices)}
         tris = set()
         for t in triangles:
             t = tuple(sorted(t))
             if len(set(t)) != 3:
                 raise ValueError(f"triangle {t!r} must have three distinct vertices")
-            if not set(t) <= vset:
+            if not set(t) <= index.keys():
                 raise ValueError(f"triangle {t!r} references unknown vertices")
-            tris.add(t)
-        self.triangles = tuple(sorted(tris))
-        edge_set = {e for a, b, c in self.triangles for e in ((a, b), (a, c), (b, c))}
+            tris.add(tuple(map(index.__getitem__, t)))
+        rows = {e for a, b, c in tris for e in ((a, b), (a, c), (b, c))}
         for e in edges:
             e = tuple(sorted(e))
             if len(set(e)) != 2:
                 raise ValueError(f"edge {e!r} must have two distinct vertices")
-            if not set(e) <= vset:
+            if not set(e) <= index.keys():
                 raise ValueError(f"edge {e!r} references unknown vertices")
-            edge_set.add(e)
-        self.edges = tuple(sorted(edge_set))
-        self._adj = dict(zip(self.vertices, _sorted_neighbours(self.vertices, self.edges)))
+            rows.add(tuple(map(index.__getitem__, e)))
+        self._set_rows(vertices, tuple(sorted(tris)), tuple(sorted(rows)))
 
     @classmethod
-    def _from_sorted(cls, vertices, triangles, edges, adjacency) -> "SimplicialComplex2":
-        """The complex of sorted, distinct vertices, triangles and edges, with
-        adjacency[i] the sorted neighbours of vertices[i], checked at C speed.
-        Callers guarantee the rest: their triangles (u, v, w) have u < v < w,
-        and each triangle's edges are among their edges."""
+    def _from_sorted(cls, vertices, triangles, edges) -> "SimplicialComplex2":
+        """The complex of sorted, distinct vertex names and sorted, distinct
+        rows, checked at C speed: edges (i, j), 0 <= i < j < len(vertices),
+        and triangles whose sides are among the edges."""
         for xs, kind in ((vertices, "vertices"), (triangles, "triangles"), (edges, "edges")):
             if not all(map(lt, xs, xs[1:])):
                 raise ValueError(f"{kind} must be sorted and distinct")
-        if len(adjacency) != len(vertices) or sum(map(len, adjacency)) != 2 * len(edges):
-            raise ValueError("adjacency does not match the vertices and edges")
+        if edges and not (edges[0][0] >= 0 and all(starmap(lt, edges))
+                          and max(map(itemgetter(1), edges)) < len(vertices)):
+            raise ValueError("edges must be rows (i, j) with 0 <= i < j < len(vertices)")
         k = cls.__new__(cls)
-        k.vertices, k.triangles, k.edges = vertices, tuple(triangles), tuple(edges)
-        k._adj = dict(zip(vertices, adjacency))
+        k._set_rows(vertices, tuple(triangles), tuple(edges))
         return k
+
+    def _set_rows(self, vertices: tuple, triangles: tuple, edges: tuple) -> None:
+        self.vertices, self._triangle_rows, self._edge_rows = vertices, triangles, edges
+        get = dict(zip(edges, range(len(edges)))).__getitem__
+        a, b, c = zip(*triangles) if triangles else ((), (), ())
+        try:
+            self._sides = tuple(tuple(map(get, zip(x, y))) for x, y in ((a, b), (a, c), (b, c)))
+        except KeyError as exc:
+            raise ValueError(f"a triangle's side {exc.args[0]} is not among the edges") from None
+
+    def _names(self, rows) -> tuple:
+        at = self.vertices.__getitem__
+        return tuple(zip(*(map(at, col) for col in zip(*rows))))
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The edges (u, w), u < w, in sorted order."""
+        return self._names(self._edge_rows)
+
+    @cached_property
+    def triangles(self) -> tuple:
+        """The triangles (a, b, c), a < b < c, in sorted order."""
+        return self._names(self._triangle_rows)
+
+    @cached_property
+    def _adj(self) -> dict:
+        at = self.vertices.__getitem__
+        adj = _sorted_neighbours(len(self.vertices), self._edge_rows)
+        return {u: tuple(map(at, ns)) for u, ns in zip(self.vertices, adj)}
 
     def neighbors(self, v) -> tuple:
         return self._adj[v]
 
     @property
     def f_vector(self) -> tuple[int, int, int]:
-        return (len(self.vertices), len(self.edges), len(self.triangles))
+        return (len(self.vertices), len(self._edge_rows), len(self._triangle_rows))
 
     @property
     def euler_characteristic(self) -> int:
-        return len(self.vertices) - len(self.edges) + len(self.triangles)
+        return len(self.vertices) - len(self._edge_rows) + len(self._triangle_rows)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(bfs(self.vertices[0], self.neighbors)) == len(self.vertices)
+        u, v = np.array(self._edge_rows, dtype=np.intp).reshape(-1, 2).T
+        return not _component_roots(len(self.vertices), u, v).any()
 
 
-def _sorted_neighbours(vertices, edges) -> list[tuple]:
-    """The sorted neighbours of each of `vertices`, from sorted edges (u, w),
-    u < w, in one pass: the edges (u, v) come before the edges (v, w), each
-    run in order, so every list is appended to in sorted order."""
-    adj: dict[Hashable, list] = {v: [] for v in vertices}
+def _sorted_neighbours(n: int, edges) -> list[list[int]]:
+    """The sorted neighbours of each of vertices 0 .. n-1, from sorted edge
+    rows (i, j), i < j, in one pass: the rows (i, v) come before the rows
+    (v, j), each run in order, so every list is appended to in sorted order."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, w in edges:
         adj[u].append(w)
         adj[w].append(u)
-    return [tuple(adj[v]) for v in vertices]
+    return adj
 
 
 def complex_from_json(obj: dict) -> SimplicialComplex2:
@@ -135,37 +169,44 @@ class SpanningTreeData:
     generator_edges: tuple  # generator k+1 <-> generator_edges[k], oriented (min, max)
 
 
-def spanning_tree_presentation(k: SimplicialComplex2) -> SpanningTreeData:
-    """The tree is grown breadth-first from k.vertices[0], and must reach every
-    vertex.  Tree edges number 0, and sorted triangle (a, b, c) gives the
-    reduced word (g_ab, g_bc, -g_ac) without zeros: distinct nonzero letters."""
-    if not k.vertices:
+def _spanning_tree(k: SimplicialComplex2) -> tuple[Presentation, list[bool]]:
+    """The spanning-tree presentation on the rows, and which edge rows are
+    generators.  The tree is grown breadth-first from vertex 0 and must reach
+    every vertex; a row is a tree edge when one end is the other's parent.
+    The other rows number 1, 2, .. in order, tree rows 0, and triangle
+    (a, b, c) gives the reduced word (g_ab, g_bc, -g_ac) without zeros:
+    distinct nonzero letters."""
+    nv = len(k.vertices)
+    if not nv:
         raise ValueError("complex has no vertices")
-    tree: list[tuple] = []
-    seen = {k.vertices[0]}
-    queue = deque([k.vertices[0]])
-    while queue:
-        v = queue.popleft()
-        for w in k.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                tree.append((v, w) if v < w else (w, v))
-                queue.append(w)
-    if len(seen) != len(k.vertices):
+    adj = _sorted_neighbours(nv, k._edge_rows)
+    parent = [0] + [-1] * (nv - 1)  # the root is its own parent
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    if len(order) != nv:
         raise DisconnectedGraphError("complex is not connected")
+    gen = [parent[j] != i and parent[i] != j for i, j in k._edge_rows]
+    at = list(map(mul, gen, accumulate(gen))).__getitem__
+    ab, ac, bc = k._sides
+    relators = [tuple(filter(None, w)) for w in zip(map(at, ab), map(at, bc), map(neg, map(at, ac)))]
+    return Presentation._reduced(sum(gen), relators), gen
 
-    number = dict.fromkeys(tree, 0)
-    gen_edges = tuple(e for e in k.edges if e not in number)
-    number.update((e, i + 1) for i, e in enumerate(gen_edges))
-    relators = [tuple(filter(None, (number[a, b], number[b, c], -number[a, c])))
-                for a, b, c in k.triangles]
-    presentation = Presentation._reduced(len(gen_edges), relators)
-    return SpanningTreeData(presentation, frozenset(tree), gen_edges)
+
+def spanning_tree_presentation(k: SimplicialComplex2) -> SpanningTreeData:
+    """The spanning-tree presentation of `_spanning_tree`, with its tree and
+    generator edges named: generator k+1 is generator_edges[k]."""
+    presentation, gen = _spanning_tree(k)
+    return SpanningTreeData(presentation, frozenset(compress(k.edges, map(not_, gen))),
+                            tuple(compress(k.edges, gen)))
 
 
 def pi1_presentation(k: SimplicialComplex2) -> Presentation:
     """Spanning-tree presentation: one generator per non-tree edge, one relator per triangle."""
-    return spanning_tree_presentation(k).presentation
+    return _spanning_tree(k)[0]
 
 
 def is_simply_connected(k: SimplicialComplex2, budget: int) -> TrivialityResult:
@@ -179,18 +220,11 @@ def is_simply_connected(k: SimplicialComplex2, budget: int) -> TrivialityResult:
 def flag_triangles(c: CayleyGraph) -> SimplicialComplex2:
     """The complex on the Cayley graph with every 3-clique filled; edges
     (u, v) and triangles (u, v, w), u < v < w, come out sorted."""
-    edges = []
-    neighbor_sets = [set(ns) for ns in c.neighbors]
-    triangles = []
-    for u in range(c.element_count):
-        for v in c.neighbors[u]:
-            if v <= u:
-                continue
-            edges.append((u, v))
-            for w in c.neighbors[v]:
-                if w > v and w in neighbor_sets[u]:
-                    triangles.append((u, v, w))
-    return SimplicialComplex2._from_sorted(tuple(range(c.element_count)), triangles, edges, c.neighbors)
+    n, nbrs = c.element_count, c.neighbors
+    near = [set(ns) for ns in nbrs]
+    edges = [(u, v) for u in range(n) for v in nbrs[u] if v > u]
+    triangles = [(u, v, w) for u, v in edges for w in nbrs[v] if w > v and w in near[u]]
+    return SimplicialComplex2._from_sorted(tuple(range(n)), triangles, edges)
 
 
 # --------------------------------------------------------------------- nerve
@@ -210,20 +244,8 @@ def nerve2(
     if not samples:
         raise ValueError("samples must be nonempty")
     n = len(centers)
-    masks = []
-    for i in range(n):
-        m = 0
-        for s_idx, x in enumerate(samples):
-            if dist(x, centers[i]) < radius:
-                m |= 1 << s_idx
-        masks.append(m)
-    edges = [
-        (i, j) for i, j in combinations(range(n), 2) if masks[i] & masks[j]
-    ]
-    triangles = [
-        (i, j, k)
-        for i, j, k in combinations(range(n), 3)
-        if masks[i] & masks[j] & masks[k]
-    ]
-    vertices = tuple(range(n))
-    return SimplicialComplex2._from_sorted(vertices, triangles, edges, _sorted_neighbours(vertices, edges))
+    # bit s of masks[i]: sample s lies within the radius of centre i
+    masks = [sum(1 << s for s, x in enumerate(samples) if dist(x, c) < radius) for c in centers]
+    edges = [(i, j) for i, j in combinations(range(n), 2) if masks[i] & masks[j]]
+    triangles = [(i, j, k) for i, j, k in combinations(range(n), 3) if masks[i] & masks[j] & masks[k]]
+    return SimplicialComplex2._from_sorted(tuple(range(n)), triangles, edges)

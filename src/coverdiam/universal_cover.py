@@ -23,13 +23,7 @@ from typing import Hashable, NamedTuple
 import numpy as np
 
 from ._search import bfs
-from .complexes import (
-    SimplicialComplex2,
-    _sorted_neighbours,
-    is_simply_connected,
-    nerve2,
-    spanning_tree_presentation,
-)
+from .complexes import SimplicialComplex2, _spanning_tree, complex_from_json, is_simply_connected, nerve2
 from .covering import _lift, _not_permutations
 from .errors import CoverNotCovering, DisconnectedGraphError, EnumerationOverflow, InvariantError
 from .groups import TrivialityResult, todd_coxeter
@@ -106,13 +100,12 @@ class CoveringComplex:
         """
         pe_base = pe_subdivision_graph(self.base, level)
         base, carrier = pe_base.graph, pe_base.carrier
-        pos = {v: i for i, v in enumerate(self.base.vertices)}
         # row code[a, b] of moves carries the sheets from carrier a to carrier b
         moves = np.vstack((np.arange(self.sheets), self.moves))
-        code = np.full((len(pos), len(pos)), -1)
+        code = np.full((len(self.base.vertices),) * 2, -1)
         np.fill_diagonal(code, 0)
-        for j, (a, b) in enumerate(self.base.edges, start=1):
-            code[pos[a], pos[b]] = j
+        a, b = np.array(self.base._edge_rows, dtype=np.intp).reshape(-1, 2).T
+        code[a, b] = np.arange(1, len(a) + 1)
         u, v, _ = base.edge_arrays()
         rows = code[carrier[u], carrier[v]]
         if (rows < 0).any():
@@ -122,58 +115,47 @@ class CoveringComplex:
         return pe_base, total, lift
 
 
-def _by_first(first: np.ndarray, *cols: np.ndarray) -> list[np.ndarray]:
-    """Index columns of lifts (row: base simplex, column: sheet), flattened
-    in the order of `first`, stably, so the base order holds within each."""
+def _by_first(first: np.ndarray, *cols: np.ndarray) -> list[tuple]:
+    """Rows of lifted simplices from index columns (row: base simplex, column:
+    sheet), stably in the order of `first`, so the base order holds within it."""
     order = np.argsort(first.ravel(), kind="stable")
-    return [c.ravel()[order] for c in (first, *cols)]
+    return list(zip(*(c.ravel()[order].tolist() for c in (first, *cols))))
 
 
 def build_universal_cover(k: SimplicialComplex2, budget: int) -> CoveringComplex:
     """Construct the universal cover; raises EnumerationOverflow when the
     fundamental group cannot be realised within the budget.
 
-    The lifts are made on indices, (k.vertices[i], s) being i n + s, ordered
+    The lifts are rows of indices, (k.vertices[i], s) being i n + s, ordered
     by first vertex and then the base's order: the sorted order, which
-    `_from_sorted` checks and `_sorted_neighbours` reads.  Edge maps must
-    permute the sheets, so that every star projects bijectively, and
-    triangle boundaries must close; the total's pi_1 certificate grows a
-    spanning tree, so it is connected.
+    `_from_sorted` checks.  Edge maps must permute the sheets, so that every
+    star projects bijectively, and triangle boundaries must close; the
+    total's pi_1 certificate grows a spanning tree, so it is connected.
     """
-    data = spanning_tree_presentation(k)
-    table = todd_coxeter(data.presentation, budget)
+    presentation, gen = _spanning_tree(k)
+    table = todd_coxeter(presentation, budget)
     n = table.coset_count
-    pos = {v: i for i, v in enumerate(k.vertices)}
-    epos = {e: j for j, e in enumerate(k.edges)}
-    ends = np.array([(pos[u], pos[w]) for u, w in k.edges], dtype=np.intp).reshape(-1, 2)
+    ends = np.array(k._edge_rows, dtype=np.intp).reshape(-1, 2)
     sheet = np.arange(n)
     # tree edges keep the sheets, a generator's edge moves them by its row of the table
     moves = np.tile(sheet, (len(ends), 1))
     rows = np.reshape(table.action, (-1, n))
-    if len(rows) != len(data.generator_edges):
+    if len(rows) != presentation.generator_count:
         raise InvariantError("coset table has a row count other than the generator count")
-    moves[[epos[e] for e in data.generator_edges]] = rows
+    moves[np.array(gen, dtype=bool)] = rows
     bad = _not_permutations(moves)
     if bad.any():
         j = int(bad.argmax())
         t = int(((moves[j, :, None] == sheet).sum(axis=0) != 1).argmax())
         raise InvariantError(f"star at {(k.edges[j][1], t)} does not project bijectively")
-    ab, ac, bc = np.array([(epos[a, b], epos[a, c], epos[b, c]) for a, b, c in k.triangles],
-                          dtype=np.intp).reshape(-1, 3).T
+    ab, ac, bc = np.array(k._sides, dtype=np.intp).reshape(3, -1)
     if (np.take_along_axis(moves[bc], moves[ab], axis=1) != moves[ac]).any():
         raise InvariantError("triangle boundary fails to close over the cover")
 
-    vertices = tuple(product(k.vertices, range(n)))
-
-    def simplices(*cols):
-        return list(zip(*(map(vertices.__getitem__, c.tolist()) for c in cols)))
-
-    edges = simplices(*_by_first(ends[:, :1] * n + sheet, ends[:, 1:] * n + moves))
     total = SimplicialComplex2._from_sorted(
-        vertices,
-        simplices(*_by_first(ends[ab, :1] * n + sheet, ends[ab, 1:] * n + moves[ab],
-                             ends[ac, 1:] * n + moves[ac])),
-        edges, _sorted_neighbours(vertices, edges))
+        tuple(product(k.vertices, range(n))),
+        _by_first(ends[ab, :1] * n + sheet, ends[ab, 1:] * n + moves[ab], ends[ac, 1:] * n + moves[ac]),
+        _by_first(ends[:, :1] * n + sheet, ends[:, 1:] * n + moves))
 
     try:
         sc = is_simply_connected(total, budget)
@@ -242,8 +224,6 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
         raise ValueError("level must be a positive integer")
     L = level
     nv, ne, nf = k.f_vector
-    vpos = {v: i for i, v in enumerate(k.vertices)}
-    epos = {e: j for j, e in enumerate(k.edges)}
     # point numbers: vertex i is i, point t (0 < t < L steps from the smaller
     # end) of edge j is nv + j (L - 1) + t - 1, and interior point p of
     # triangle m is nv + ne (L - 1) + m len(inner) + p
@@ -252,7 +232,7 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
              + [f"e{j}:{t}" for j in range(ne) for t in range(1, L)]
              + [f"t{m}:{x},{y}" for m in range(nf) for x, y in inner])
     chain = nv + np.arange(ne)[:, None] * (L - 1) + np.arange(-1, L)
-    chain[:, [0, L]] = np.array([(vpos[a], vpos[b]) for a, b in k.edges], dtype=np.intp).reshape(ne, 2)
+    chain[:, [0, L]] = np.array(k._edge_rows, dtype=np.intp).reshape(ne, 2)
 
     def spot(x, y, z):
         # a triangle's lattice point (x, y, z), a = (L, 0, 0) etc., is point
@@ -272,8 +252,8 @@ def pe_subdivision_graph(k: SimplicialComplex2, level: int) -> PEApprox:
              if kept and x + dx >= 0 and y + dy >= 0]
     kind, at, kind2, at2 = np.array([spot(*p) + spot(*q) for p, q in steps],
                                     dtype=np.intp).reshape(-1, 4).T
-    tri = np.array([(vpos[a], vpos[b], vpos[c], epos[a, b], epos[a, c], epos[b, c])
-                    for a, b, c in k.triangles], dtype=np.intp).reshape(nf, 6)
+    tri = np.column_stack((np.array(k._triangle_rows, dtype=np.intp).reshape(nf, 3),  # a, b, c
+                           np.array(k._sides, dtype=np.intp).reshape(3, nf).T))  # ab, ac, bc
     carrier = np.concatenate((np.arange(nv), np.repeat(chain[:, 0], L - 1),
                               np.repeat(tri[:, 0], len(inner))))
     cols = np.column_stack((tri[:, :3], nv + tri[:, 3:] * (L - 1) - 1,  # edge point t: + t
@@ -403,8 +383,8 @@ def verify_universal_bound(
     """
     if cover is None:
         cover = build_universal_cover(k, budget)
-    elif (cover.base.vertices, cover.base.edges, cover.base.triangles) != (
-            k.vertices, k.edges, k.triangles):
+    elif (cover.base.vertices, cover.base._edge_rows, cover.base._triangle_rows) != (
+            k.vertices, k._edge_rows, k._triangle_rows):
         raise ValueError("cover was built over a different base complex")
     d_base, d_cover = (d.value for d in cover.diameters(level))
     bound = 4.0 * math.sqrt(cover.sheets) * d_base
@@ -572,6 +552,4 @@ def fiber_ball_nerve(
 def rp2_complex() -> SimplicialComplex2:
     """The six-vertex projective plane (antipodal icosahedron quotient)."""
     path = importlib.resources.files("coverdiam").joinpath("data/rp2_complex.json")
-    with path.open("r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return SimplicialComplex2(obj["vertices"], obj["triangles"], obj.get("extra_edges", []))
+    return complex_from_json(json.loads(path.read_text(encoding="utf-8")))

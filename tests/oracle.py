@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from coverdiam._search import bfs
-from coverdiam.complexes import SimplicialComplex2, is_simply_connected, spanning_tree_presentation
+from coverdiam.complexes import SimplicialComplex2, SpanningTreeData, is_simply_connected
 from coverdiam.covering import CoveringGraph, Voltage
 from coverdiam.errors import DisconnectedGraphError, EnumerationOverflow, InvariantError, NotGeneratingError
 from coverdiam.groups import (
@@ -584,13 +584,41 @@ def subdivided_total_lift(cover, base: MetricGraph, total: MetricGraph) -> np.nd
     return np.array([[total.vertex_index(over(v, s)) for s in range(n)] for v in base.vertices])
 
 
+def spanning_tree_presentation_by_names(k: SimplicialComplex2) -> SpanningTreeData:
+    """The spanning tree grown over vertex names and its edges numbered in a
+    dict keyed by edge-name pairs: the predecessor of
+    `complexes.spanning_tree_presentation`, which runs on integer rows."""
+    if not k.vertices:
+        raise ValueError("complex has no vertices")
+    tree: list[tuple] = []
+    seen = {k.vertices[0]}
+    queue = deque([k.vertices[0]])
+    while queue:
+        v = queue.popleft()
+        for w in k.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                tree.append((v, w) if v < w else (w, v))
+                queue.append(w)
+    if len(seen) != len(k.vertices):
+        raise DisconnectedGraphError("complex is not connected")
+
+    number = dict.fromkeys(tree, 0)
+    gen_edges = tuple(e for e in k.edges if e not in number)
+    number.update((e, i + 1) for i, e in enumerate(gen_edges))
+    relators = [tuple(filter(None, (number[a, b], number[b, c], -number[a, c])))
+                for a, b, c in k.triangles]
+    presentation = Presentation._reduced(len(gen_edges), relators)
+    return SpanningTreeData(presentation, frozenset(tree), gen_edges)
+
+
 def universal_cover_tuple_loops(k: SimplicialComplex2, budget: int) -> CoveringComplex:
     """The universal cover lifted simplex by simplex and sheet by sheet as
     (vertex, sheet) tuples, through the validating `SimplicialComplex2`, with
     every lifted star projected onto its base star through sets, and its
     deck from the per-element `left_multiplication_bfs`: the reference for
     `universal_cover.build_universal_cover`."""
-    data = spanning_tree_presentation(k)
+    data = spanning_tree_presentation_by_names(k)
     table = todd_coxeter(data.presentation, budget)
     n = table.coset_count
     perms = {e: tuple(range(n)) for e in data.tree_edges}

@@ -1,9 +1,11 @@
 import json
 import random
+import re
 
 import pytest
 
 from coverdiam import universal_cover
+from coverdiam._search import bfs
 from coverdiam.cli import sweep_base_graph
 from coverdiam.complexes import (
     SimplicialComplex2,
@@ -28,7 +30,12 @@ from coverdiam.metric_graph import (
 from coverdiam.separator import zoo_instances
 
 from .conftest import cyclic_powers, pseudo_projective_plane, random_connected_graph
-from .oracle import adjacency_by_sets, short_loop_generators, short_loop_generators_subdivided
+from .oracle import (
+    adjacency_by_sets,
+    short_loop_generators,
+    short_loop_generators_subdivided,
+    spanning_tree_presentation_by_names,
+)
 
 RP2_FACES = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
@@ -123,6 +130,16 @@ def test_pi1_disconnected_rejected():
         pi1_presentation(k)
 
 
+def test_spanning_tree_errors_match_the_name_keyed_build():
+    for k, error in ((SimplicialComplex2([]), ValueError),
+                     (SimplicialComplex2([0, 1, 2, 3], [], [(0, 1), (2, 3)]), DisconnectedGraphError)):
+        for build in (spanning_tree_presentation, spanning_tree_presentation_by_names):
+            with pytest.raises(error):
+                build(k)
+    point = SimplicialComplex2(["p"])
+    assert spanning_tree_presentation(point) == spanning_tree_presentation_by_names(point)
+
+
 def test_spanning_tree_data(rp2):
     data = spanning_tree_presentation(rp2)
     assert len(data.tree_edges) == len(rp2.vertices) - 1
@@ -143,6 +160,24 @@ def test_simply_connected_examples(rp2):
     res2 = is_simply_connected(rp2, 1000)
     assert res2.status == "no"
     assert "order 2" in res2.certificate
+
+
+def test_is_connected_matches_a_search_over_names(rp2):
+    # the union-find over the edge rows, against a breadth-first search over
+    # the names; the PE model of each nonempty complex is connected with it
+    cases = [SimplicialComplex2([]), SimplicialComplex2(["p"]), SimplicialComplex2("ab"),
+             SimplicialComplex2([0, 1, 2, 3], [], [(0, 1), (2, 3)]),
+             SimplicialComplex2([0, 1, 2, 3], [(1, 2, 3)]), rp2,
+             SimplicialComplex2(range(5), [], [(3, 4), (1, 3), (0, 4), (2, 1)]),
+             SimplicialComplex2(range(6), [(0, 4, 5), (1, 2, 3)], [(2, 5)])]
+    cases += [flag_triangles(cayley_graph(todd_coxeter(inst.presentation, 100_000), inst.gens))
+              for inst in zoo_instances()]
+    assert {k.is_connected() for k in cases} == {True, False}
+    for k in cases:
+        want = not k.vertices or len(bfs(k.vertices[0], k.neighbors)) == len(k.vertices)
+        assert k.is_connected() is want
+        if k.vertices:
+            assert universal_cover.pe_subdivision_graph(k, 2).graph.is_connected is want
 
 
 # -------------------------------------------------------- flag triangles
@@ -216,21 +251,28 @@ def test_nerve_monotone_in_radius_and_samples(hex_cycle):
 
 
 def _same_fields(new, ref):
-    """Equal field by field, each field of the same type."""
+    """Equal field by field, each field of the same type; a complex builds
+    its name views at first use, so both build them first."""
+    for k in (new, ref) if isinstance(ref, SimplicialComplex2) else ():
+        k.edges, k.triangles, [k.neighbors(v) for v in k.vertices]
     assert type(new) is type(ref) and vars(new) == vars(ref)
-    assert [type(x) for x in vars(new).values()] == [type(x) for x in vars(ref).values()]
+    assert {f: type(x) for f, x in vars(new).items()} == {f: type(x) for f, x in vars(ref).items()}
 
 
 def _check_neighbours(k):
-    # the one-pass neighbours from sorted edges, against sets sorted per vertex
+    # the one-pass neighbours from sorted edge rows, against sets sorted per vertex
     want = adjacency_by_sets(k)
-    assert _sorted_neighbours(k.vertices, k.edges) == want
+    assert [tuple(map(k.vertices.__getitem__, ns))
+            for ns in _sorted_neighbours(len(k.vertices), k._edge_rows)] == want
     assert [k.neighbors(v) for v in k.vertices] == want
 
 
 def _check_pi1(k):
-    # spanning-tree relators and their Tietze reduction, reduced and in range
-    p = spanning_tree_presentation(k).presentation
+    # spanning-tree relators and their Tietze reduction, reduced and in range,
+    # and the integer core against its name-keyed predecessor
+    data, want = spanning_tree_presentation(k), spanning_tree_presentation_by_names(k)
+    assert data == want and data.presentation.relators == want.presentation.relators
+    p = data.presentation
     for q in (p, tietze_reduce(p).presentation):
         _same_fields(q, Presentation(q.generator_count, q.relators))
 
@@ -315,26 +357,43 @@ def test_canonical_constructors_on_small_nerves(hex_cycle):
 
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-K4_ADJACENCY = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
+NAMES = ("a", "b", "c", "d")
 
 
 def test_from_sorted_matches_the_constructor_on_k4():
-    k = SimplicialComplex2._from_sorted((0, 1, 2, 3), [(0, 1, 2), (0, 1, 3)], K4_EDGES, K4_ADJACENCY)
+    k = SimplicialComplex2._from_sorted((0, 1, 2, 3), [(0, 1, 2), (0, 1, 3)], K4_EDGES)
     _same_fields(k, SimplicialComplex2(range(4), [(0, 1, 2), (3, 1, 0)], K4_EDGES[::-1]))
+    # rows index the names, whatever the names are
+    k = SimplicialComplex2._from_sorted(NAMES, [(0, 1, 2), (0, 1, 3)], K4_EDGES)
+    _same_fields(k, SimplicialComplex2(NAMES, [("a", "b", "c"), ("d", "b", "a")], [("d", "c")]))
+    assert k.edges[-1] == ("c", "d") and k._sides == ((0, 0), (1, 2), (3, 4))
 
 
-@pytest.mark.parametrize("vertices,triangles,edges,adjacency,message", [
-    ((0, 1, 2, 3), [(0, 1, 3), (0, 1, 2)], K4_EDGES, K4_ADJACENCY, "triangles must be sorted"),
-    ((0, 1, 2, 3), [(0, 1, 2), (0, 1, 2)], K4_EDGES, K4_ADJACENCY, "triangles must be sorted"),
-    ((0, 1, 2, 3), [], K4_EDGES[::-1], K4_ADJACENCY, "edges must be sorted"),
-    ((0, 1, 2, 3), [], K4_EDGES + [(2, 3)], K4_ADJACENCY, "edges must be sorted"),
-    ((0, 2, 1, 3), [], K4_EDGES, K4_ADJACENCY, "vertices must be sorted"),
-    ((0, 1, 2, 3), [], K4_EDGES[:-1], K4_ADJACENCY, "adjacency does not match"),
-    ((0, 1, 2, 3), [], K4_EDGES, K4_ADJACENCY[:-1], "adjacency does not match"),
+@pytest.mark.parametrize("vertices,triangles,edges,message", [
+    ((0, 1, 2, 3), [(0, 1, 3), (0, 1, 2)], K4_EDGES, "triangles must be sorted"),
+    ((0, 1, 2, 3), [(0, 1, 2), (0, 1, 2)], K4_EDGES, "triangles must be sorted"),
+    ((0, 1, 2, 3), [], K4_EDGES[::-1], "edges must be sorted"),
+    ((0, 1, 2, 3), [], K4_EDGES + [(2, 3)], "edges must be sorted"),
+    ((0, 2, 1, 3), [], K4_EDGES, "vertices must be sorted"),
+    ((0, 1, 2, 3), [(1, 2, 3)], K4_EDGES[:-1], r"side \(2, 3\) is not among the edges"),
+    ((0, 1, 2), [], K4_EDGES, r"edges must be rows \(i, j\) with 0 <= i < j < len"),
+    ((0, 1, 2), [], [(0, 1), (0, 2), (2, 1)], "edges must be rows"),
+    ((0, 1, 2), [], [(-1, 0), (0, 1)], "edges must be rows"),
+    ((0, 1, 2), [(0, 2, 1)], [(0, 1), (0, 2), (1, 2)], r"side \(2, 1\) is not among"),
 ])
-def test_from_sorted_rejects_unsorted_or_repeated_input(vertices, triangles, edges, adjacency, message):
+def test_from_sorted_rejects_unsorted_or_repeated_input(vertices, triangles, edges, message):
     with pytest.raises(ValueError, match=message):
-        SimplicialComplex2._from_sorted(vertices, triangles, edges, adjacency)
+        SimplicialComplex2._from_sorted(vertices, triangles, edges)
+
+
+def test_from_sorted_rejects_a_triangle_side_missing_from_the_edges():
+    # a flag-filling-like complex with one edge row dropped: each of the
+    # triangle's three sides in turn, as ab, ac and bc
+    for missing in ((0, 1), (0, 2), (1, 2)):
+        edges = [e for e in K4_EDGES if e != missing]
+        with pytest.raises(ValueError, match=re.escape(f"a triangle's side {missing} is not among the edges")):
+            SimplicialComplex2._from_sorted((0, 1, 2, 3), [(0, 1, 2)], edges)
+        assert SimplicialComplex2._from_sorted((0, 1, 2, 3), [], edges).f_vector == (4, 5, 0)
 
 
 # ------------------------------------------------- short loop generators

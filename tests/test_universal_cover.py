@@ -46,6 +46,7 @@ from .oracle import (
     nerve_diameter_all_sources,
     pe_subdivision_graph_records,
     pe_voltage,
+    spanning_tree_presentation_by_names,
     subdivided_total_lift,
     universal_cover_tuple_loops,
 )
@@ -717,10 +718,24 @@ def test_lift_matches_the_tuple_loop_build(key):
     assert cover.moves.dtype == cover.deck.dtype == np.intp
     assert np.array_equal(cover.moves, want.moves) and np.array_equal(cover.deck, want.deck)
     assert (cover.sheets, cover.simply_connected) == (want.sheets, want.simply_connected)
-    # the one-pass neighbours from sorted edges, against sets sorted per vertex
+    # the one-pass neighbours from sorted edge rows, against sets sorted per vertex
     for c in (k, total):
-        assert _sorted_neighbours(c.vertices, c.edges) == adjacency_by_sets(c)
+        assert [tuple(map(c.vertices.__getitem__, ns))
+                for ns in _sorted_neighbours(len(c.vertices), c._edge_rows)] == adjacency_by_sets(c)
         assert [c.neighbors(v) for v in c.vertices] == adjacency_by_sets(c)
+
+
+@pytest.mark.parametrize("key", ["rp2", *_COMPLEXES])
+def test_spanning_tree_matches_the_name_keyed_build(key):
+    # the integer core against its name-keyed predecessor, on the base and on
+    # the total, whose vertices are (vertex, sheet) pairs
+    k, cover = (rp2_complex(), None) if key == "rp2" else _cover_of(key)
+    for c in (k, (cover or build_universal_cover(k, 100_000)).total):
+        data, want = spanning_tree_presentation(c), spanning_tree_presentation_by_names(c)
+        assert data.presentation == want.presentation
+        assert data.presentation.relators == want.presentation.relators
+        assert (data.tree_edges, data.generator_edges) == (want.tree_edges, want.generator_edges)
+        assert type(data.generator_edges) is tuple and type(data.tree_edges) is frozenset
 
 
 # ----------------------------------------------------------- arithmetic
