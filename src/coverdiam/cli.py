@@ -411,7 +411,7 @@ def cover_derive(graph_path, voltage_path):
         {
             "sheets": cover.sheets,
             "vertices": len(cover.graph.vertices),
-            "edges": len(cover.graph.edges),
+            "edges": len(cover.graph._edge_ids),
             "connected": rep.connected,
             "orbits": [list(o) for o in rep.orbits],
         }

@@ -644,10 +644,10 @@ _NEAR_BEST = 1e-12
 # a bound rounded in floats may sit a few ulps under the candidates it
 # bounds, so pruning by bounds other than the corner bound leaves this slack
 _BOUND_SLACK = 4e-12
-# on fewer than _SEED_FROM live edges a separate seed block costs more
-# than it prunes, and so does the far-corner filter: run on every graph,
-# it made the 800 sweep graphs' diameters (at most 72 edges, APSP given)
-# about 7% slower on a 2-core machine
+# a separate seed block and the far-corner filter cost more than they prune
+# on fewer than _SEED_FROM live edges, and the eccentricity screen on fewer
+# than _SEED_FROM edges: run on every graph, the filter made the 800 sweep
+# graphs' diameters (at most 72 edges, APSP given) about 7% slower on 2 cores
 _SEED_ROWS = 8
 _SEED_FROM = 100
 
@@ -668,7 +668,11 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
        H_i = max_w d(u_i, w) + d(v_i, w); no pair holding an edge whose
        (H_i + Li + max L)/2 is below `top` survives.  Edges are taken in
        descending order of that bound, so the live edges are a prefix of
-       that order, and the prefix shrinks as `top` rises.
+       that order, and the prefix shrinks as `top` rises.  From _SEED_FROM
+       edges on, H_i is read only where (ecc u_i + ecc v_i + Li + max L)/2
+       passes the first live count: d(u, w) + d(v, w) <= ecc u + ecc v and
+       rounding is monotone, so no live edge is dropped.  It keeps 120 of
+       1,080 edges on the RP^2 cover at level 6, all on the plane covers.
     2. Corner bound.  The min of the four pieces is at most the mean of
        either opposite two, so a pair of live edges whose
        (min(A + E, B + C) + Li + Lj)/2 is below `top` is skipped.  From
@@ -724,20 +728,26 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
     def corners(i, j):
         return dm[u[i], u[j]], dm[u[i], v[j]], dm[v[i], u[j]], dm[v[i], v[j]], Lall[i], Lall[j]
 
-    # stage 1: the edge bound, over blocks of APSP rows; edges in descending
-    # order of it.  The blocks reuse two buffers: fresh ones each block would
-    # be mapped and faulted anew whenever the allocator's thresholds are low
-    H = np.empty(m)
-    rows = min(m, max(1, _PAIR_CHUNK // len(dm)))
+    # stage 1: the edge bound of the edges the screen keeps (all: slices), the
+    # rest last, over blocks of APSP rows in two buffers: fresh ones each block
+    # would be mapped and faulted anew whenever the allocator's thresholds are low
+    Lmax, keep = Lall.max(), slice(None)
+    if m >= _SEED_FROM:
+        ecc = dm.max(axis=1)
+        screen = (ecc[u] + ecc[v] + Lall + Lmax) / 2.0 >= top - _BOUND_SLACK * top
+        keep = keep if screen.all() else np.nonzero(screen)[0]
+    ku, kv = u[keep], v[keep]
+    H = np.empty(len(ku))
+    rows = max(1, min(len(ku), _PAIR_CHUNK // len(dm)))
     du, dv = np.empty((rows, len(dm))), np.empty((rows, len(dm)))
-    for lo in range(0, m, rows):
-        k = min(rows, m - lo)
-        np.take(dm, u[lo : lo + k], axis=0, out=du[:k], mode="clip")
-        np.take(dm, v[lo : lo + k], axis=0, out=dv[:k], mode="clip")
+    for lo in range(0, len(ku), rows):
+        k = min(rows, len(ku) - lo)
+        np.take(dm, ku[lo : lo + k], axis=0, out=du[:k], mode="clip")
+        np.take(dm, kv[lo : lo + k], axis=0, out=dv[:k], mode="clip")
         np.add(du[:k], dv[:k], out=du[:k]).max(axis=1, out=H[lo : lo + k])
     del du, dv
-    Lmax = Lall.max()
-    bound = (H + Lall + Lmax) / 2.0
+    bound = np.full(m, -np.inf)
+    bound[keep] = (H + Lall[keep] + Lmax) / 2.0
     order = np.argsort(-bound, kind="stable")
     bound = bound[order]
 

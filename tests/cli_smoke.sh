@@ -7,9 +7,10 @@ set -euo pipefail
 CHECK_DERIVE=$(cat <<'PY'
 import json, sys
 r = json.load(sys.stdin)
-want = (json.loads(sys.argv[1]), json.loads(sys.argv[2]))
-if (r["connected"], r["orbits"]) != want:
-    sys.exit(f"cover derive: connected {r['connected']}, orbits {r['orbits']}; expected {want}")
+want = (json.loads(sys.argv[1]), json.loads(sys.argv[2]), json.loads(sys.argv[3]))
+if (r["edges"], r["connected"], r["orbits"]) != want:
+    sys.exit(f"cover derive: edges {r['edges']}, connected {r['connected']}, orbits {r['orbits']}; "
+             f"expected {want}")
 PY
 )
 CHECK_DEFAULT_LEVEL=$(cat <<'PY'
@@ -52,11 +53,11 @@ coverdiam ucover verify-bound --complex "$scratch/point.json" \
 # metric graphs and voltage covers
 coverdiam diam --graph src/coverdiam/data/unit_triangle.json
 coverdiam cover verify-bound --graph src/coverdiam/data/figure_eight.json --voltage src/coverdiam/data/figure_eight_voltage.json
-# edge records built on demand, and sheet orbits from the component roots
+# the edge count from the edge ids, and sheet orbits from the component roots
 coverdiam cover derive --graph src/coverdiam/data/figure_eight.json --voltage src/coverdiam/data/figure_eight_voltage.json \
-  | python -c "$CHECK_DERIVE" true '[[0, 1]]'
+  | python -c "$CHECK_DERIVE" 4 true '[[0, 1]]'
 coverdiam cover derive --graph src/coverdiam/data/figure_eight.json --voltage tests/data/figure_eight_voltage_two_orbits.json \
-  | python -c "$CHECK_DERIVE" false '[[0, 1], [2, 3]]'
+  | python -c "$CHECK_DERIVE" 8 false '[[0, 1], [2, 3]]'
 echo '{"legs": [{"edge": "a@0", "start": 0.0, "end": 1.0}, {"edge": "a@1", "start": 0.0, "end": 1.0}, {"edge": "b@0", "start": 0.0, "end": 1.0}, {"edge": "b@0", "start": 0.0, "end": 1.0}]}' > "$scratch/route.json"
 coverdiam cover shorten --graph src/coverdiam/data/figure_eight.json --voltage src/coverdiam/data/figure_eight_voltage.json --route "$scratch/route.json"
 coverdiam sweep cover --count 20 --out /dev/null

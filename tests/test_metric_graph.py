@@ -427,6 +427,14 @@ def _differential_graphs(family: str) -> tuple:
         graphs.append(("bouquet40", MetricGraph(["v"], loops)))
         cycle = [(f"e{i}", f"v{i}", f"v{(i + 1) % 200}", 1.0) for i in range(200)]
         graphs.append(("cycle200", MetricGraph([f"v{i}" for i in range(200)], cycle)))
+        # u is the float midpoint of the path w..z, and edge k is as long as
+        # the path's float sum, one ulp over twice d(u, w): the 1e-20 loop at
+        # u ties with k's same-edge maximum, yet its eccentricity screen
+        # rounds under `top` and only the slack keeps it
+        path = [("e1", "w", "p1", 0.01), ("e2", "p1", "u", 0.02),
+                ("e3", "u", "p2", 0.02), ("e4", "p2", "z", 0.01)]
+        extra = [("a", "u", "u", 1e-20), ("k", "w", "z", 0.01 + 0.02 + 0.02 + 0.01)]
+        graphs.append(("midloop", MetricGraph(["p1", "p2", "u", "w", "z"], path + extra)))
     elif family == "large":
         for seed in range(6):
             g = _large_graph(random.Random(seed))
@@ -461,7 +469,8 @@ def test_diameter_matches_allpairs_search(family, monkeypatch):
         ref = continuous_diameter_allpairs(g)
         res = continuous_diameter(g)
         assert (res.value, res.witness) == (ref.value, ref.witness), name
-        # the far-corner filter and the seed block then run on every graph
+        # the far-corner filter, the seed block and the eccentricity screen
+        # then run on every graph
         with monkeypatch.context() as m:
             m.setattr(mg, "_SEED_FROM", 1)
             res = continuous_diameter(g)
@@ -478,10 +487,12 @@ def test_diameter_matches_allpairs_search(family, monkeypatch):
 def test_diameter_independent_of_chunk_size(chunk, monkeypatch):
     import coverdiam.metric_graph as mg
 
-    # the lens covers' witness stage splits a row into chunks, and the
-    # sweep graphs' live prefixes span several blocks
+    # the lens covers' witness stage splits a row into chunks, the sweep
+    # graphs' live prefixes span several blocks, and on the RP^2 covers the
+    # rows that the eccentricity screen keeps span several stage-1 blocks
     graphs = (
         _differential_graphs("rp2")[:4]
+        + tuple(item for item in _differential_graphs("rp2") if item[0] in ("cover/L4", "cover/L6"))
         + _differential_graphs("ties")
         + tuple(item for item in _differential_graphs("lens") if item[0].startswith("k6/cover/"))
         + tuple(item for item in _differential_graphs("sweep") if item[0].startswith("7/"))
@@ -525,6 +536,11 @@ def test_edge_bound_dominates_corner_bound(seed):
     slack = 1e-12 * corner
     assert np.all((Hi + Li + Lj) / 2.0 >= corner - slack)
     assert np.all((Hj + Li + Lj) / 2.0 >= corner - slack)
+    # the eccentricity screen bounds the edge bound in floats, with no slack
+    dm = g.apsp()
+    u, v, _ = g.edge_arrays()
+    ecc = dm.max(axis=1)
+    assert np.all(ecc[u] + ecc[v] >= (dm[u] + dm[v]).max(axis=1))
 
 
 def test_diameter_witness_mismatch_raises_typed_error(theta, monkeypatch):
