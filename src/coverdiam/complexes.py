@@ -110,10 +110,14 @@ class SimplicialComplex2:
         return self._names(self._triangle_rows)
 
     @cached_property
+    def _neighbour_rows(self) -> tuple:
+        """Each vertex's sorted neighbours, unless a builder handed them over."""
+        return tuple(map(tuple, _sorted_neighbours(len(self.vertices), self._edge_rows)))
+
+    @cached_property
     def _adj(self) -> dict:
         at = self.vertices.__getitem__
-        adj = _sorted_neighbours(len(self.vertices), self._edge_rows)
-        return {u: tuple(map(at, ns)) for u, ns in zip(self.vertices, adj)}
+        return {u: tuple(map(at, ns)) for u, ns in zip(self.vertices, self._neighbour_rows)}
 
     def neighbors(self, v) -> tuple:
         return self._adj[v]
@@ -179,7 +183,7 @@ def _spanning_tree(k: SimplicialComplex2) -> tuple[Presentation, list[bool]]:
     nv = len(k.vertices)
     if not nv:
         raise ValueError("complex has no vertices")
-    adj = _sorted_neighbours(nv, k._edge_rows)
+    adj = k._neighbour_rows
     parent = [0] + [-1] * (nv - 1)  # the root is its own parent
     order = [0]
     for v in order:
@@ -224,7 +228,9 @@ def flag_triangles(c: CayleyGraph) -> SimplicialComplex2:
     near = [set(ns) for ns in nbrs]
     edges = [(u, v) for u in range(n) for v in nbrs[u] if v > u]
     triangles = [(u, v, w) for u, v in edges for w in nbrs[v] if w > v and w in near[u]]
-    return SimplicialComplex2._from_sorted(tuple(range(n)), triangles, edges)
+    k = SimplicialComplex2._from_sorted(tuple(range(n)), triangles, edges)
+    k._neighbour_rows = nbrs  # sorted and symmetric: the edge rows' own
+    return k
 
 
 # --------------------------------------------------------------------- nerve

@@ -683,12 +683,15 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
        r marks the vertices at least top - (_NEAR_BEST + _BOUND_SLACK)*top
        - Lr - max L from both of its ends, and is paired only with edges
        whose two ends are marked.  Max L stands in for Lj, which only
-       lowers the floor.  The floor's _BOUND_SLACK covers rounding: the
-       APSP matrix need not be symmetric to the last bit, so the filter
-       may read a corner from the other side than the corner bound does.
-       A distance summed over k edges is off by at most about k ulps of
-       `top`, and the bound and the floor by a few more, which stays
-       under 4e-12 of `top` on shortest paths of up to about 10,000 edges.
+       lowers the floor.  The marks are vertex-major, a column per row
+       edge, and a block's pairs a mask of a row per later position and a
+       column per row edge, cut to a < b only in its top square.  The
+       floor's _BOUND_SLACK covers rounding: the APSP matrix need not be
+       symmetric to the last bit, so the filter may read a corner from the
+       other side than the corner bound does.  A distance summed over k
+       edges is off by at most about k ulps of `top`, and the bound and the
+       floor by a few more, which stays under 4e-12 of `top` on shortest
+       paths of up to about 10,000 edges.
     3. Exact pair maximum.  Over t the maximum is (a(s) + b(s) + Lj)/2 for
        the tents a, b of _pair_maxima, so four evaluations in s give it,
        and `top` is raised to each block's largest.  From _SEED_FROM live
@@ -696,7 +699,9 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
        largest bounds with the others, which seeds `top` with an attained
        value near the diameter before most pairs are formed; the later
        blocks prune against it.  Each edge keeps the largest maximum of
-       the pairs it is the lower edge of.
+       the pairs it is the lower edge of.  Stages 2 and 3 only fold pair
+       maxima into `top` and these per-edge maxima, so a block's set of
+       pairs decides every result, and the order it is read in does not.
     4. Crossing candidates.  The maximum over a pair's rectangle lies at a
        corner or at a crossing of two of the pieces' defining lines.
        Candidates within _NEAR_BEST of `top` are ties, broken by the least
@@ -723,17 +728,20 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
     u, v, Lall = g.edge_arrays()
 
     half = (Lall + dm[u, v]) / 2.0
-    top = max(float(dm.max()), float(half.max()))
+    ecc = dm.max(axis=1) if m >= _SEED_FROM else dm  # row maxima where the screen runs
+    top = max(float(ecc.max()), float(half.max()))
 
-    def corners(i, j):
-        return dm[u[i], u[j]], dm[u[i], v[j]], dm[v[i], u[j]], dm[v[i], v[j]], Lall[i], Lall[j]
+    fu, fv = u * len(dm), v * len(dm)  # the ends' row offsets in the flat matrix
+
+    def corners(i, j):  # A, B, C, E, then Li, Lj
+        ui, vi, uj, vj = fu[i], fv[i], u[j], v[j]
+        return dm.take(ui + uj), dm.take(ui + vj), dm.take(vi + uj), dm.take(vi + vj), Lall[i], Lall[j]
 
     # stage 1: the edge bound of the edges the screen keeps (all: slices), the
     # rest last, over blocks of APSP rows in two buffers: fresh ones each block
     # would be mapped and faulted anew whenever the allocator's thresholds are low
     Lmax, keep = Lall.max(), slice(None)
     if m >= _SEED_FROM:
-        ecc = dm.max(axis=1)
         screen = (ecc[u] + ecc[v] + Lall + Lmax) / 2.0 >= top - _BOUND_SLACK * top
         keep = keep if screen.all() else np.nonzero(screen)[0]
     ku, kv = u[keep], v[keep]
@@ -764,16 +772,17 @@ def continuous_diameter(g: MetricGraph) -> DiameterResult:
         if lo == 0 and n_live >= _SEED_FROM:
             rows = min(rows, _SEED_ROWS)
         hi = min(lo + rows, n_live)
-        # row positions lo..hi-1 against the later positions lo..n_live-1
-        pairs = np.arange(lo, hi)[:, None] < np.arange(lo, n_live)
         if n_live >= _SEED_FROM:
             # far corner filter: a row edge's partner needs both ends far
-            # from both of its ends
+            # from both of its ends; a row per later position, a column per row
             r, later = order[lo:hi], order[lo:n_live]
             floor = (top - (_NEAR_BEST + _BOUND_SLACK) * top - Lall[r] - Lmax)[:, None]
-            far = (dm[u[r]] >= floor) & (dm[v[r]] >= floor)
-            pairs &= far[:, u[later]] & far[:, v[later]]
-        a, b = np.nonzero(pairs)
+            far = ((dm[u[r]] >= floor) & (dm[v[r]] >= floor)).T.copy()
+            pairs = far[u[later]] & far[v[later]]
+            pairs[: hi - lo] &= np.tri(hi - lo, k=-1, dtype=bool)
+            b, a = np.divmod(np.flatnonzero(pairs), hi - lo)
+        else:  # row positions lo..hi-1 against the later positions lo..n_live-1
+            a, b = np.nonzero(np.arange(lo, hi)[:, None] < np.arange(lo, n_live))
         a, b = order[lo + a], order[lo + b]
         lo = hi
         ii, jj = np.minimum(a, b), np.maximum(a, b)

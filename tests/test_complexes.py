@@ -205,6 +205,17 @@ def test_flag_six_cycle_no_triangles():
     assert flag_triangles(c).triangles == ()
 
 
+def test_flag_filling_keeps_the_cayley_neighbours():
+    # the spanning tree and the name view read the Cayley graph's rows in
+    # place of the rows rebuilt from the edges, so the two must agree
+    for inst in zoo_instances():
+        c = cayley_graph(todd_coxeter(inst.presentation, 100_000), inst.gens)
+        k = flag_triangles(c)
+        assert k._neighbour_rows is c.neighbors
+        rebuilt = _sorted_neighbours(len(k.vertices), k._edge_rows)
+        assert list(map(list, c.neighbors)) == rebuilt, inst.name
+
+
 # ---------------------------------------------------------------- nerve
 
 

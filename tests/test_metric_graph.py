@@ -483,16 +483,22 @@ def test_diameter_matches_allpairs_search(family, monkeypatch):
         assert (res.value, res.witness) == (ref.value, ref.witness), name
 
 
-@pytest.mark.parametrize("chunk", [33, 100, 1000])
+@pytest.mark.parametrize("chunk", [33, 100, 1000, 1200])
 def test_diameter_independent_of_chunk_size(chunk, monkeypatch):
     import coverdiam.metric_graph as mg
 
     # the lens covers' witness stage splits a row into chunks, the sweep
     # graphs' live prefixes span several blocks, and on the RP^2 covers the
-    # rows that the eccentricity screen keeps span several stage-1 blocks
+    # rows that the eccentricity screen keeps span several stage-1 blocks.
+    # Every edge of the RP^2 base at L6 (540) and of the order-6 lens base at
+    # L2 (312) stays live, and a chunk of 1200 gives them far-filter blocks of
+    # 2 and 3 rows, so the triangle i < j is cut in the top square of each of
+    # hundreds of blocks past the first
     graphs = (
         _differential_graphs("rp2")[:4]
-        + tuple(item for item in _differential_graphs("rp2") if item[0] in ("cover/L4", "cover/L6"))
+        + tuple(item for item in _differential_graphs("rp2")
+                if item[0] in ("base/L6", "cover/L4", "cover/L6"))
+        + tuple(item for item in _differential_graphs("lens") if item[0] == "k6/base/L2")
         + _differential_graphs("ties")
         + tuple(item for item in _differential_graphs("lens") if item[0].startswith("k6/cover/"))
         + tuple(item for item in _differential_graphs("sweep") if item[0].startswith("7/"))
